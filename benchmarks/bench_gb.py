@@ -4,10 +4,15 @@
 Workloads:
   orbit-fibre    GB of the naive homogenisation of the 4-critical-value
                  fibre ideal (9 variables, grevlex)
-  orbit-saturate the full saturated homogenisation of the same ideal
-                 (elimination order in 10 variables)
+  orbit-saturate the route `saturate` takes on the same ideal: adjoin w and
+                 1 - w*t, then eliminate w (elimination order in 10
+                 variables); `homogenise_ideal` no longer goes this way
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
+
+Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
+monomials of its leading terms (the number of solutions with multiplicity);
+a wrong count exits with status 1.
 
 Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 """
@@ -27,6 +32,7 @@ from orbitcompat import (
     parse_poly,
 )
 from orbitcompat._kernel import pure
+from orbitcompat.hilbert import hilbert_of_leading_terms
 
 try:
     from orbitcompat._kernel import _speedups
@@ -98,6 +104,10 @@ def cyclic(n):
     return raw, n, 1, 0
 
 
+# standard monomials of the zero-dimensional systems: 2^n for katsura-n,
+# 70 for cyclic-5
+STANDARD_MONOMIALS = {"katsura-5": 32, "katsura-6": 64, "cyclic-5": 70}
+
 WORKLOADS = {
     "orbit-fibre": (orbit_fibre_raw, False),
     "orbit-saturate": (orbit_saturate_raw, False),
@@ -114,7 +124,13 @@ def bench(fn, raw_args, repeat):
         t0 = time.perf_counter()
         basis = fn(*raw_args, 2_000_000, 200)
         times.append(time.perf_counter() - t0)
-    return min(times), statistics.mean(times), len(basis)
+    return min(times), statistics.mean(times), basis
+
+
+def standard_monomials(basis, nvars):
+    # kernel polynomials are sorted leading term first
+    h = hilbert_of_leading_terms([terms[0][0] for terms in basis], nvars)
+    return h.degree if h.krull_dim == 0 else None
 
 
 def main(argv=None):
@@ -131,20 +147,28 @@ def main(argv=None):
 
     print(f"{'workload':<16} {'engine':<8} {'best':>9} {'mean':>9}  basis")
     print("-" * 55)
+    wrong = []
     for name, (make, slow) in WORKLOADS.items():
         if slow and args.skip_slow:
             continue
         raw_args = make()
         results = {}
         for ename, fn in engines:
-            best, mean, size = bench(fn, raw_args, args.repeat)
+            best, mean, basis = bench(fn, raw_args, args.repeat)
             results[ename] = best
-            print(f"{name:<16} {ename:<8} {best:>8.3f}s {mean:>8.3f}s  {size}")
+            print(f"{name:<16} {ename:<8} {best:>8.3f}s {mean:>8.3f}s  {len(basis)}")
+            want = STANDARD_MONOMIALS.get(name)
+            if want is not None:
+                got = standard_monomials(basis, raw_args[1])
+                if got != want:
+                    wrong.append(f"{name} ({ename}): {got} standard monomials, expected {want}")
         if len(results) == 2:
             print(
                 f"{'':<16} speedup {results['pure'] / results['cython']:>7.2f}x"
             )
-    return 0
+    for line in wrong:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

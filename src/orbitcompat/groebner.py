@@ -9,7 +9,7 @@ contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -95,6 +95,16 @@ class ReducedGB:
     ctx: VarContext
     order: MonomialOrder
     basis: tuple[MultiPoly, ...]
+    # the basis as kernel term lists; buchberger passes its own, otherwise
+    # built on first use by kernel_terms()
+    _kernel_terms: tuple | None = field(default=None, compare=False, repr=False)
+
+    def kernel_terms(self) -> tuple[list[tuple[Monomial, int]], ...]:
+        """Each element as the integer term list of its primitive multiple."""
+        if self._kernel_terms is None:
+            terms = tuple(_to_int_terms(g) for g in self.basis)
+            object.__setattr__(self, "_kernel_terms", terms)
+        return self._kernel_terms
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.basis)
@@ -154,7 +164,9 @@ def buchberger(
     basis = tuple(
         _from_int_terms(I.ctx, terms, monic_by=terms[0][1]) for terms in out
     )
-    return ReducedGB(I.ctx, order, basis)
+    # the same primitivity makes each kernel list what _to_int_terms would
+    # rebuild from its monic element, so normal_form can reuse it
+    return ReducedGB(I.ctx, order, basis, tuple(out))
 
 
 def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
@@ -166,8 +178,9 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     kind, block = _order_code(G.order)
     den = _scale_factor(f)
     fraw = [(m, int(c * den)) for m, c in f.terms.items()]
-    braw = [_to_int_terms(g) for g in G.basis]
-    tail, mult = _kernel.normal_form_raw(fraw, braw, len(G.ctx), kind, block)
+    tail, mult = _kernel.normal_form_raw(
+        fraw, G.kernel_terms(), len(G.ctx), kind, block
+    )
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})
 
@@ -272,11 +285,19 @@ def homogenise_ideal(
     tvar: str = "t",
     limits: GBLimits = DEFAULT_LIMITS,
 ) -> IdealPresentation:
-    """The homogenisation of the ideal itself: saturate the generator-wise
-    homogenisation by the new variable.  Presentation-independent."""
-    naive = homogenise_naive(I, tvar)
-    t = MultiPoly.variable(naive.ctx, tvar)
-    return saturate(naive, t, limits)
+    """The homogenisation I^h of the ideal itself.  Presentation-independent.
+
+    Homogenising the reduced basis of I under a graded order, element by
+    element, generates I^h (Cox, Little, O'Shea, *Ideals, Varieties, and
+    Algorithms*, section 8.4, Theorem 4).  With tvar appended last, each
+    element keeps its grevlex leading monomial and no term of one becomes
+    divisible by another's, so the generators returned are the reduced
+    grevlex basis of I^h, in its order.  I^h equals the saturation of the
+    generator-wise homogenisation by tvar.
+    """
+    ctx = I.ctx.extend(tvar)
+    G = buchberger(I, GREVLEX, limits)
+    return IdealPresentation(ctx, [homogenise_poly(g, tvar) for g in G.basis])
 
 
 def dehomogenise_ideal(I: IdealPresentation, tvar: str) -> IdealPresentation:

@@ -6,13 +6,16 @@ import random
 
 import pytest
 
+import orbitcompat.groebner as groebner
 from orbitcompat import (
+    DiagSpec,
     GBLimits,
     GREVLEX,
     LEX,
     IdealPresentation,
     MultiPoly,
     PolyError,
+    ReducedGB,
     ResourceLimitExceeded,
     VarContext,
     buchberger,
@@ -24,9 +27,11 @@ from orbitcompat import (
     ideal_contains,
     ideal_equal,
     normal_form,
+    orbit_ideal_minpoly,
     parse_poly,
     saturate,
 )
+from orbitcompat.hilbert import hilbert
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -138,6 +143,18 @@ def test_normal_form_idempotent_and_linear(fibration_110):
         nf = normal_form(f, G)
         assert normal_form(nf, G) == nf
         assert normal_form(f + g, G) == normal_form(nf + normal_form(g, G), G)
+
+
+def test_directly_built_basis_reduces_alike(fibration_110):
+    # buchberger hands its kernel term lists to the basis; a basis built
+    # from the polynomials alone converts them itself on first use
+    G = buchberger(fibration_110["I_hom"])
+    H = ReducedGB(G.ctx, G.order, G.basis)
+    assert H == G and repr(H) == repr(G) and hash(H) == hash(G)
+    ctx = G.ctx
+    for text in ("x1^3*t", "x2*y3 - z1^2 + 3", "t^4 + y1*z2"):
+        f = parse_poly(text, ctx)
+        assert normal_form(f, H) == normal_form(f, G)
 
 
 # -- containment and equality ----------------------------------------------------
@@ -280,23 +297,64 @@ def test_homogenise_ideal_of_empty_variety_is_unit():
         assert normal_form(parse_poly(name, out.ctx), G).is_zero()
 
 
+def random_presentations(d, seed, count):
+    """Random regenerations of the fibre ideal <p, q, f>."""
+    rng = random.Random(seed)
+    p, q, f = d["p"], d["q"], d["f"]
+    ctx = d["I"].ctx
+    out = []
+    for _ in range(count):
+        # random invertible integer combinations preserve the ideal
+        g1 = p + q.scale(rng.randint(-2, 2))
+        g2 = q + f.scale(rng.randint(-2, 2)) * parse_poly(rng.choice(ctx.names), ctx)
+        out.append(IdealPresentation(ctx, [g1, g2, f, p]))
+    return out
+
+
 def test_random_presentations_homogenise_identically(fibration_110):
     """Ten random regenerations of the same ideal all saturate to one
     homogenisation."""
     d = fibration_110
-    rng = random.Random(99)
     base = homogenise_ideal(d["I"], "t")
-    gens0 = [d["p"], d["q"], d["f"]]
-    ctx = d["I"].ctx
-    for _ in range(10):
-        # random invertible integer combinations preserve the ideal
-        g1 = gens0[0] + gens0[1].scale(rng.randint(-2, 2))
-        g2 = gens0[1] + gens0[2].scale(rng.randint(-2, 2)) * parse_poly(
-            rng.choice(ctx.names), ctx
-        )
-        pres = IdealPresentation(ctx, [g1, g2, gens0[2], gens0[0]])
+    for pres in random_presentations(d, 99, 10):
         assert ideal_equal(pres, d["I"])
         assert ideal_equal(homogenise_ideal(pres, "t"), base)
+
+
+def test_homogenise_ideal_equals_saturation_by_elimination(fibration_110):
+    """Second algorithm: I^h is the saturation of the generator-wise
+    homogenisation by t, computed by eliminating a fresh variable."""
+    d = fibration_110
+    for pres in [d["I"], d["J"], *random_presentations(d, 3, 3)]:
+        naive = homogenise_naive(pres, "t")
+        by_elimination = saturate(naive, MultiPoly.variable(naive.ctx, "t"))
+        assert ideal_equal(homogenise_ideal(pres, "t"), by_elimination)
+
+
+def test_homogenise_ideal_returns_its_reduced_basis(
+    fibration_110, fibration_321, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("homogenise_ideal must not eliminate")
+
+    monkeypatch.setattr(groebner, "saturate", refuse)
+    monkeypatch.setattr(groebner, "eliminate", refuse)
+    for d in (fibration_110, fibration_321):
+        for name in ("I", "J"):
+            out = homogenise_ideal(d[name], "t")
+            assert buchberger(out).basis == out.generators
+
+
+@pytest.mark.parametrize(
+    "n, numerator, degree",
+    [(2, (1, 4, 1), 6), (3, (1, 9, 9, 1), 20)],
+)
+def test_minimal_orbit_closure_is_segre(n, numerator, degree):
+    """The closure of the orbit of diag(1,...,1,-n) is the Segre P^n x P^n:
+    h-vector (C(n,k)^2), degree C(2n,n), projective dimension 2n."""
+    orbit = orbit_ideal_minpoly(DiagSpec([1] * n + [-n]))
+    h = hilbert(buchberger(homogenise_ideal(orbit.presentation, "t")))
+    assert (h.numerator, h.degree, h.proj_dim) == (numerator, degree, 2 * n)
 
 
 def test_dehomogenised_saturation_lands_in_the_affine_ideal(fibration_110):
