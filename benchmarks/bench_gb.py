@@ -7,12 +7,17 @@ Workloads:
   orbit-saturate the route `saturate` takes on the same ideal: adjoin w and
                  1 - w*t, then eliminate w (elimination order in 10
                  variables); `homogenise_ideal` no longer goes this way
+  sl4-minimal    the saturated closure of the sl(4) minimal orbit of
+                 diag(1,1,1,-3): the one grevlex run `homogenise_ideal`
+                 makes, on the orbit's 16 generators in 15 variables
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
 
 Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
-monomials of its leading terms (the number of solutions with multiplicity);
-a wrong count exits with status 1.
+monomials of its leading terms (the number of solutions with multiplicity),
+and the sl4-minimal closure against the Segre P^3 x P^3: h-vector
+(C(3,k)^2) = (1,9,9,1), degree C(6,3) = 20, projective dimension 6.  A
+mismatch exits with status 1.
 
 Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 """
@@ -21,6 +26,7 @@ import argparse
 import statistics
 import sys
 import time
+from math import comb
 
 from orbitcompat import (
     DiagSpec,
@@ -29,6 +35,7 @@ from orbitcompat import (
     fibre_ideal,
     homogenise_naive,
     orbit_ideal_charvalues,
+    orbit_ideal_minpoly,
     parse_poly,
 )
 from orbitcompat._kernel import pure
@@ -61,6 +68,13 @@ def orbit_saturate_raw():
     gens.append(parse_poly("1 - w*t", ctx))
     raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
     return raw, len(ctx), 2, 1
+
+
+def minimal_orbit_raw():
+    orbit = orbit_ideal_minpoly(DiagSpec([1, 1, 1, -3]))
+    gens = orbit.presentation.generators
+    raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
+    return raw, len(orbit.presentation.ctx), 1, 0
 
 
 def katsura(n):
@@ -104,13 +118,10 @@ def cyclic(n):
     return raw, n, 1, 0
 
 
-# standard monomials of the zero-dimensional systems: 2^n for katsura-n,
-# 70 for cyclic-5
-STANDARD_MONOMIALS = {"katsura-5": 32, "katsura-6": 64, "cyclic-5": 70}
-
 WORKLOADS = {
     "orbit-fibre": (orbit_fibre_raw, False),
     "orbit-saturate": (orbit_saturate_raw, False),
+    "sl4-minimal": (minimal_orbit_raw, False),
     "katsura-5": (lambda: katsura(5), True),
     "cyclic-5": (lambda: cyclic(5), True),
     "katsura-6": (lambda: katsura(6), True),
@@ -131,6 +142,29 @@ def standard_monomials(basis, nvars):
     # kernel polynomials are sorted leading term first
     h = hilbert_of_leading_terms([terms[0][0] for terms in basis], nvars)
     return h.degree if h.krull_dim == 0 else None
+
+
+def closure_hilbert(basis, nvars):
+    # homogenising each element with t appended last keeps its grevlex
+    # leading monomial, so the closure's leading terms are these times t^0
+    h = hilbert_of_leading_terms([terms[0][0] + (0,) for terms in basis], nvars + 1)
+    return h.numerator, h.degree, h.proj_dim
+
+
+def segre(n):
+    """h-vector, degree and projective dimension of P^n x P^n."""
+    return tuple(comb(n, k) ** 2 for k in range(n + 1)), comb(2 * n, n), 2 * n
+
+
+# what each checked workload's basis must give: the standard monomial count
+# of a zero-dimensional system (2^n for katsura-n, 70 for cyclic-5), or the
+# Hilbert data of a closure
+EXPECTED = {
+    "katsura-5": (standard_monomials, 32),
+    "katsura-6": (standard_monomials, 64),
+    "cyclic-5": (standard_monomials, 70),
+    "sl4-minimal": (closure_hilbert, segre(3)),
+}
 
 
 def main(argv=None):
@@ -157,11 +191,11 @@ def main(argv=None):
             best, mean, basis = bench(fn, raw_args, args.repeat)
             results[ename] = best
             print(f"{name:<16} {ename:<8} {best:>8.3f}s {mean:>8.3f}s  {len(basis)}")
-            want = STANDARD_MONOMIALS.get(name)
-            if want is not None:
-                got = standard_monomials(basis, raw_args[1])
+            if name in EXPECTED:
+                measure, want = EXPECTED[name]
+                got = measure(basis, raw_args[1])
                 if got != want:
-                    wrong.append(f"{name} ({ename}): {got} standard monomials, expected {want}")
+                    wrong.append(f"{name} ({ename}): {measure.__name__} {got}, expected {want}")
         if len(results) == 2:
             print(
                 f"{'':<16} speedup {results['pure'] / results['cython']:>7.2f}x"

@@ -8,6 +8,17 @@ kept primitive (integer content 1, positive leading coefficient), which
 keeps the arithmetic fraction-free: reductions scale by leading coefficients
 instead of dividing.
 
+Reduction (``_reduce``) keeps the remainder still to be reduced as a
+``{key: coeff}`` dict with a side map from key to exponent, takes its
+leading term with ``max`` and subtracts each reducer term by term, so the
+interpreted work of a step grows with the reducer's length, not the
+remainder's (the ``max`` scan runs in C).  A step scales the
+remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
+coefficients), which is 1 for most steps.  Irreducible terms go to the tail
+with the scale they were taken at and are brought up to date only when the
+integer content is normalised, every ``_CONTENT_STRIDE`` steps, and at the
+end.
+
 Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
 2 = block elimination (grevlex on the first ``block`` variables, then
 grevlex on the rest).  All three keys are additive under monomial
@@ -134,45 +145,74 @@ def _reduce(f, basis, track_multiplier=False):
     ``track_multiplier`` is false the tail is normalised primitive and mult
     is meaningless (callers that only need the remainder up to a scalar).
     """
-    heads = [(g[0][1], g[0][2], g) for g in basis]
+    heads = [(g[0][1], g[0][2], g[0][0], g[1:]) for g in basis]
+    # the remainder still to reduce, as key -> coeff; exps maps every key
+    # ever seen to its exponent, computed once per new key
+    h = {}
+    exps = {}
+    for k, e, c in f:
+        h[k] = c
+        exps[k] = e
+    # irreducible terms (key, exp, coeff, scale when taken): the true
+    # coefficient is coeff * (scale // taken), brought up to date by _settle
     tail = []
-    h = list(f)
-    i = 0
+    scale = 1
     mult = 1
     steps = 0
-    while i < len(h):
-        k0, e0, c0 = h[i]
-        hit = None
-        for ge, gc, g in heads:
+    while h:
+        k0 = max(h)
+        c0 = h.pop(k0)
+        e0 = exps[k0]
+        for ge, gc, gk, grest in heads:
             if _divides(ge, e0):
-                hit = (ge, gc, g)
                 break
-        if hit is None:
-            tail.append(h[i])
-            i += 1
+        else:
+            tail.append((k0, e0, c0, scale))
             continue
-        ge, gc, g = hit
+        # h <- m*h - b*x^dexp*g with m*c0 = b*gc, the smallest such m > 0
+        common = gcd(gc, c0)
+        b = c0 // common
+        if common != gc:
+            m = gc // common
+            for k in h:
+                h[k] *= m
+            scale *= m
+            mult *= m
         dexp = tuple(map(sub, e0, ge))
-        dkey = tuple(map(sub, k0, g[0][0]))
-        h = _combine(gc, h[i:], -c0, _shift(g, dkey, dexp))
-        i = 0
-        if gc != 1:
-            if tail:
-                tail = [(k, e, c * gc) for k, e, c in tail]
-            mult *= gc
+        dkey = tuple(map(sub, k0, gk))
+        for k, e, c in grest:
+            sk = tuple(map(add, k, dkey))
+            sc = h.get(sk, 0) - b * c
+            if sc:
+                h[sk] = sc
+                if sk not in exps:
+                    exps[sk] = tuple(map(add, e, dexp))
+            else:
+                del h[sk]
         steps += 1
         if steps % _CONTENT_STRIDE == 0 and h:
-            g0 = gcd(_content(h), _content(tail)) if tail else _content(h)
+            tail = _settle(tail, scale)
+            scale = 1
+            g0 = gcd(*h.values(), *(t[2] for t in tail))
             if track_multiplier:
                 g0 = gcd(g0, mult)
             if g0 > 1:
-                h = [(k, e, c // g0) for k, e, c in h]
-                tail = [(k, e, c // g0) for k, e, c in tail]
+                for k in h:
+                    h[k] //= g0
+                tail = [(k, e, c // g0, 1) for k, e, c, _ in tail]
                 if track_multiplier:
                     mult //= g0
+    tail = [(k, e, c) for k, e, c, _ in _settle(tail, scale)]
     if not track_multiplier:
         return _primitive(tail), 1
     return tail, mult
+
+
+def _settle(tail, scale):
+    """Bring lazily scaled tail terms up to date with ``scale``."""
+    return [
+        (k, e, c if s == scale else c * (scale // s), 1) for k, e, c, s in tail
+    ]
 
 
 def buchberger(gens, nvars, kind, block, max_pairs=200_000, max_degree=200):

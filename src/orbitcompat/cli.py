@@ -42,9 +42,16 @@ from .ioformats import (
     read_ideal,
     write_ideal,
 )
-from .orbits import DiagSpec, orbit_ideal_charvalues, orbit_ideal_minpoly, potential, weyl_critical
+from .orbits import (
+    DiagSpec,
+    cut_by_potential,
+    orbit_ideal_charvalues,
+    orbit_ideal_minpoly,
+    potential,
+    weyl_critical,
+)
 from .parsing import ParseError
-from .polyring import MultiPoly, PolyError, order_from_name
+from .polyring import PolyError, order_from_name
 
 
 class CliError(Exception):
@@ -131,8 +138,7 @@ def cmd_fibre(args) -> int:
         c = Fraction(args.value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--value {args.value!r} is not a rational number")
-    cut = pot.poly - MultiPoly.constant(pot.poly.ctx, c)
-    fib = IdealPresentation(ideal.ctx, list(ideal.generators) + [cut])
+    fib = cut_by_potential(ideal, pot, c)
     meta = dict(meta)
     meta.update({"h": [format_rational(v) for v in h.eigenvalues], "value": format_rational(c)})
     _emit_ideal(args, fib, meta)

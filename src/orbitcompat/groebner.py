@@ -68,6 +68,9 @@ class IdealPresentation:
 
     ctx: VarContext
     generators: tuple[MultiPoly, ...]
+    # the reduced basis of the ideal when the constructor already knows it
+    # (homogenise_ideal); buchberger returns it for its order
+    _reduced: ReducedGB | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, ctx: VarContext, generators):
         gens = []
@@ -78,6 +81,7 @@ class IdealPresentation:
                 gens.append(g)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_reduced", None)
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -152,8 +156,17 @@ def buchberger(
     """Compute the reduced Groebner basis of the presented ideal.
 
     Deterministic: the reduced basis is unique for (ideal, order), so the
-    result does not depend on generator order or pair selection.
+    result does not depend on generator order or pair selection.  Raises
+    ResourceLimitExceeded when a generator's degree exceeds
+    ``limits.max_degree``, as the kernel does for the polynomials it makes.
     """
+    top = max((g.degree() for g in I.generators), default=-1)
+    if top > limits.max_degree:
+        raise ResourceLimitExceeded(
+            f"degree cap {limits.max_degree} exceeded by an input of degree {top}"
+        )
+    if I._reduced is not None and I._reduced.order == order:
+        return I._reduced
     kind, block = _order_code(order)
     raw = [_to_int_terms(g) for g in I.generators]
     out = _kernel.buchberger_raw(
@@ -292,12 +305,15 @@ def homogenise_ideal(
     Algorithms*, section 8.4, Theorem 4).  With tvar appended last, each
     element keeps its grevlex leading monomial and no term of one becomes
     divisible by another's, so the generators returned are the reduced
-    grevlex basis of I^h, in its order.  I^h equals the saturation of the
-    generator-wise homogenisation by tvar.
+    grevlex basis of I^h, in its order, and the result carries that basis
+    so that ``buchberger(result)`` returns it without a second run.  I^h
+    equals the saturation of the generator-wise homogenisation by tvar.
     """
     ctx = I.ctx.extend(tvar)
     G = buchberger(I, GREVLEX, limits)
-    return IdealPresentation(ctx, [homogenise_poly(g, tvar) for g in G.basis])
+    out = IdealPresentation(ctx, [homogenise_poly(g, tvar) for g in G.basis])
+    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, out.generators))
+    return out
 
 
 def dehomogenise_ideal(I: IdealPresentation, tvar: str) -> IdealPresentation:

@@ -33,6 +33,7 @@ __all__ = [
     "orbit_ideal_charvalues",
     "potential",
     "weyl_critical",
+    "cut_by_potential",
     "fibre_ideal",
     "vertical_fibre_closure",
 ]
@@ -259,14 +260,18 @@ def weyl_critical(H: DiagSpec, H0: DiagSpec) -> WeylCritical:
     return WeylCritical(tuple(points), tuple(sorted(values)))
 
 
+def cut_by_potential(
+    ideal: IdealPresentation, pot: Potential, c
+) -> IdealPresentation:
+    """The ideal plus the generator pot - c, appended last."""
+    cut = pot.poly - MultiPoly.constant(pot.poly.ctx, Fraction(c))
+    return IdealPresentation(ideal.ctx, list(ideal.generators) + [cut])
+
+
 def fibre_ideal(orbit: OrbitIdeal, H: DiagSpec, c) -> IdealPresentation:
     """The fibre of the potential over c: the orbit ideal plus the generator
     tr(H*A) - c."""
-    pot = potential(H, orbit.spec.n)
-    cut = pot.poly - MultiPoly.constant(pot.poly.ctx, Fraction(c))
-    return IdealPresentation(
-        orbit.presentation.ctx, list(orbit.presentation.generators) + [cut]
-    )
+    return cut_by_potential(orbit.presentation, potential(H, orbit.spec.n), c)
 
 
 @dataclass(frozen=True)

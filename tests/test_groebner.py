@@ -2,6 +2,7 @@
 homogenisations, checked against independent oracles wherever a value is
 derived rather than trivial."""
 
+import io
 import random
 
 import pytest
@@ -21,17 +22,21 @@ from orbitcompat import (
     buchberger,
     dehomogenise_ideal,
     eliminate,
+    elimination,
+    fibre_ideal,
     homogenise_ideal,
     homogenise_naive,
     homogenise_poly,
     ideal_contains,
     ideal_equal,
     normal_form,
+    orbit_ideal_charvalues,
     orbit_ideal_minpoly,
     parse_poly,
     saturate,
 )
 from orbitcompat.hilbert import hilbert
+from orbitcompat.ioformats import read_ideal, write_ideal
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -97,6 +102,21 @@ def test_resource_limit_raises():
     gens = ideal(ctx, "a^2 + b^2 + c^2 - a", "a*b + b*c - b", "a + 2*b + 2*c - 1")
     with pytest.raises(ResourceLimitExceeded):
         buchberger(gens, GREVLEX, GBLimits(max_pairs=1))
+
+
+def test_input_degree_cap_raises_before_the_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel must not run past the input degree cap")
+
+    I = ideal(XYZ, "x^3 + y", "y*z - 1")
+    assert buchberger(I, GREVLEX, GBLimits(max_degree=3)) == buchberger(I)
+    closed = homogenise_ideal(I, "t")
+    monkeypatch.setattr(groebner._kernel, "buchberger_raw", refuse)
+    with pytest.raises(ResourceLimitExceeded, match="degree 3"):
+        buchberger(I, GREVLEX, GBLimits(max_degree=2))
+    # an attached basis is no way round the cap
+    with pytest.raises(ResourceLimitExceeded, match="degree 3"):
+        buchberger(closed, GREVLEX, GBLimits(max_degree=2))
 
 
 # -- normal form ----------------------------------------------------------------
@@ -343,6 +363,57 @@ def test_homogenise_ideal_returns_its_reduced_basis(
         for name in ("I", "J"):
             out = homogenise_ideal(d[name], "t")
             assert buchberger(out).basis == out.generators
+
+
+def fresh(I):
+    """The same generators, without the basis homogenise_ideal attaches."""
+    return IdealPresentation(I.ctx, I.generators)
+
+
+def sl4_fibre():
+    orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
+    return fibre_ideal(orbit, DiagSpec([3, 1, -1, -3]), 0)
+
+
+def test_attached_basis_is_the_fresh_reduced_basis(fibration_110, fibration_321):
+    affine = [d[name] for d in (fibration_110, fibration_321) for name in ("I", "J")]
+    for I in affine + [sl4_fibre()]:
+        out = homogenise_ideal(I, "t")
+        G = buchberger(out)
+        assert G is out._reduced
+        assert G == buchberger(fresh(out))
+
+
+def test_other_orders_ignore_the_attached_basis(monkeypatch):
+    out = homogenise_ideal(ideal(XYZ, "y - x^2", "z - x^3"), "t")
+    runs = []
+    raw = groebner._kernel.buchberger_raw
+
+    def counted(*args):
+        runs.append(args[2:4])
+        return raw(*args)
+
+    monkeypatch.setattr(groebner._kernel, "buchberger_raw", counted)
+    for order in (LEX, elimination(1)):
+        G = buchberger(out, order)
+        assert G.order == order
+        assert G == buchberger(fresh(out), order)
+    # (kind, block) of each kernel run: lex twice, then elimination twice
+    assert runs == [(0, 0), (0, 0), (2, 1), (2, 1)]
+    buchberger(out)
+    assert len(runs) == 4
+
+
+def test_attached_basis_is_invisible(fibration_110):
+    out = homogenise_ideal(fibration_110["I"], "t")
+    plain = fresh(out)
+    assert plain._reduced is None
+    assert out == plain and hash(out) == hash(plain) and repr(out) == repr(plain)
+    buf = io.StringIO()
+    write_ideal(buf, out)
+    back, _ = read_ideal(io.StringIO(buf.getvalue()))
+    assert back == out and back._reduced is None
+    assert homogenise_naive(fibration_110["I"], "t")._reduced is None
 
 
 @pytest.mark.parametrize(
