@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled Groebner engine against the pure-Python fallback.
+"""Time the package's one Groebner engine, ``_kernel.pure``, on raw term lists.
 
 Workloads:
   orbit-fibre    GB of the naive homogenisation of the 4-critical-value
@@ -40,11 +40,6 @@ from orbitcompat import (
 )
 from orbitcompat._kernel import pure
 from orbitcompat.hilbert import hilbert_of_leading_terms
-
-try:
-    from orbitcompat._kernel import _speedups
-except ImportError:
-    _speedups = None
 
 
 def orbit_fibre_raw():
@@ -128,12 +123,12 @@ WORKLOADS = {
 }
 
 
-def bench(fn, raw_args, repeat):
+def bench(raw_args, repeat):
     times = []
     basis = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        basis = fn(*raw_args, 2_000_000, 200)
+        basis = pure.buchberger(*raw_args, 2_000_000, 200)
         times.append(time.perf_counter() - t0)
     return min(times), statistics.mean(times), basis
 
@@ -173,33 +168,20 @@ def main(argv=None):
     ap.add_argument("--skip-slow", action="store_true", help="only the orbit workloads")
     args = ap.parse_args(argv)
 
-    engines = [("pure", pure.buchberger)]
-    if _speedups is not None:
-        engines.append(("cython", _speedups.buchberger))
-    else:
-        print("note: compiled kernel not built; benchmarking pure only")
-
-    print(f"{'workload':<16} {'engine':<8} {'best':>9} {'mean':>9}  basis")
-    print("-" * 55)
+    print(f"{'workload':<16} {'best':>9} {'mean':>9}  basis")
+    print("-" * 46)
     wrong = []
     for name, (make, slow) in WORKLOADS.items():
         if slow and args.skip_slow:
             continue
         raw_args = make()
-        results = {}
-        for ename, fn in engines:
-            best, mean, basis = bench(fn, raw_args, args.repeat)
-            results[ename] = best
-            print(f"{name:<16} {ename:<8} {best:>8.3f}s {mean:>8.3f}s  {len(basis)}")
-            if name in EXPECTED:
-                measure, want = EXPECTED[name]
-                got = measure(basis, raw_args[1])
-                if got != want:
-                    wrong.append(f"{name} ({ename}): {measure.__name__} {got}, expected {want}")
-        if len(results) == 2:
-            print(
-                f"{'':<16} speedup {results['pure'] / results['cython']:>7.2f}x"
-            )
+        best, mean, basis = bench(raw_args, args.repeat)
+        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis)}")
+        if name in EXPECTED:
+            measure, want = EXPECTED[name]
+            got = measure(basis, raw_args[1])
+            if got != want:
+                wrong.append(f"{name}: {measure.__name__} {got}, expected {want}")
     for line in wrong:
         print(f"error: {line}", file=sys.stderr)
     return 1 if wrong else 0

@@ -1,20 +1,11 @@
-"""Engine selection: compiled extension when available, pure Python otherwise.
+"""The Groebner engine behind ``groebner``, on raw integer term lists.
 
-Set ORBITCOMPAT_KERNEL=pure to force the fallback (used by the benchmark and
-the parity tests).  Both engines implement the same API and return identical
-results; the reduced Groebner basis is unique, so this is checkable.
+``groebner`` calls the engine through the module attributes below, so a
+caller can wrap or replace them in one place.
 """
 
-import os
+from . import pure
 
-if os.environ.get("ORBITCOMPAT_KERNEL", "").lower() == "pure":
-    from . import pure as _active
-else:
-    try:
-        from . import _speedups as _active  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as _active
-
-BACKEND = _active.BACKEND_NAME
-buchberger_raw = _active.buchberger
-normal_form_raw = _active.normal_form
+BACKEND = "pure"
+buchberger_raw = pure.buchberger
+normal_form_raw = pure.normal_form

@@ -24,8 +24,9 @@ Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
 grevlex on the rest).  All three keys are additive under monomial
 multiplication, so products just add key tuples.
 
-The compiled extension ``_speedups`` implements the same API; results are
-bit-identical because the reduced Groebner basis is unique.
+This is the package's only Groebner engine.  It has no caps of its own:
+``buchberger`` takes them from the caller, whose defaults live in
+``groebner.GBLimits``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from math import gcd
 from operator import add, sub
 
 from ..errors import ResourceLimitExceeded
-
-BACKEND_NAME = "pure"
 
 # Re-normalise integer content after this many reduction steps to keep
 # coefficient growth in check without paying a gcd on every step.
@@ -215,7 +214,7 @@ def _settle(tail, scale):
     ]
 
 
-def buchberger(gens, nvars, kind, block, max_pairs=200_000, max_degree=200):
+def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     """Reduced Groebner basis of ``gens`` (list of [(exp, int)] term lists).
 
     Returns a list of primitive integer polynomials as [(exp, int)] lists,

@@ -34,7 +34,6 @@ from .groebner import (
 )
 from .hilbert import hilbert
 from .ioformats import (
-    format_rational,
     gb_to_json,
     hilbert_to_json,
     ideal_to_json,
@@ -50,7 +49,7 @@ from .orbits import (
     potential,
     weyl_critical,
 )
-from .parsing import ParseError
+from .parsing import ParseError, format_rational
 from .polyring import PolyError, order_from_name
 
 

@@ -2,9 +2,9 @@
 them: normal forms, membership and equality tests, elimination, saturation
 and the two homogenisation procedures.
 
-The numeric work happens in ``_kernel`` (compiled extension or pure-Python
-twin) on raw integer term lists; this module owns the conversions and the
-contracts.
+The numeric work happens in ``_kernel``, the pure-Python engine, on raw
+integer term lists; this module owns the conversions, the caps
+(``GBLimits``) and the contracts.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class ReducedGB:
     def kernel_terms(self) -> tuple[list[tuple[Monomial, int]], ...]:
         """Each element as the integer term list of its primitive multiple."""
         if self._kernel_terms is None:
-            terms = tuple(_to_int_terms(g) for g in self.basis)
+            terms = tuple(_clear_denominators(g)[1] for g in self.basis)
             object.__setattr__(self, "_kernel_terms", terms)
         return self._kernel_terms
 
@@ -125,21 +125,12 @@ def _order_code(order: MonomialOrder) -> tuple[int, int]:
     return kind, order.block
 
 
-def _to_int_terms(f: MultiPoly) -> list[tuple[Monomial, int]]:
-    """Clear denominators: returns terms of d*f for the lcm d of denominators."""
-    if not f.terms:
-        return []
+def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
+    """``(d, terms of d*f)`` for the lcm d of the coefficient denominators."""
     den = 1
     for c in f.terms.values():
         den = lcm(den, c.denominator)
-    return [(m, int(c * den)) for m, c in f.terms.items()]
-
-
-def _scale_factor(f: MultiPoly) -> int:
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    return den
+    return den, [(m, int(c * den)) for m, c in f.terms.items()]
 
 
 def _from_int_terms(ctx: VarContext, terms, monic_by: int | None = None) -> MultiPoly:
@@ -168,7 +159,7 @@ def buchberger(
     if I._reduced is not None and I._reduced.order == order:
         return I._reduced
     kind, block = _order_code(order)
-    raw = [_to_int_terms(g) for g in I.generators]
+    raw = [_clear_denominators(g)[1] for g in I.generators]
     out = _kernel.buchberger_raw(
         raw, len(I.ctx), kind, block, limits.max_pairs, limits.max_degree
     )
@@ -177,8 +168,8 @@ def buchberger(
     basis = tuple(
         _from_int_terms(I.ctx, terms, monic_by=terms[0][1]) for terms in out
     )
-    # the same primitivity makes each kernel list what _to_int_terms would
-    # rebuild from its monic element, so normal_form can reuse it
+    # the same primitivity makes each kernel list what _clear_denominators
+    # would rebuild from its monic element, so normal_form can reuse it
     return ReducedGB(I.ctx, order, basis, tuple(out))
 
 
@@ -189,8 +180,7 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     if f.is_zero() or not G.basis:
         return f
     kind, block = _order_code(G.order)
-    den = _scale_factor(f)
-    fraw = [(m, int(c * den)) for m, c in f.terms.items()]
+    den, fraw = _clear_denominators(f)
     tail, mult = _kernel.normal_form_raw(
         fraw, G.kernel_terms(), len(G.ctx), kind, block
     )

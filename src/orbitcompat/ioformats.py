@@ -100,10 +100,6 @@ def hilbert_to_json(h: HilbertData) -> str:
     )
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_rational_list(text: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip()]

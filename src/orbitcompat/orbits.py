@@ -94,12 +94,6 @@ class GenericMatrix:
     def size(self) -> int:
         return self.n + 1
 
-    def trace(self) -> MultiPoly:
-        out = MultiPoly.zero(self.ctx)
-        for i in range(self.size):
-            out = out + self.entries[i][i]
-        return out
-
     def add_scalar(self, c) -> "GenericMatrix":
         """The matrix plus c times the identity."""
         c = MultiPoly.constant(self.ctx, c)

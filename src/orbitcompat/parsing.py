@@ -146,7 +146,8 @@ def _read_factor(sc: _Scanner, ctx: VarContext, exps: list[int]) -> None:
     exps[i] += power
 
 
-def _coeff_str(c: Fraction) -> str:
+def format_rational(c: Fraction) -> str:
+    """``n`` for an integer, ``n/d`` otherwise."""
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -171,11 +172,11 @@ def poly_to_string(f: MultiPoly, order: MonomialOrder = GREVLEX) -> str:
         neg = coeff < 0
         mag = -coeff if neg else coeff
         if not mstr:
-            body = _coeff_str(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = mstr
         else:
-            body = f"{_coeff_str(mag)}*{mstr}"
+            body = f"{format_rational(mag)}*{mstr}"
         if not out:
             out.append(f"-{body}" if neg else body)
         else:

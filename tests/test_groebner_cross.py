@@ -19,6 +19,7 @@ from orbitcompat import (
     MultiPoly,
     VarContext,
     buchberger,
+    eliminate,
     parse_poly,
 )
 
@@ -119,3 +120,50 @@ def test_random_systems_match_sympy():
         order = rng.choice([GREVLEX, LEX])
         mine, theirs = _both_bases(pres, order)
         assert mine == theirs, [str(g) for g in gens]
+
+
+def _eliminated_by_sympy(presentation, v):
+    """Reduced grevlex basis of I ∩ Q[ctx minus v], through sympy alone: the
+    elements of the lex basis with v first that are free of v generate the
+    intersection, and sympy's grevlex run on them reduces that basis."""
+    names = list(presentation.ctx.names)
+    rest = [n for n in names if n != v]
+    syms = sympy.symbols([v] + rest)
+    lex_ctx = VarContext([v] + rest)
+    lex = sympy.groebner(
+        [_to_sympy(g.map_context(lex_ctx), syms) for g in presentation.generators],
+        *syms,
+        order="lex",
+        domain="QQ",
+    )
+    free = [q.as_expr() for q in lex.polys if q.degree(syms[0]) <= 0]
+    if not free:
+        return set()
+    kept = sympy.groebner(free, *syms[1:], order="grevlex", domain="QQ")
+    return {_from_sympy(q, VarContext(rest)) for q in kept.polys}
+
+
+def test_random_eliminations_match_sympy():
+    """``eliminate`` runs the block elimination order; its output, reduced
+    under grevlex, must equal sympy's lex-then-grevlex route."""
+    rng = random.Random(27182)
+    checked = 0
+    while checked < 15:
+        names = ["x", "y", "z", "w"][: rng.randint(3, 4)]
+        ctx = VarContext(names)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in names)
+                terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            p = MultiPoly(ctx, terms)
+            if not p.is_zero():
+                gens.append(p)
+        if not gens:
+            continue
+        pres = IdealPresentation(ctx, gens)
+        v = rng.choice(names)
+        mine = set(buchberger(eliminate(pres, {v}), GREVLEX).basis)
+        assert mine == _eliminated_by_sympy(pres, v), ([str(g) for g in gens], v)
+        checked += 1

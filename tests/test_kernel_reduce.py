@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 from orbitcompat import (
+    GBLimits,
     IdealPresentation,
     MultiPoly,
     VarContext,
@@ -17,6 +18,7 @@ from orbitcompat._kernel import pure
 
 CTX = VarContext(["x", "y", "z"])
 KIND, BLOCK = 1, 0  # grevlex
+LIMITS = GBLimits()
 
 
 def key(e):
@@ -77,7 +79,8 @@ def cases(seed, count):
     found = []
     while len(found) < count:
         gens = [random_poly(rng, rng.randint(2, 4), 3, 7) for _ in range(3)]
-        basis = [dict(b) for b in pure.buchberger([list(g.items()) for g in gens], 3, KIND, BLOCK)]
+        raw = [list(g.items()) for g in gens]
+        basis = [dict(b) for b in pure.buchberger(raw, 3, KIND, BLOCK, LIMITS.max_pairs, LIMITS.max_degree)]
         if not basis or any(max(g, key=key) == (0, 0, 0) for g in basis):
             continue
         f = random_poly(rng, rng.randint(10, 20), 7, 9)
