@@ -9,3 +9,4 @@ from . import pure
 BACKEND = "pure"
 buchberger_raw = pure.buchberger
 normal_form_raw = pure.normal_form
+key_basis = pure.key_basis

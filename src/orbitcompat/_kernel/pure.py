@@ -19,6 +19,13 @@ with the scale they were taken at and are brought up to date only when the
 integer content is normalised, every ``_CONTENT_STRIDE`` steps, and at the
 end.
 
+``buchberger`` keeps one record per critical pair, ``(key of lcm, lcm, i,
+j)``, made once when ``update`` creates the pair.  Both Gebauer-Moeller
+pruning tests read the stored lcm, and the normal strategy takes the next
+pair as ``min`` of the records: the order key is injective, so that is the
+smallest lcm, ties broken by the indices.  ``normal_form`` reduces against a
+basis keyed once by ``key_basis``.
+
 Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
 2 = block elimination (grevlex on the first ``block`` variables, then
 grevlex on the rest).  All three keys are additive under monomial
@@ -254,83 +261,60 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     f = list(polys)  # every polynomial ever created; G and pairs hold indices
 
     def update(G, B, ih):
-        # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230.
-        h = f[ih]
-        mh = h[0][1]
-        C = set(G)
-        D = set()
-        while C:
-            ig = C.pop()
+        # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
+        # pair records (key of lcm, lcm, ih, ig)
+        mh = f[ih][0][1]
+        B = [
+            pr
+            for pr in B
+            if not _divides(mh, pr[1])
+            or tuple(map(max, f[pr[2]][0][1], mh)) == pr[1]
+            or tuple(map(max, f[pr[3]][0][1], mh)) == pr[1]
+        ]
+        # of several new pairs with equal lcm the chain test keeps the last
+        # candidate, so candidate order decides which pair survives; it is
+        # the iteration order of a fresh copy of G
+        C = []
+        for ig in set(G):
             mg = f[ig][0][1]
-            lcm_hg = tuple(map(max, mh, mg))
-
-            def lcm_divides(ip):
-                m = tuple(map(max, mh, f[ip][0][1]))
-                return _divides(m, lcm_hg)
-
-            if tuple(map(add, mh, mg)) == lcm_hg or (
-                not any(lcm_divides(ip) for ip in C)
-                and not any(lcm_divides(pr[1]) for pr in D)
+            C.append((tuple(map(max, mh, mg)), tuple(map(add, mh, mg)), ig))
+        D = []  # lcms of the new pairs kept, coprime ones included
+        for n, (m, product, ig) in enumerate(C):
+            if product == m:
+                D.append(m)  # coprime leading monomials: kept out of B
+            elif not (
+                any(_divides(m2, m) for m2, _, _ in C[n + 1 :])
+                or any(_divides(m2, m) for m2 in D)
             ):
-                D.add((ih, ig))
-        E = set()
-        while D:
-            ih2, ig = D.pop()
-            mg = f[ig][0][1]
-            lcm_hg = tuple(map(max, mh, mg))
-            if tuple(map(add, mh, mg)) != lcm_hg:
-                E.add((ih2, ig))
-        B_new = set()
-        while B:
-            ig1, ig2 = B.pop()
-            mg1 = f[ig1][0][1]
-            mg2 = f[ig2][0][1]
-            lcm12 = tuple(map(max, mg1, mg2))
-            if (
-                not _divides(mh, lcm12)
-                or tuple(map(max, mg1, mh)) == lcm12
-                or tuple(map(max, mg2, mh)) == lcm12
-            ):
-                B_new.add((ig1, ig2))
-        B_new |= E
+                D.append(m)
+                B.append((make_key(m, kind, block), m, ih, ig))
         G_new = {ig for ig in G if not _divides(mh, f[ig][0][1])}
         G_new.add(ih)
-        return G_new, B_new
+        return G_new, B
 
     G = set()
-    CP = set()
+    CP = []
     for i in range(len(f)):
         G, CP = update(G, CP, i)
 
     pairs_done = 0
     while CP:
-        # normal strategy: smallest lcm in the order; index tie-break keeps
-        # runs reproducible even though the reduced result is unique anyway
-        best = None
-        best_key = None
-        for pr in CP:
-            m = tuple(map(max, f[pr[0]][0][1], f[pr[1]][0][1]))
-            kk = (make_key(m, kind, block), pr)
-            if best_key is None or kk < best_key:
-                best_key = kk
-                best = pr
+        # normal strategy: smallest lcm in the order, then smallest indices;
+        # the key is injective, so comparing records compares exactly that
+        best = min(CP)
         CP.remove(best)
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
-        i1, i2 = best
-        p1, p2 = f[i1], f[i2]
-        e1, e2 = p1[0][1], p2[0][1]
-        lcm_exp = tuple(map(max, e1, e2))
-        c1, c2 = p1[0][2], p2[0][2]
+        key, lcm_exp, i1, i2 = best
+        (k1, e1, c1), (k2, e2, c2) = f[i1][0], f[i2][0]
         d = gcd(c1, c2)
-        d1 = tuple(map(sub, lcm_exp, e1))
-        d2 = tuple(map(sub, lcm_exp, e2))
+        # keys are additive, so a cofactor's key is a difference of keys
         s = _combine(
             c2 // d,
-            _shift(p1, make_key(d1, kind, block), d1),
+            _shift(f[i1], tuple(map(sub, key, k1)), tuple(map(sub, lcm_exp, e1))),
             -(c1 // d),
-            _shift(p2, make_key(d2, kind, block), d2),
+            _shift(f[i2], tuple(map(sub, key, k2)), tuple(map(sub, lcm_exp, e2))),
         )
         if not s:
             continue
@@ -367,20 +351,26 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     return [_strip_keys(p) for p in result]
 
 
-def normal_form(fpairs, basis_pairs, nvars, kind, block):
+def key_basis(basis_pairs, kind, block):
+    """A basis of [(exp, int)] term lists keyed for ``normal_form``.
+
+    Key a basis once and pass the result to every ``normal_form`` call
+    against it under the same order.
+    """
+    keyed = (_attach_keys(b, kind, block) for b in basis_pairs)
+    return [p for p in keyed if p]
+
+
+def normal_form(fpairs, basis, nvars, kind, block):
     """Exact remainder of f modulo a (Groebner) basis.
 
-    Input and basis are [(exp, int)] term lists; returns ``(tail, mult)``
-    with the exact normal form equal to tail / mult.  The input is not
-    content-normalised: the multiplier accounts for everything.
+    The input is an [(exp, int)] term list and the basis the output of
+    ``key_basis`` for the same order; returns ``(tail, mult)`` with the exact
+    normal form equal to tail / mult, tail as an [(exp, int)] list.  The input
+    is not content-normalised: the multiplier accounts for everything.
     """
     terms = [(make_key(e, kind, block), e, c) for e, c in fpairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
-    basis = []
-    for b in basis_pairs:
-        p = _attach_keys(b, kind, block)
-        if p:
-            basis.append(p)
     if not terms:
         return [], 1
     if not basis:

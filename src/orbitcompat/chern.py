@@ -46,12 +46,6 @@ class TruncatedSeries:
         return TruncatedSeries(order, [1])
 
     @staticmethod
-    def geometric(order: int, ratio) -> "TruncatedSeries":
-        """1 / (1 - ratio * a) expanded to the order."""
-        r = Fraction(ratio)
-        return TruncatedSeries(order, [r**k for k in range(order + 1)])
-
-    @staticmethod
     def binomial_power(order: int, exponent: int) -> "TruncatedSeries":
         """(1 + a)^exponent for a non-negative integer exponent."""
         return TruncatedSeries(order, [comb(exponent, k) for k in range(order + 1)])

@@ -99,16 +99,15 @@ class ReducedGB:
     ctx: VarContext
     order: MonomialOrder
     basis: tuple[MultiPoly, ...]
-    # the basis as kernel term lists; buchberger passes its own, otherwise
-    # built on first use by kernel_terms()
-    _kernel_terms: tuple | None = field(default=None, compare=False, repr=False)
+    # the basis keyed for the kernel's normal form, built on first use
+    _keyed: list | None = field(default=None, compare=False, repr=False)
 
-    def kernel_terms(self) -> tuple[list[tuple[Monomial, int]], ...]:
-        """Each element as the integer term list of its primitive multiple."""
-        if self._kernel_terms is None:
-            terms = tuple(_clear_denominators(g)[1] for g in self.basis)
-            object.__setattr__(self, "_kernel_terms", terms)
-        return self._kernel_terms
+    def _kernel_basis(self) -> list:
+        if self._keyed is None:
+            kind, block = _order_code(self.order)
+            raw = [_clear_denominators(g)[1] for g in self.basis]
+            object.__setattr__(self, "_keyed", _kernel.key_basis(raw, kind, block))
+        return self._keyed
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.basis)
@@ -131,12 +130,6 @@ def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
     for c in f.terms.values():
         den = lcm(den, c.denominator)
     return den, [(m, int(c * den)) for m, c in f.terms.items()]
-
-
-def _from_int_terms(ctx: VarContext, terms, monic_by: int | None = None) -> MultiPoly:
-    if monic_by is None:
-        return MultiPoly(ctx, {m: Fraction(c) for m, c in terms})
-    return MultiPoly(ctx, {m: Fraction(c, monic_by) for m, c in terms})
 
 
 def buchberger(
@@ -166,11 +159,10 @@ def buchberger(
     # kernel polynomials are primitive with positive leading coefficient and
     # sorted leading-term-first, so dividing by the first coefficient is monic
     basis = tuple(
-        _from_int_terms(I.ctx, terms, monic_by=terms[0][1]) for terms in out
+        MultiPoly(I.ctx, {m: Fraction(c, terms[0][1]) for m, c in terms})
+        for terms in out
     )
-    # the same primitivity makes each kernel list what _clear_denominators
-    # would rebuild from its monic element, so normal_form can reuse it
-    return ReducedGB(I.ctx, order, basis, tuple(out))
+    return ReducedGB(I.ctx, order, basis)
 
 
 def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
@@ -182,7 +174,7 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     kind, block = _order_code(G.order)
     den, fraw = _clear_denominators(f)
     tail, mult = _kernel.normal_form_raw(
-        fraw, G.kernel_terms(), len(G.ctx), kind, block
+        fraw, G._kernel_basis(), len(G.ctx), kind, block
     )
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})

@@ -47,11 +47,6 @@ class _Scanner:
         self.pos += 1
         return ch
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
     def at_end(self) -> bool:
         return self.peek() == ""
 

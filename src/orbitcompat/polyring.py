@@ -308,11 +308,6 @@ class MultiPoly:
                 base = base * base
         return out
 
-    def monic(self, order: MonomialOrder) -> "MultiPoly":
-        if not self.terms:
-            return self
-        return self.scale(1 / self.leading_coeff(order))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
