@@ -6,7 +6,10 @@ Workloads:
                  fibre ideal (9 variables, grevlex)
   orbit-saturate the route `saturate` takes on the same ideal: adjoin w and
                  1 - w*t, then eliminate w (elimination order in 10
-                 variables); `homogenise_ideal` no longer goes this way
+                 variables); `homogenise_ideal` no longer goes this way.
+                 It is kept as the only timing of an elimination order:
+                 `eliminate` and `saturate` are public, but no pipeline
+                 route and no perfbench workload runs them
   sl4-minimal    the saturated closure of the sl(4) minimal orbit of
                  diag(1,1,1,-3): the one grevlex run `homogenise_ideal`
                  makes, on the orbit's 16 generators in 15 variables
@@ -115,6 +118,8 @@ def cyclic(n):
 
 WORKLOADS = {
     "orbit-fibre": (orbit_fibre_raw, False),
+    # kept as the only elimination-order timing: no pipeline route or
+    # perfbench workload runs `eliminate`
     "orbit-saturate": (orbit_saturate_raw, False),
     "sl4-minimal": (minimal_orbit_raw, False),
     "katsura-5": (lambda: katsura(5), True),

@@ -9,10 +9,12 @@ keeps the arithmetic fraction-free: reductions scale by leading coefficients
 instead of dividing.
 
 Reduction (``_reduce``) keeps the remainder still to be reduced as a
-``{key: coeff}`` dict with a side map from key to exponent, takes its
-leading term with ``max`` and subtracts each reducer term by term, so the
-interpreted work of a step grows with the reducer's length, not the
-remainder's (the ``max`` scan runs in C).  A step scales the
+``{key: coeff}`` dict with a side map from key to exponent.  It sums its
+input into that dict, so the input need not be sorted or merged: an
+S-polynomial goes in as the two shifted, scaled tails (the leading terms
+cancel).  It takes the leading term with ``max`` and subtracts each reducer
+term by term, so the interpreted work of a step grows with the reducer's
+length, not the remainder's (the ``max`` scan runs in C).  A step scales the
 remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
 coefficients), which is 1 for most steps.  Irreducible terms go to the tail
 with the scale they were taken at and are brought up to date only when the
@@ -28,8 +30,10 @@ basis keyed once by ``key_basis``.
 
 Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
 2 = block elimination (grevlex on the first ``block`` variables, then
-grevlex on the rest).  All three keys are additive under monomial
-multiplication, so products just add key tuples.
+grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
+``make_key`` is the one copy of the three key formulas: ``polyring``'s
+``MonomialOrder.key`` calls it too.  All three keys are additive under
+monomial multiplication, so products just add key tuples.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
@@ -48,7 +52,12 @@ from ..errors import ResourceLimitExceeded
 _CONTENT_STRIDE = 8
 
 
+# the order kinds by name, as ``make_key`` and the engine number them
+KINDS = {"lex": 0, "grevlex": 1, "elim": 2}
+
+
 def make_key(exp, kind, block):
+    """Sort key of ``exp``: key(a) < key(b) iff a < b in the order."""
     if kind == 0:
         return exp
     if kind == 1:
@@ -95,39 +104,6 @@ def _primitive(terms):
     return terms
 
 
-def _combine(ca, a, cb, b):
-    """ca*a + cb*b for term lists sorted descending; result sorted, no zeros."""
-    out = []
-    append = out.append
-    i, j, la, lb = 0, 0, len(a), len(b)
-    while i < la and j < lb:
-        ta = a[i]
-        tb = b[j]
-        ka = ta[0]
-        kb = tb[0]
-        if ka > kb:
-            append((ka, ta[1], ca * ta[2]))
-            i += 1
-        elif kb > ka:
-            append((kb, tb[1], cb * tb[2]))
-            j += 1
-        else:
-            c = ca * ta[2] + cb * tb[2]
-            if c:
-                append((ka, ta[1], c))
-            i += 1
-            j += 1
-    while i < la:
-        ta = a[i]
-        append((ta[0], ta[1], ca * ta[2]))
-        i += 1
-    while j < lb:
-        tb = b[j]
-        append((tb[0], tb[1], cb * tb[2]))
-        j += 1
-    return out
-
-
 def _divides(a, b):
     for x, y in zip(a, b):
         if x > y:
@@ -135,18 +111,12 @@ def _divides(a, b):
     return True
 
 
-def _shift(poly, dkey, dexp):
-    """x^dexp * poly (dkey = key of dexp, keys are additive)."""
-    return [
-        (tuple(map(add, k, dkey)), tuple(map(add, e, dexp)), c)
-        for k, e, c in poly
-    ]
-
-
 def _reduce(f, basis, track_multiplier=False):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
-    Returns ``(tail, mult)`` with ``mult * f = (combination of basis) + tail``
+    ``f`` is any iterable of terms, in any order: terms with the same key
+    are summed and zero sums dropped.  Returns ``(tail, mult)`` with
+    ``mult * f = (combination of basis) + tail``, the tail sorted descending
     and no tail monomial divisible by any basis leading monomial.  When
     ``track_multiplier`` is false the tail is normalised primitive and mult
     is meaningless (callers that only need the remainder up to a scalar).
@@ -157,7 +127,9 @@ def _reduce(f, basis, track_multiplier=False):
     h = {}
     exps = {}
     for k, e, c in f:
-        h[k] = c
+        c += h.pop(k, 0)
+        if c:
+            h[k] = c
         exps[k] = e
     # irreducible terms (key, exp, coeff, scale when taken): the true
     # coefficient is coeff * (scale // taken), brought up to date by _settle
@@ -227,6 +199,8 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     Returns a list of primitive integer polynomials as [(exp, int)] lists,
     each sorted descending in the order, the basis sorted ascending by
     leading monomial.  Raises ResourceLimitExceeded past the caps.
+    ``nvars`` is unused; it stays because ``perfbench/tracing.py`` reads the
+    order kind as the third positional argument.
     """
     polys = []
     for g in gens:
@@ -307,17 +281,20 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
         key, lcm_exp, i1, i2 = best
-        (k1, e1, c1), (k2, e2, c2) = f[i1][0], f[i2][0]
+        p1, p2 = f[i1], f[i2]
+        (k1, e1, c1), (k2, e2, c2) = p1[0], p2[0]
         d = gcd(c1, c2)
-        # keys are additive, so a cofactor's key is a difference of keys
-        s = _combine(
-            c2 // d,
-            _shift(f[i1], tuple(map(sub, key, k1)), tuple(map(sub, lcm_exp, e1))),
-            -(c1 // d),
-            _shift(f[i2], tuple(map(sub, key, k2)), tuple(map(sub, lcm_exp, e2))),
+        # the S-polynomial (c2/d) x^(lcm-e1) p1 - (c1/d) x^(lcm-e2) p2 as the
+        # two shifted, scaled tails (the leading terms cancel), which _reduce
+        # sums; keys are additive, so a cofactor's key is a difference of keys
+        s = (
+            (tuple(map(add, k, dk)), tuple(map(add, e, de)), m * c)
+            for p, m, dk, de in (
+                (p1, c2 // d, tuple(map(sub, key, k1)), tuple(map(sub, lcm_exp, e1))),
+                (p2, -(c1 // d), tuple(map(sub, key, k2)), tuple(map(sub, lcm_exp, e2))),
+            )
+            for k, e, c in p[1:]
         )
-        if not s:
-            continue
         divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
         r, _ = _reduce(s, divisors)
         if not r:
@@ -368,12 +345,8 @@ def normal_form(fpairs, basis, nvars, kind, block):
     ``key_basis`` for the same order; returns ``(tail, mult)`` with the exact
     normal form equal to tail / mult, tail as an [(exp, int)] list.  The input
     is not content-normalised: the multiplier accounts for everything.
+    ``nvars`` is unused, as in ``buchberger``.
     """
-    terms = [(make_key(e, kind, block), e, c) for e, c in fpairs if c]
-    terms.sort(key=lambda t: t[0], reverse=True)
-    if not terms:
-        return [], 1
-    if not basis:
-        return _strip_keys(terms), 1
+    terms = ((make_key(e, kind, block), e, c) for e, c in fpairs)
     tail, mult = _reduce(terms, basis, track_multiplier=True)
     return _strip_keys(tail), mult

@@ -104,9 +104,9 @@ class ReducedGB:
 
     def _kernel_basis(self) -> list:
         if self._keyed is None:
-            kind, block = _order_code(self.order)
             raw = [_clear_denominators(g)[1] for g in self.basis]
-            object.__setattr__(self, "_keyed", _kernel.key_basis(raw, kind, block))
+            keyed = _kernel.key_basis(raw, *self.order.code)
+            object.__setattr__(self, "_keyed", keyed)
         return self._keyed
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -117,11 +117,6 @@ class ReducedGB:
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.basis)
-
-
-def _order_code(order: MonomialOrder) -> tuple[int, int]:
-    kind = {"lex": 0, "grevlex": 1, "elim": 2}[order.kind]
-    return kind, order.block
 
 
 def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
@@ -151,10 +146,9 @@ def buchberger(
         )
     if I._reduced is not None and I._reduced.order == order:
         return I._reduced
-    kind, block = _order_code(order)
     raw = [_clear_denominators(g)[1] for g in I.generators]
     out = _kernel.buchberger_raw(
-        raw, len(I.ctx), kind, block, limits.max_pairs, limits.max_degree
+        raw, len(I.ctx), *order.code, limits.max_pairs, limits.max_degree
     )
     # kernel polynomials are primitive with positive leading coefficient and
     # sorted leading-term-first, so dividing by the first coefficient is monic
@@ -171,10 +165,9 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
         raise ContextMismatch("polynomial context differs from basis context")
     if f.is_zero() or not G.basis:
         return f
-    kind, block = _order_code(G.order)
     den, fraw = _clear_denominators(f)
     tail, mult = _kernel.normal_form_raw(
-        fraw, G._kernel_basis(), len(G.ctx), kind, block
+        fraw, G._kernel_basis(), len(G.ctx), *G.order.code
     )
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})

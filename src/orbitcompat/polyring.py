@@ -9,14 +9,17 @@ to share between threads.
 Monomials are plain ``tuple[int, ...]`` exponent vectors, one entry per
 context variable.  Monomial orders are small objects exposing an additive
 sort key: ``key(a) + key(b) == key(mul(a, b))`` componentwise, which is what
-the Groebner engine relies on.
+the Groebner engine relies on.  The key formulas live in one place, the
+engine's ``make_key``; an order carries the ``(kind, block)`` code it takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from ._kernel.pure import KINDS, make_key
 
 Monomial = tuple[int, ...]
 
@@ -116,12 +119,15 @@ class MonomialOrder:
 
     kind: str
     block: int = 0
+    # (kind number, block) as the Groebner engine takes them
+    code: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "elim"):
+        if self.kind not in KINDS:
             raise PolyError(f"unknown order kind {self.kind!r}")
         if self.kind == "elim" and self.block < 1:
             raise PolyError("elimination order needs a positive block size")
+        object.__setattr__(self, "code", (KINDS[self.kind], self.block))
 
     def key(self, m: Monomial) -> tuple[int, ...]:
         """Sort key: key(a) < key(b) iff a < b in this order.
@@ -129,18 +135,7 @@ class MonomialOrder:
         Keys add componentwise under monomial multiplication, which makes
         the order multiplicative by construction.
         """
-        if self.kind == "lex":
-            return m
-        if self.kind == "grevlex":
-            return (sum(m), *(-e for e in reversed(m)))
-        k = self.block
-        head, tail = m[:k], m[k:]
-        return (
-            sum(head),
-            *(-e for e in reversed(head)),
-            sum(tail),
-            *(-e for e in reversed(tail)),
-        )
+        return make_key(m, *self.code)
 
     def leading(self, monomials: Iterable[Monomial]) -> Monomial:
         return max(monomials, key=self.key)

@@ -20,7 +20,7 @@ bench_gb = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_gb)
 
 
-@pytest.mark.parametrize("name", ["katsura-5", "cyclic-5"])
+@pytest.mark.parametrize("name", ["katsura-5", "cyclic-5", "sl4-minimal"])
 def test_bench_basis_checks_pass(name):
     make, _ = bench_gb.WORKLOADS[name]
     raw = make()

@@ -7,10 +7,13 @@ import pytest
 from orbitcompat import (
     GREVLEX,
     IdealPresentation,
+    MultiPoly,
     PolyError,
     ReducedGB,
     VarContext,
     buchberger,
+    homogenise_ideal,
+    ideal_contains,
     parse_poly,
 )
 from orbitcompat.hilbert import hilbert, hilbert_of_leading_terms
@@ -44,6 +47,33 @@ def test_fibre_homogenisation_dimensions_and_degrees(fibration_110):
     # complete-intersection oracle: degree = product of generator degrees
     assert hI.degree == 3 * 3 * 1
     assert hJ.degree == 3 * 2 * 1
+
+
+@pytest.mark.parametrize("fibration", ["fibration_110", "fibration_321"])
+def test_naive_closure_is_kostant_closure_plus_component_at_infinity(
+    fibration, request
+):
+    """The generator-wise closure of the sl(3) fibre has two components of
+    projective dimension 5: the saturated closure, a hyperplane section of
+    the nilpotent cone (Kostant: (1+s)(1+s+s^2), degree 3!), and the
+    component at infinity {t = 0, det A = 0, tr(HA) = 0}, a complete
+    intersection of degrees 1, 3, 1.  Both contain the naive ideal, and
+    their degrees add up to its degree: 9 = 6 + 3."""
+    d = request.getfixturevalue(fibration)
+    naive = d["I_hom"]
+    ctx = naive.ctx
+    saturated = homogenise_ideal(d["I"], "t")
+    det_a = d["orbit"].matrix.det().map_context(ctx)
+    infinity = IdealPresentation(
+        ctx, [MultiPoly.variable(ctx, "t"), det_a, d["f"].map_context(ctx)]
+    )
+    hn, hs, hi = (hilbert(buchberger(X)) for X in (naive, saturated, infinity))
+    assert (hn.numerator, hn.degree, hn.proj_dim) == ((1, 2, 3, 2, 1), 9, 5)
+    assert (hs.numerator, hs.degree, hs.proj_dim) == ((1, 2, 2, 1), 6, 5)
+    assert (hi.numerator, hi.degree, hi.proj_dim) == ((1, 1, 1), 3, 5)
+    assert ideal_contains(saturated, naive)
+    assert ideal_contains(infinity, naive)
+    assert hn.degree == hs.degree + hi.degree
 
 
 def test_rejects_inhomogeneous_basis():

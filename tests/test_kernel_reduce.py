@@ -1,9 +1,10 @@
 """Property test of the pure engine's fraction-free reduction against the
 division algorithm over Q, on seeded random inputs long enough to cross the
-content-normalisation stride."""
+content-normalisation stride, given sorted or as unsorted terms to sum."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from orbitcompat import (
@@ -90,14 +91,28 @@ def cases(seed, count):
     return found
 
 
+def summed_terms(f, g):
+    """f as unsorted engine terms with repeated keys: the terms of f + g,
+    then those of -g."""
+    fg = dict(f)
+    for e, c in g.items():
+        fg[e] = fg.get(e, 0) + c
+    return [(key(e), e, c) for e, c in fg.items() if c] + [
+        (key(e), e, -c) for e, c in g.items()
+    ]
+
+
 def test_reduce_keeps_the_fraction_free_contract():
+    rng = random.Random(1618)
     leading_coeffs = set()
     for basis, _, f, rem in cases(2718, 30):
         leads = [max(g, key=key) for g in basis]
         leading_coeffs.update(g[e] for g, e in zip(basis, leads))
         kbasis = [engine_poly(g) for g in basis]
-        for track in (True, False):
-            tail, mult = pure._reduce(engine_poly(f), kbasis, track_multiplier=track)
+        g = random_poly(rng, rng.randint(5, 10), 7, 9)
+        shapes = (engine_poly(f), summed_terms(f, g))
+        for track, terms in product((True, False), shapes):
+            tail, mult = pure._reduce(terms, kbasis, track_multiplier=track)
             assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
             tail = {e: c for _, e, c in tail}
             assert 0 not in tail.values()
