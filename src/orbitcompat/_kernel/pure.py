@@ -12,14 +12,17 @@ Reduction (``_reduce``) keeps the remainder still to be reduced as a
 ``{key: coeff}`` dict with a side map from key to exponent.  It sums its
 input into that dict, so the input need not be sorted or merged: an
 S-polynomial goes in as the two shifted, scaled tails (the leading terms
-cancel).  It takes the leading term with ``max`` and subtracts each reducer
+cancel).  A leader list, every key seen and not yet taken in ascending
+order, gives the leading term by a pop from its end; a key enters it once,
+by ``bisect.insort``, when a step first creates it.  The head search tests
+divisibility only for heads whose variable mask (one bit per variable with
+a positive exponent) lies within the term's.  A step subtracts the reducer
 term by term, so the interpreted work of a step grows with the reducer's
-length, not the remainder's (the ``max`` scan runs in C).  A step scales the
-remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
-coefficients), which is 1 for most steps.  Irreducible terms go to the tail
-with the scale they were taken at and are brought up to date only when the
-integer content is normalised, every ``_CONTENT_STRIDE`` steps, and at the
-end.
+length, not the remainder's.  A step scales the remainder only by
+``gc // gcd(gc, c0)`` (reducer and remainder leading coefficients), which
+is 1 for most steps.  Irreducible terms go to the tail with the scale they
+were taken at and are brought up to date only when the integer content is
+normalised, every ``_CONTENT_STRIDE`` steps, and at the end.
 
 ``buchberger`` keeps one record per critical pair, ``(key of lcm, lcm, i,
 j)``, made once when ``update`` creates the pair.  Both Gebauer-Moeller
@@ -42,6 +45,8 @@ This is the package's only Groebner engine.  It has no caps of its own:
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import compress
 from math import gcd
 from operator import add, sub
 
@@ -120,8 +125,20 @@ def _reduce(f, basis, track_multiplier=False):
     and no tail monomial divisible by any basis leading monomial.  When
     ``track_multiplier`` is false the tail is normalised primitive and mult
     is meaningless (callers that only need the remainder up to a scalar).
+
+    Each step pops the largest key from a sorted leader list instead of
+    scanning the remainder, and skips it if its terms cancelled.  The head
+    search calls ``_divides`` only on heads whose variable mask fits in the
+    term's; the mask filters, ``_divides`` decides.  Steps, and so the
+    result, are those of taking ``max`` of the remainder each time.
     """
-    heads = [(g[0][1], g[0][2], g[0][0], g[1:]) for g in basis]
+    # head records (exp, mask, coeff, key, rest); a mask has one bit per
+    # variable, set where the exponent is > 0
+    bits = [1 << i for i in range(len(basis[0][0][1]))] if basis else []
+    heads = [
+        (g[0][1], sum(compress(bits, g[0][1])), g[0][2], g[0][0], g[1:])
+        for g in basis
+    ]
     # the remainder still to reduce, as key -> coeff; exps maps every key
     # ever seen to its exponent, computed once per new key
     h = {}
@@ -131,18 +148,27 @@ def _reduce(f, basis, track_multiplier=False):
         if c:
             h[k] = c
         exps[k] = e
+    # the leader list: every key of exps not yet taken, ascending.  A key
+    # whose terms cancelled stays in it, since a later step can create it
+    # again; every key a step creates lies below the key it takes, so the
+    # last live key is always the largest of h
+    order = sorted(exps)
     # irreducible terms (key, exp, coeff, scale when taken): the true
     # coefficient is coeff * (scale // taken), brought up to date by _settle
     tail = []
     scale = 1
     mult = 1
     steps = 0
-    while h:
-        k0 = max(h)
-        c0 = h.pop(k0)
+    while order:
+        k0 = order.pop()
+        c0 = h.pop(k0, 0)
+        if not c0:
+            continue
         e0 = exps[k0]
-        for ge, gc, gk, grest in heads:
-            if _divides(ge, e0):
+        # a head divides e0 only if its variables are among e0's
+        nm0 = ~sum(compress(bits, e0))
+        for ge, gm, gc, gk, grest in heads:
+            if not gm & nm0 and _divides(ge, e0):
                 break
         else:
             tail.append((k0, e0, c0, scale))
@@ -165,6 +191,7 @@ def _reduce(f, basis, track_multiplier=False):
                 h[sk] = sc
                 if sk not in exps:
                     exps[sk] = tuple(map(add, e, dexp))
+                    insort(order, sk)
             else:
                 del h[sk]
         steps += 1
@@ -270,6 +297,8 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     CP = []
     for i in range(len(f)):
         G, CP = update(G, CP, i)
+    # G's elements by leading key, sorted again only when G changes
+    divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
 
     pairs_done = 0
     while CP:
@@ -295,7 +324,6 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
             )
             for k, e, c in p[1:]
         )
-        divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
         r, _ = _reduce(s, divisors)
         if not r:
             continue
@@ -303,6 +331,7 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
             raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
         f.append(r)
         G, CP = update(G, CP, len(f) - 1)
+        divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
 
     # Minimalise: drop members whose leading monomial another member divides.
     chosen = sorted(G, key=lambda ig: f[ig][0][0])

@@ -183,9 +183,9 @@ class MultiPoly:
                 continue
             if len(mono) != n:
                 raise PolyError("monomial length does not match context")
-            if any(e < 0 for e in mono):
+            if min(mono, default=0) < 0:
                 raise PolyError("negative exponent")
-            if any(e > MAX_EXPONENT for e in mono):
+            if max(mono, default=0) > MAX_EXPONENT:
                 raise PolyError("monomial exponent overflow")
             cleaned[mono] = coeff
         self.ctx = ctx

@@ -142,3 +142,26 @@ def test_normal_form_is_the_remainder_over_q():
         den = rng.randint(1, 6)
         F = MultiPoly(CTX, {e: Fraction(c, den) for e, c in f.items()})
         assert normal_form(F, G) == MultiPoly(CTX, {e: c / den for e, c in rem.items()})
+
+
+def test_a_head_with_the_same_variables_need_not_divide():
+    # x*y and x^2*y set the same variable bits, so only the exponents decide
+    g = {(2, 1, 0): 3, (0, 0, 2): 1}
+    f = {(1, 1, 0): 2, (0, 1, 1): -5}
+    for track in (True, False):
+        tail, mult = pure._reduce(engine_poly(f), [engine_poly(g)], track_multiplier=track)
+        assert {e: c for _, e, c in tail} == f and mult == 1
+
+
+def test_a_cancelled_input_key_created_again_is_reduced():
+    # y cancels among the input terms, then reducing x by x - 2y creates it
+    # again; it must be taken like any other term
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    g = {x: 1, y: -2}
+    f = {x: 3, y: 0, z: 1}
+    terms = [(key(x), x, 3), (key(y), y, 4), (key(z), z, 1), (key(y), y, -4)]
+    rem, _ = remainder_over_q(f, [g])
+    assert rem == {y: 6, z: 1}
+    for track in (True, False):
+        tail, mult = pure._reduce(terms, [engine_poly(g)], track_multiplier=track)
+        assert {e: Fraction(c, mult) for _, e, c in tail} == rem

@@ -104,6 +104,15 @@ def test_exponent_overflow_is_hard_error():
         mono_mul((MAX_EXPONENT, 0), (1, 0))
 
 
+def test_construction_rejects_out_of_range_exponents():
+    ctx = VarContext(["x", "y"])
+    with pytest.raises(PolyError, match="negative exponent"):
+        MultiPoly(ctx, {(1, 0): 1, (2, -1): 3})
+    with pytest.raises(PolyError, match="overflow"):
+        MultiPoly(ctx, {(0, MAX_EXPONENT + 1): 1})
+    assert MultiPoly(ctx, {(MAX_EXPONENT, 0): 2}).terms == {(MAX_EXPONENT, 0): 2}
+
+
 # -- ring axioms on random small polynomials ----------------------------------
 
 _coeffs = st.fractions(
