@@ -13,14 +13,17 @@ Workloads:
   sl4-minimal    the saturated closure of the sl(4) minimal orbit of
                  diag(1,1,1,-3): the one grevlex run `homogenise_ideal`
                  makes, on the orbit's 16 generators in 15 variables
+  sl5-minimal    the same for the sl(5) minimal orbit of diag(1,1,1,1,-4),
+                 24 variables, tens of seconds a run (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
 
 Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
 monomials of its leading terms (the number of solutions with multiplicity),
-and the sl4-minimal closure against the Segre P^3 x P^3: h-vector
-(C(3,k)^2) = (1,9,9,1), degree C(6,3) = 20, projective dimension 6.  A
-mismatch exits with status 1.
+and the sl4-minimal and sl5-minimal closures against the Segre P^3 x P^3
+and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective dimension
+2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8.  A mismatch exits with
+status 1.
 
 Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 """
@@ -68,8 +71,8 @@ def orbit_saturate_raw():
     return raw, len(ctx), 2, 1
 
 
-def minimal_orbit_raw():
-    orbit = orbit_ideal_minpoly(DiagSpec([1, 1, 1, -3]))
+def minimal_orbit_raw(eigenvalues):
+    orbit = orbit_ideal_minpoly(DiagSpec(eigenvalues))
     gens = orbit.presentation.generators
     raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
     return raw, len(orbit.presentation.ctx), 1, 0
@@ -121,10 +124,11 @@ WORKLOADS = {
     # kept as the only elimination-order timing: no pipeline route or
     # perfbench workload runs `eliminate`
     "orbit-saturate": (orbit_saturate_raw, False),
-    "sl4-minimal": (minimal_orbit_raw, False),
+    "sl4-minimal": (lambda: minimal_orbit_raw([1, 1, 1, -3]), False),
     "katsura-5": (lambda: katsura(5), True),
     "cyclic-5": (lambda: cyclic(5), True),
     "katsura-6": (lambda: katsura(6), True),
+    "sl5-minimal": (lambda: minimal_orbit_raw([1, 1, 1, 1, -4]), True),
 }
 
 
@@ -164,13 +168,14 @@ EXPECTED = {
     "katsura-6": (standard_monomials, 64),
     "cyclic-5": (standard_monomials, 70),
     "sl4-minimal": (closure_hilbert, segre(3)),
+    "sl5-minimal": (closure_hilbert, segre(4)),
 }
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--skip-slow", action="store_true", help="only the orbit workloads")
+    ap.add_argument("--skip-slow", action="store_true", help="leave out the workloads flagged slow")
     args = ap.parse_args(argv)
 
     print(f"{'workload':<16} {'best':>9} {'mean':>9}  basis")

@@ -2,11 +2,34 @@
 
 Works on raw term lists so the hot loops never touch the public polynomial
 wrappers.  A term is ``(key, exp, coeff)`` where ``key`` is the monomial's
-sort key under the active order, ``exp`` the exponent tuple and ``coeff`` a
-Python int.  A polynomial is a list of terms sorted descending by key and
-kept primitive (integer content 1, positive leading coefficient), which
-keeps the arithmetic fraction-free: reductions scale by leading coefficients
-instead of dividing.
+packed sort key under the active order, ``exp`` the exponent tuple and
+``coeff`` a Python int.  A polynomial is a list of terms sorted descending
+by key and kept primitive (integer content 1, positive leading
+coefficient), which keeps the arithmetic fraction-free: reductions scale by
+leading coefficients instead of dividing.
+
+Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
+2 = block elimination (grevlex on the first ``block`` variables, then
+grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
+``make_key`` is the one copy of the three key formulas: ``polyring``'s
+``MonomialOrder.key`` calls it too.  Each formula is linear in the
+exponent, so the engine packs a key into one int: ``packed_key`` is the dot
+product of the exponent with per-variable weights, the weight of a variable
+being ``make_key`` of its unit vector read as signed 32-bit digits, most
+significant field first.  While a monomial's total degree is below 2^31
+every field of its key fits its digit, so packed keys order monomials as
+``make_key`` does and are injective; being a dot product they are additive,
+so a product's key is a sum of ints.  Key creation refuses a monomial of
+total degree 2^31 or more, and each reduction step checks that the
+monomials it makes stay below it, raising ``ResourceLimitExceeded`` rather
+than merging two monomials under one key.
+
+A reducer enters ``_reduce`` as a head record ``(exp, mask, coeff, key,
+rest, top)``: its leading exponent, variable mask (one bit per variable
+with a positive exponent), leading coefficient and key, its remaining
+terms and its top total degree.  ``buchberger`` makes one per polynomial,
+when the polynomial is created; ``normal_form`` makes them from the
+``key_basis`` output on each call.
 
 Reduction (``_reduce``) keeps the remainder still to be reduced as a
 ``{key: coeff}`` dict with a side map from key to exponent.  It sums its
@@ -15,14 +38,14 @@ S-polynomial goes in as the two shifted, scaled tails (the leading terms
 cancel).  A leader list, every key seen and not yet taken in ascending
 order, gives the leading term by a pop from its end; a key enters it once,
 by ``bisect.insort``, when a step first creates it.  The head search tests
-divisibility only for heads whose variable mask (one bit per variable with
-a positive exponent) lies within the term's.  A step subtracts the reducer
-term by term, so the interpreted work of a step grows with the reducer's
-length, not the remainder's.  A step scales the remainder only by
-``gc // gcd(gc, c0)`` (reducer and remainder leading coefficients), which
-is 1 for most steps.  Irreducible terms go to the tail with the scale they
-were taken at and are brought up to date only when the integer content is
-normalised, every ``_CONTENT_STRIDE`` steps, and at the end.
+divisibility only for heads whose mask lies within the term's.  A step
+subtracts the reducer term by term, so the interpreted work of a step
+grows with the reducer's length, not the remainder's.  A step scales the
+remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
+coefficients), which is 1 for most steps.  Irreducible terms go to the tail
+with the scale they were taken at and are brought up to date only when the
+integer content is normalised, every ``_CONTENT_STRIDE`` steps, and at the
+end.
 
 ``buchberger`` keeps one record per critical pair, ``(key of lcm, lcm, i,
 j)``, made once when ``update`` creates the pair.  Both Gebauer-Moeller
@@ -31,30 +54,29 @@ pair as ``min`` of the records: the order key is injective, so that is the
 smallest lcm, ties broken by the indices.  ``normal_form`` reduces against a
 basis keyed once by ``key_basis``.
 
-Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
-2 = block elimination (grevlex on the first ``block`` variables, then
-grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
-``make_key`` is the one copy of the three key formulas: ``polyring``'s
-``MonomialOrder.key`` calls it too.  All three keys are additive under
-monomial multiplication, so products just add key tuples.
-
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
-``groebner.GBLimits``.
+``groebner.GBLimits``; the 2^31 degree bound is the packed keys' own.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from itertools import compress
 from math import gcd
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 
 from ..errors import ResourceLimitExceeded
 
 # Re-normalise integer content after this many reduction steps to keep
 # coefficient growth in check without paying a gcd on every step.
 _CONTENT_STRIDE = 8
+
+# packed keys hold make_key's fields as signed digits of this many bits; a
+# field stays within half a digit while the total degree is below the bound
+_FIELD_BITS = 32
+_DEGREE_BOUND = 1 << (_FIELD_BITS - 1)
 
 
 # the order kinds by name, as ``make_key`` and the engine number them
@@ -77,11 +99,52 @@ def make_key(exp, kind, block):
     )
 
 
+@lru_cache(maxsize=64)
+def _weights(nvars, kind, block):
+    """Packed keys of the unit vectors: ``make_key``'s fields as digits."""
+    weights = []
+    for i in range(nvars):
+        unit = (0,) * i + (1,) + (0,) * (nvars - i - 1)
+        w = 0
+        for field in make_key(unit, kind, block):
+            w = (w << _FIELD_BITS) + field
+        weights.append(w)
+    return tuple(weights)
+
+
+def _degree_guard(degree):
+    if degree >= _DEGREE_BOUND:
+        raise ResourceLimitExceeded(
+            f"total degree {degree} reaches 2^{_FIELD_BITS - 1}, the bound of packed monomial keys"
+        )
+
+
+def packed_key(exp, kind, block):
+    """The int sort key of ``exp``: ordered as ``make_key``, and additive.
+
+    Raises ResourceLimitExceeded when ``exp`` has total degree 2^31 or more.
+    """
+    _degree_guard(sum(exp))
+    return sum(map(mul, exp, _weights(len(exp), kind, block)))
+
+
 def _attach_keys(pairs, kind, block):
     """[(exp, int)] -> engine poly, normalised primitive."""
-    terms = [(make_key(e, kind, block), e, c) for e, c in pairs if c]
+    terms = [(packed_key(e, kind, block), e, c) for e, c in pairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
     return _primitive(terms)
+
+
+def _head(poly):
+    """Head record ``(exp, mask, coeff, key, rest, top)`` of a nonzero poly.
+
+    ``mask`` has one bit per variable, set where the leading exponent is
+    > 0; ``top`` is the largest total degree among the terms.
+    """
+    k, e, c = poly[0]
+    bits = [1 << i for i in range(len(e))]
+    top = max(map(sum, map(itemgetter(1), poly)))
+    return e, sum(compress(bits, e)), c, k, poly[1:], top
 
 
 def _strip_keys(poly):
@@ -116,15 +179,18 @@ def _divides(a, b):
     return True
 
 
-def _reduce(f, basis, track_multiplier=False):
-    """Fully reduce ``f`` modulo ``basis`` (fraction-free).
+def _reduce(f, heads, track_multiplier=False):
+    """Fully reduce ``f`` modulo the basis given by its ``heads`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
-    are summed and zero sums dropped.  Returns ``(tail, mult)`` with
-    ``mult * f = (combination of basis) + tail``, the tail sorted descending
-    and no tail monomial divisible by any basis leading monomial.  When
-    ``track_multiplier`` is false the tail is normalised primitive and mult
-    is meaningless (callers that only need the remainder up to a scalar).
+    are summed and zero sums dropped.  ``heads`` are the ``_head`` records
+    of the basis.  Returns ``(tail, mult)`` with ``mult * f = (combination
+    of basis) + tail``, the tail sorted descending and no tail monomial
+    divisible by any basis leading monomial.  When ``track_multiplier`` is
+    false the tail is normalised primitive and mult is meaningless (callers
+    that only need the remainder up to a scalar).  Raises
+    ResourceLimitExceeded before a step would make a monomial of total
+    degree 2^31 or more.
 
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled.  The head
@@ -132,13 +198,7 @@ def _reduce(f, basis, track_multiplier=False):
     term's; the mask filters, ``_divides`` decides.  Steps, and so the
     result, are those of taking ``max`` of the remainder each time.
     """
-    # head records (exp, mask, coeff, key, rest); a mask has one bit per
-    # variable, set where the exponent is > 0
-    bits = [1 << i for i in range(len(basis[0][0][1]))] if basis else []
-    heads = [
-        (g[0][1], sum(compress(bits, g[0][1])), g[0][2], g[0][0], g[1:])
-        for g in basis
-    ]
+    bits = [1 << i for i in range(len(heads[0][0]))] if heads else []
     # the remainder still to reduce, as key -> coeff; exps maps every key
     # ever seen to its exponent, computed once per new key
     h = {}
@@ -167,12 +227,15 @@ def _reduce(f, basis, track_multiplier=False):
         e0 = exps[k0]
         # a head divides e0 only if its variables are among e0's
         nm0 = ~sum(compress(bits, e0))
-        for ge, gm, gc, gk, grest in heads:
+        for ge, gm, gc, gk, grest, gtop in heads:
             if not gm & nm0 and _divides(ge, e0):
                 break
         else:
             tail.append((k0, e0, c0, scale))
             continue
+        dexp = tuple(map(sub, e0, ge))
+        # the monomials this step makes have degree at most gtop + |dexp|
+        _degree_guard(gtop + sum(dexp))
         # h <- m*h - b*x^dexp*g with m*c0 = b*gc, the smallest such m > 0
         common = gcd(gc, c0)
         b = c0 // common
@@ -182,10 +245,9 @@ def _reduce(f, basis, track_multiplier=False):
                 h[k] *= m
             scale *= m
             mult *= m
-        dexp = tuple(map(sub, e0, ge))
-        dkey = tuple(map(sub, k0, gk))
+        dkey = k0 - gk
         for k, e, c in grest:
-            sk = tuple(map(add, k, dkey))
+            sk = k + dkey
             sc = h.get(sk, 0) - b * c
             if sc:
                 h[sk] = sc
@@ -225,7 +287,8 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
 
     Returns a list of primitive integer polynomials as [(exp, int)] lists,
     each sorted descending in the order, the basis sorted ascending by
-    leading monomial.  Raises ResourceLimitExceeded past the caps.
+    leading monomial.  Raises ResourceLimitExceeded past the caps, and
+    before making a monomial of total degree 2^31 or more.
     ``nvars`` is unused; it stays because ``perfbench/tracing.py`` reads the
     order kind as the third positional argument.
     """
@@ -241,16 +304,19 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     # pair set considerably.
     while True:
         polys.sort(key=lambda p: p[0][0])
+        heads = [_head(p) for p in polys]
         nxt = []
+        nxt_heads = []
         changed = False
         for i, p in enumerate(polys):
-            others = nxt + polys[i + 1 :]
+            others = nxt_heads + heads[i + 1 :]
             if others:
                 r, _ = _reduce(p, others)
             else:
                 r = p
             if r:
                 nxt.append(r)
+                nxt_heads.append(_head(r))
             if r != p:
                 changed = True
         polys = nxt
@@ -259,25 +325,27 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if not polys:
             return []
 
-    f = list(polys)  # every polynomial ever created; G and pairs hold indices
+    # the head record of every polynomial ever created; G and pairs hold
+    # indices into it
+    f = nxt_heads
 
     def update(G, B, ih):
         # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
         # pair records (key of lcm, lcm, ih, ig)
-        mh = f[ih][0][1]
+        mh = f[ih][0]
         B = [
             pr
             for pr in B
             if not _divides(mh, pr[1])
-            or tuple(map(max, f[pr[2]][0][1], mh)) == pr[1]
-            or tuple(map(max, f[pr[3]][0][1], mh)) == pr[1]
+            or tuple(map(max, f[pr[2]][0], mh)) == pr[1]
+            or tuple(map(max, f[pr[3]][0], mh)) == pr[1]
         ]
         # of several new pairs with equal lcm the chain test keeps the last
         # candidate, so candidate order decides which pair survives; it is
         # the iteration order of a fresh copy of G
         C = []
         for ig in set(G):
-            mg = f[ig][0][1]
+            mg = f[ig][0]
             C.append((tuple(map(max, mh, mg)), tuple(map(add, mh, mg)), ig))
         D = []  # lcms of the new pairs kept, coprime ones included
         for n, (m, product, ig) in enumerate(C):
@@ -288,17 +356,18 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
                 or any(_divides(m2, m) for m2 in D)
             ):
                 D.append(m)
-                B.append((make_key(m, kind, block), m, ih, ig))
-        G_new = {ig for ig in G if not _divides(mh, f[ig][0][1])}
+                B.append((packed_key(m, kind, block), m, ih, ig))
+        G_new = {ig for ig in G if not _divides(mh, f[ig][0])}
         G_new.add(ih)
         return G_new, B
 
+    by_key = itemgetter(3)
     G = set()
     CP = []
     for i in range(len(f)):
         G, CP = update(G, CP, i)
-    # G's elements by leading key, sorted again only when G changes
-    divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
+    # G's head records by leading key, sorted again only when G changes
+    divisors = sorted((f[ig] for ig in G), key=by_key)
 
     pairs_done = 0
     while CP:
@@ -310,44 +379,48 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
         key, lcm_exp, i1, i2 = best
-        p1, p2 = f[i1], f[i2]
-        (k1, e1, c1), (k2, e2, c2) = p1[0], p2[0]
+        e1, _, c1, k1, rest1, top1 = f[i1]
+        e2, _, c2, k2, rest2, top2 = f[i2]
+        de1 = tuple(map(sub, lcm_exp, e1))
+        de2 = tuple(map(sub, lcm_exp, e2))
+        _degree_guard(max(top1 + sum(de1), top2 + sum(de2)))
         d = gcd(c1, c2)
         # the S-polynomial (c2/d) x^(lcm-e1) p1 - (c1/d) x^(lcm-e2) p2 as the
         # two shifted, scaled tails (the leading terms cancel), which _reduce
         # sums; keys are additive, so a cofactor's key is a difference of keys
         s = (
-            (tuple(map(add, k, dk)), tuple(map(add, e, de)), m * c)
-            for p, m, dk, de in (
-                (p1, c2 // d, tuple(map(sub, key, k1)), tuple(map(sub, lcm_exp, e1))),
-                (p2, -(c1 // d), tuple(map(sub, key, k2)), tuple(map(sub, lcm_exp, e2))),
+            (k + dk, tuple(map(add, e, de)), m * c)
+            for rest, m, dk, de in (
+                (rest1, c2 // d, key - k1, de1),
+                (rest2, -(c1 // d), key - k2, de2),
             )
-            for k, e, c in p[1:]
+            for k, e, c in rest
         )
         r, _ = _reduce(s, divisors)
         if not r:
             continue
         if sum(r[0][1]) > max_degree:
             raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
-        f.append(r)
+        f.append(_head(r))
         G, CP = update(G, CP, len(f) - 1)
-        divisors = sorted((f[ig] for ig in G), key=lambda p: p[0][0])
+        divisors = sorted((f[ig] for ig in G), key=by_key)
 
     # Minimalise: drop members whose leading monomial another member divides.
-    chosen = sorted(G, key=lambda ig: f[ig][0][0])
+    chosen = sorted(G, key=lambda ig: f[ig][3])
     minimal = []
     for ig in chosen:
-        e = f[ig][0][1]
-        if any(_divides(f[jg][0][1], e) for jg in minimal):
+        e = f[ig][0]
+        if any(_divides(f[jg][0], e) for jg in minimal):
             continue
-        minimal = [jg for jg in minimal if not _divides(e, f[jg][0][1])]
+        minimal = [jg for jg in minimal if not _divides(e, f[jg][0])]
         minimal.append(ig)
 
     # Tail-reduce each member against the rest for the unique reduced basis.
     result = []
     mins = [f[ig] for ig in minimal]
-    for idx, p in enumerate(mins):
+    for idx, (e, _, c, k, rest, _) in enumerate(mins):
         others = mins[:idx] + mins[idx + 1 :]
+        p = [(k, e, c), *rest]
         if others:
             r, _ = _reduce(p, others)
         else:
@@ -361,7 +434,8 @@ def key_basis(basis_pairs, kind, block):
     """A basis of [(exp, int)] term lists keyed for ``normal_form``.
 
     Key a basis once and pass the result to every ``normal_form`` call
-    against it under the same order.
+    against it under the same order.  Raises ResourceLimitExceeded on a
+    monomial of total degree 2^31 or more.
     """
     keyed = (_attach_keys(b, kind, block) for b in basis_pairs)
     return [p for p in keyed if p]
@@ -374,8 +448,9 @@ def normal_form(fpairs, basis, nvars, kind, block):
     ``key_basis`` for the same order; returns ``(tail, mult)`` with the exact
     normal form equal to tail / mult, tail as an [(exp, int)] list.  The input
     is not content-normalised: the multiplier accounts for everything.
-    ``nvars`` is unused, as in ``buchberger``.
+    Raises ResourceLimitExceeded on, or before making, a monomial of total
+    degree 2^31 or more.  ``nvars`` is unused, as in ``buchberger``.
     """
-    terms = ((make_key(e, kind, block), e, c) for e, c in fpairs)
-    tail, mult = _reduce(terms, basis, track_multiplier=True)
+    terms = ((packed_key(e, kind, block), e, c) for e, c in fpairs)
+    tail, mult = _reduce(terms, [_head(p) for p in basis], track_multiplier=True)
     return _strip_keys(tail), mult

@@ -178,7 +178,8 @@ class MultiPoly:
         cleaned: dict[Monomial, Fraction] = {}
         n = len(ctx)
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if len(mono) != n:

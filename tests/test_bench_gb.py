@@ -3,7 +3,8 @@ pure engine on one of its systems.
 
 Systems and expected values come from the script's own ``WORKLOADS`` and
 ``EXPECTED``, and bases from its own ``bench``, so an engine change that
-breaks the script fails here.  katsura-6 (about 1.5 s) is left to the script.
+breaks the script fails here.  katsura-6 (about 1.5 s) and sl5-minimal (tens
+of seconds) are left to the script.
 """
 
 import importlib.util
