@@ -405,21 +405,12 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         G, CP = update(G, CP, len(f) - 1)
         divisors = sorted((f[ig] for ig in G), key=by_key)
 
-    # Minimalise: drop members whose leading monomial another member divides.
-    chosen = sorted(G, key=lambda ig: f[ig][3])
-    minimal = []
-    for ig in chosen:
-        e = f[ig][0]
-        if any(_divides(f[jg][0], e) for jg in minimal):
-            continue
-        minimal = [jg for jg in minimal if not _divides(e, f[jg][0])]
-        minimal.append(ig)
-
+    # G is already minimal: update drops every member whose leading monomial
+    # the new one divides, and a new polynomial is reduced against G first.
     # Tail-reduce each member against the rest for the unique reduced basis.
     result = []
-    mins = [f[ig] for ig in minimal]
-    for idx, (e, _, c, k, rest, _) in enumerate(mins):
-        others = mins[:idx] + mins[idx + 1 :]
+    for idx, (e, _, c, k, rest, _) in enumerate(divisors):
+        others = divisors[:idx] + divisors[idx + 1 :]
         p = [(k, e, c), *rest]
         if others:
             r, _ = _reduce(p, others)

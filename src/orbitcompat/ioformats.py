@@ -14,7 +14,7 @@ from typing import IO
 
 from .groebner import IdealPresentation, ReducedGB
 from .hilbert import HilbertData
-from .parsing import parse_poly, poly_to_string
+from .parsing import ParseError, parse_poly, poly_to_string
 from .polyring import PolyError, VarContext
 
 __all__ = [
@@ -56,7 +56,10 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
             continue
         if ctx is None:
             raise PolyError(f"line {lineno}: polynomial before the vars: header")
-        gens.append(parse_poly(line, ctx))
+        try:
+            gens.append(parse_poly(line, ctx))
+        except ParseError as e:
+            raise ParseError(f"line {lineno}: {e.message}", e.pos) from None
     if ctx is None:
         raise PolyError("missing vars: header")
     return IdealPresentation(ctx, gens), meta

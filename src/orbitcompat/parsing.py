@@ -2,11 +2,17 @@
 
 Grammar (ASCII, whitespace insignificant)::
 
-    expr   := ['-'] term (('+'|'-') term)*
+    expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := coeff ('*' factor)* | factor ('*' factor)*
     factor := var ('^' nat)?
     coeff  := nat ('/' posnat)?
     var    := [A-Za-z][A-Za-z0-9_]*
+    nat    := [0-9]+
+    posnat := [0-9]*[1-9][0-9]*
+
+Whitespace is ASCII: space, tab, newline, carriage return, form feed and
+vertical tab.  Any other character outside the grammar, a non-ASCII digit,
+letter or space included, is a ParseError.
 
 Printing is canonical: terms sorted descending by a monomial order (grevlex
 by default), coefficients as integers or num/den, explicit '*' between
@@ -16,9 +22,20 @@ polynomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .polyring import GREVLEX, Monomial, MonomialOrder, MultiPoly, VarContext
+
+# One pattern per production, each taking the whitespace before it.  The
+# number after '/' or '^' may match empty, so that its error points past the
+# operator.
+_SIGN = re.compile(r"\s*([+-])", re.ASCII)
+_COEFF = re.compile(r"\s*([0-9]+)(?:\s*/\s*([0-9]*))?", re.ASCII)
+_FACTOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*)(?:\s*\^\s*([0-9]*))?", re.ASCII)
+_STAR = re.compile(r"\s*\*", re.ASCII)
+# where an error or trailing text starts
+_SPACE = re.compile(r"\s*", re.ASCII)
 
 
 class ParseError(Exception):
@@ -26,119 +43,68 @@ class ParseError(Exception):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
-
-    def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or not self.text[self.pos].isalpha():
-            raise ParseError("expected a variable name", start)
-        self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-
 def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
-    """Parse ``text`` into a polynomial over ``ctx``."""
-    sc = _Scanner(text)
+    """Parse ``text`` into a polynomial over ``ctx``.
+
+    A ParseError points at the first character the grammar cannot take, or
+    at the end of the text.
+    """
+    index = {name: i for i, name in enumerate(ctx.names)}
     terms: dict[Monomial, Fraction] = {}
-    sign = 1
-    if sc.peek() == "-":
-        sc.take()
-        sign = -1
-    elif sc.peek() == "+":
-        sc.take()
-    _read_term(sc, ctx, terms, sign)
-    while not sc.at_end():
-        op = sc.take()
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
+    pos = 0
+    m = _SIGN.match(text)  # optional before the first term, required after
+    while True:
+        if m:
+            pos = m.end()
+        sign = -1 if m and m[1] == "-" else 1
+        exps = [0] * len(index)
+        expected = "expected a term"
+        item = _COEFF.match(text, pos)  # the term's last item so far
+        if item:
+            num, den = item.groups()
+            if den == "":
+                raise ParseError("expected a number", item.end())
+            if den is not None and not int(den):
+                raise ParseError("zero denominator", item.start(2))
+            coeff = Fraction(sign * int(num), int(den or 1))
+            pos = item.end()
         else:
-            raise ParseError(f"unexpected {op!r}", sc.pos - 1)
-        _read_term(sc, ctx, terms, sign)
+            coeff = Fraction(sign)
+        while True:
+            if item:
+                # after a coefficient or a factor only '*' continues the term
+                star = _STAR.match(text, pos)
+                if not star:
+                    break
+                pos = star.end()
+                expected = "expected a variable name"
+            item = _FACTOR.match(text, pos)
+            if not item:
+                raise ParseError(expected, _SPACE.match(text, pos).end())
+            name, power = item.groups()
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}", item.start(1))
+            if power == "":
+                raise ParseError("expected a number", item.end())
+            exps[index[name]] += 1 if power is None else int(power)
+            pos = item.end()
+        mono = tuple(exps)
+        s = terms.get(mono, 0) + coeff
+        if s:
+            terms[mono] = s
+        else:
+            terms.pop(mono, None)
+        m = _SIGN.match(text, pos)
+        if not m:
+            break
+    end = _SPACE.match(text, pos).end()
+    if end < len(text):
+        raise ParseError(f"unexpected {text[end]!r}", end)
     return MultiPoly(ctx, terms)
-
-
-def _read_term(sc: _Scanner, ctx: VarContext, terms: dict, sign: int) -> None:
-    coeff = Fraction(sign)
-    exps = [0] * len(ctx)
-    ch = sc.peek()
-    if ch.isdigit():
-        num = sc.natural()
-        den = 1
-        if sc.peek() == "/":
-            sc.take()
-            pos = sc.pos
-            den = sc.natural()
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-        coeff *= Fraction(num, den)
-        while sc.peek() == "*":
-            sc.take()
-            _read_factor(sc, ctx, exps)
-    elif ch.isalpha():
-        _read_factor(sc, ctx, exps)
-        while sc.peek() == "*":
-            sc.take()
-            _read_factor(sc, ctx, exps)
-    else:
-        raise ParseError("expected a term", sc.pos)
-    mono = tuple(exps)
-    s = terms.get(mono, Fraction(0)) + coeff
-    if s:
-        terms[mono] = s
-    else:
-        terms.pop(mono, None)
-
-
-def _read_factor(sc: _Scanner, ctx: VarContext, exps: list[int]) -> None:
-    pos = sc.pos
-    name = sc.identifier()
-    try:
-        i = ctx.index(name)
-    except Exception:
-        raise ParseError(f"unknown variable {name!r}", pos) from None
-    power = 1
-    if sc.peek() == "^":
-        sc.take()
-        power = sc.natural()
-    exps[i] += power
 
 
 def format_rational(c: Fraction) -> str:

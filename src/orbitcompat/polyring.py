@@ -23,8 +23,8 @@ from ._kernel.pure import KINDS, make_key
 
 Monomial = tuple[int, ...]
 
-# Exponents are capped well below 2**31; degrees in this problem domain stay
-# in single digits, so hitting the cap signals a runaway computation.
+# Exponents are capped at 2**31 - 1; degrees in this problem domain stay in
+# single digits, so hitting the cap signals a runaway computation.
 MAX_EXPONENT = 2**31 - 1
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")

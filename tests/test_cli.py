@@ -47,6 +47,14 @@ def test_orbit_charvalues(capsys):
     assert doc["meta"]["style"] == "charvalues"
 
 
+def test_gb_parse_error_names_the_line(capsys, tmp_path):
+    ideal = tmp_path / "bad.ideal"
+    ideal.write_text("vars: x,y\nx - y\nx^2 - q\n")
+    code, out, err = run(capsys, "gb", "--ideal", str(ideal))
+    assert code == 1 and out == ""
+    assert err == "error: line 3: unknown variable 'q' (at position 6)\n"
+
+
 def test_gb_order_flag(capsys, tmp_path):
     ideal = tmp_path / "lin.ideal"
     ideal.write_text("vars: x,y\nx\nx - y\n")

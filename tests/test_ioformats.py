@@ -7,6 +7,7 @@ import pytest
 
 from orbitcompat import IdealPresentation, PolyError, VarContext, buchberger, parse_poly
 from orbitcompat.hilbert import hilbert
+from orbitcompat.parsing import ParseError
 from orbitcompat.ioformats import (
     gb_to_json,
     hilbert_to_json,
@@ -47,6 +48,13 @@ def test_ideal_file_requires_header():
         read_ideal(io.StringIO("x - y\n"))
     with pytest.raises(PolyError):
         read_ideal(io.StringIO("# nothing\n"))
+
+
+def test_ideal_file_parse_error_names_its_line():
+    with pytest.raises(ParseError) as err:
+        read_ideal(io.StringIO("vars: x, y\nx - y\nx^2 - q\n"))
+    assert err.value.pos == 6
+    assert str(err.value) == "line 3: unknown variable 'q' (at position 6)"
 
 
 def test_ideal_json_round_trip():

@@ -1,9 +1,12 @@
 """Parser and canonical printer, including the full round-trip corpus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcompat import MultiPoly, VarContext, parse_poly, poly_to_string
 from orbitcompat.parsing import ParseError
@@ -44,6 +47,30 @@ def test_syntax_error_carries_position():
 def test_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable"):
         parse_poly("x + q", CTX)
+
+
+# each rejected input with the position of the first character the grammar
+# cannot take, or the end of the text
+REJECTED = [
+    ("", 0),
+    ("x +", 3),
+    ("x + * y", 4),
+    ("x^", 2),
+    ("3 x", 2),
+    ("1/0", 2),
+    ("x + q", 4),
+    ("1-6*  q", 6),
+    ("x^\u00b2", 2),  # superscript two
+    ("\u0663*x", 0),  # Arabic-Indic three
+    ("x +\u00a0y", 3),  # no-break space
+]
+
+
+@pytest.mark.parametrize("text,pos", REJECTED, ids=[repr(r[0]) for r in REJECTED])
+def test_rejected_input_position(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, CTX)
+    assert err.value.pos == pos
 
 
 def test_repeated_factor_accumulates():
@@ -100,3 +127,26 @@ def test_round_trip_random_polynomials():
             terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         f = MultiPoly(ctx, terms)
         assert parse_poly(poly_to_string(f), ctx) == f
+
+
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|[-+*/^]")
+_small_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(4))),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    max_size=5,
+).map(lambda d: MultiPoly(CTX, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_polys, st.data())
+def test_spaces_between_tokens_change_nothing(f, data):
+    tokens = _TOKEN.findall(poly_to_string(f))
+    gaps = data.draw(
+        st.lists(
+            st.text(" \t\n\r\f\v", max_size=3),
+            min_size=len(tokens) + 1,
+            max_size=len(tokens) + 1,
+        )
+    )
+    text = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+    assert parse_poly(text, CTX) == f
