@@ -25,10 +25,15 @@ and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective dimension
 2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8.  A mismatch exits with
 status 1.
 
+The last column is the first 12 hex digits of the sha256 of the basis as
+the engine returns it, so two runs give bit-identical bases iff their
+columns agree.
+
 Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 """
 
 import argparse
+import hashlib
 import statistics
 import sys
 import time
@@ -178,15 +183,16 @@ def main(argv=None):
     ap.add_argument("--skip-slow", action="store_true", help="leave out the workloads flagged slow")
     args = ap.parse_args(argv)
 
-    print(f"{'workload':<16} {'best':>9} {'mean':>9}  basis")
-    print("-" * 46)
+    print(f"{'workload':<16} {'best':>9} {'mean':>9}  basis  sha256")
+    print("-" * 58)
     wrong = []
     for name, (make, slow) in WORKLOADS.items():
         if slow and args.skip_slow:
             continue
         raw_args = make()
         best, mean, basis = bench(raw_args, args.repeat)
-        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis)}")
+        digest = hashlib.sha256(repr(basis).encode()).hexdigest()[:12]
+        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis):>5}  {digest}")
         if name in EXPECTED:
             measure, want = EXPECTED[name]
             got = measure(basis, raw_args[1])

@@ -1,10 +1,10 @@
 """Pure-Python Groebner engine.
 
 Works on raw term lists so the hot loops never touch the public polynomial
-wrappers.  A term is ``(key, exp, coeff)`` where ``key`` is the monomial's
-packed sort key under the active order, ``exp`` the exponent tuple and
-``coeff`` a Python int.  A polynomial is a list of terms sorted descending
-by key and kept primitive (integer content 1, positive leading
+wrappers.  A term is ``(key, pack, coeff)`` where ``key`` is the monomial's
+packed sort key under the active order, ``pack`` its packed exponent vector
+and ``coeff`` a Python int.  A polynomial is a list of terms sorted
+descending by key and kept primitive (integer content 1, positive leading
 coefficient), which keeps the arithmetic fraction-free: reductions scale by
 leading coefficients instead of dividing.
 
@@ -19,53 +19,64 @@ being ``make_key`` of its unit vector read as signed 32-bit digits, most
 significant field first.  While a monomial's total degree is below 2^31
 every field of its key fits its digit, so packed keys order monomials as
 ``make_key`` does and are injective; being a dot product they are additive,
-so a product's key is a sum of ints.  Key creation refuses a monomial of
-total degree 2^31 or more, and each reduction step checks that the
-monomials it makes stay below it, raising ``ResourceLimitExceeded`` rather
-than merging two monomials under one key.
+so a product's key is a sum of ints.
 
-A reducer enters ``_reduce`` as a head record ``(exp, mask, coeff, key,
-rest, top)``: its leading exponent, variable mask (one bit per variable
-with a positive exponent), leading coefficient and key, its remaining
-terms and its top total degree.  ``buchberger`` makes one per polynomial,
-when the polynomial is created; ``normal_form`` makes them from the
-``key_basis`` output on each call.
+The exponent vector is packed too (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998): ``_pack``
+lays out ``nvars + 1`` unsigned 32-bit fields, exponent ``i`` in field
+``i`` and the total degree in the top one.  A product's pack is the sum of
+the packs, the total degree is the pack shifted down by ``_layout``'s
+shift, and ``a`` divides ``b`` iff ``(pack(b) - pack(a)) & guard == 0``,
+the guard holding bit 31 of every exponent field: with every exponent below
+2^31 a nonnegative difference leaves the guard bits clear, and the lowest
+negative field of a difference sets its own.  Exponent tuples are made only
+at input, at output, for a new polynomial's leading monomial and for the
+lcms of ``update``.  Key and pack creation refuse a monomial of total
+degree 2^31 or more, and each reduction step checks that the monomials it
+makes stay below it, raising ``ResourceLimitExceeded`` rather than merging
+two monomials under one key.
+
+A reducer enters ``_reduce`` as a head record ``(exp, pack, coeff, key,
+rest, top)``: its leading exponent, pack, coefficient and key, its
+remaining terms and its top total degree.  ``buchberger`` makes one per
+polynomial, when the polynomial is created; ``normal_form`` makes them from
+the ``key_basis`` output on each call.
 
 Reduction (``_reduce``) keeps the remainder still to be reduced as a
-``{key: coeff}`` dict with a side map from key to exponent.  It sums its
-input into that dict, so the input need not be sorted or merged: an
-S-polynomial goes in as the two shifted, scaled tails (the leading terms
-cancel).  A leader list, every key seen and not yet taken in ascending
-order, gives the leading term by a pop from its end; a key enters it once,
-by ``bisect.insort``, when a step first creates it.  The head search tests
-divisibility only for heads whose mask lies within the term's.  A step
-subtracts the reducer term by term, so the interpreted work of a step
-grows with the reducer's length, not the remainder's.  A step scales the
-remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
-coefficients), which is 1 for most steps.  Irreducible terms go to the tail
-with the scale they were taken at and are brought up to date only when the
-integer content is normalised, every ``_CONTENT_STRIDE`` steps, and at the
-end.
+``{key: coeff}`` dict with a side map from key to pack.  It sums its input
+into that dict, so the input need not be sorted or merged: an S-polynomial
+goes in as the two shifted, scaled tails (the leading terms cancel).  A
+leader list, every key seen and not yet taken in ascending order, gives the
+leading term by a pop from its end; a key enters it once, by
+``bisect.insort``, when a step first creates it.  The head search is one
+subtraction and one AND per head.  A step subtracts the reducer term by
+term, shifting each key and each pack by one integer addition, so the
+interpreted work of a step grows with the reducer's length, not the
+remainder's.  A step scales the remainder only by ``gc // gcd(gc, c0)``
+(reducer and remainder leading coefficients), which is 1 for most steps.
+Irreducible terms go to the tail with the scale they were taken at and are
+brought up to date only when the integer content is normalised, every
+``_CONTENT_STRIDE`` steps, and at the end.
 
-``buchberger`` keeps one record per critical pair, ``(key of lcm, lcm, i,
-j)``, made once when ``update`` creates the pair.  Both Gebauer-Moeller
-pruning tests read the stored lcm, and the normal strategy takes the next
-pair as ``min`` of the records: the order key is injective, so that is the
-smallest lcm, ties broken by the indices.  ``normal_form`` reduces against a
-basis keyed once by ``key_basis``.
+``buchberger`` keeps one record per critical pair, ``(key of lcm, pack of
+lcm, i, j, lcm)``, made once when ``update`` creates the pair.  The
+Gebauer-Moeller tests decide divisibility on the stored packs, and the
+normal strategy takes the next pair as ``min`` of the records: the order
+key is injective, so that is the smallest lcm, ties broken by the indices.
+``normal_form`` reduces against a basis keyed once by ``key_basis``.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
-``groebner.GBLimits``; the 2^31 degree bound is the packed keys' own.
+``groebner.GBLimits``; the 2^31 degree bound is the packs' own.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
-from itertools import compress
 from math import gcd
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter, mul
+from struct import Struct
 
 from ..errors import ResourceLimitExceeded
 
@@ -73,8 +84,9 @@ from ..errors import ResourceLimitExceeded
 # coefficient growth in check without paying a gcd on every step.
 _CONTENT_STRIDE = 8
 
-# packed keys hold make_key's fields as signed digits of this many bits; a
-# field stays within half a digit while the total degree is below the bound
+# packed keys hold make_key's fields as signed digits of this many bits, and
+# packs the exponents as unsigned fields of as many; a field stays within
+# half its width while the total degree is below the bound
 _FIELD_BITS = 32
 _DEGREE_BOUND = 1 << (_FIELD_BITS - 1)
 
@@ -128,27 +140,58 @@ def packed_key(exp, kind, block):
     return sum(map(mul, exp, _weights(len(exp), kind, block)))
 
 
+@lru_cache(maxsize=64)
+def _layout(nvars):
+    """``(struct, guard, shift)`` for packs of ``nvars`` exponents.
+
+    ``struct`` reads and writes the ``nvars + 1`` unsigned 32-bit fields,
+    least significant first; ``guard`` has bit 31 of every exponent field
+    set; a pack shifted right by ``shift`` is its total degree.  The degree
+    field needs no guard bit, since divisibility of the exponents implies
+    its own, and the lcms in ``update`` may take it past 2^31.
+    """
+    guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(nvars))
+    return Struct(f"<{nvars + 1}I"), guard, _FIELD_BITS * nvars
+
+
+def _pack(exp):
+    """The packed exponent vector of ``exp``: additive, and ordered by
+    divisibility through ``_layout``'s guard.
+
+    Raises ResourceLimitExceeded when ``exp`` has total degree 2^31 or more.
+    """
+    degree = sum(exp)
+    _degree_guard(degree)
+    return int.from_bytes(_layout(len(exp))[0].pack(*exp, degree), "little")
+
+
+def _unpack(pack, nvars):
+    """The exponent tuple of a pack of ``nvars`` exponents."""
+    struct = _layout(nvars)[0]
+    return struct.unpack(pack.to_bytes(struct.size, "little"))[:nvars]
+
+
 def _attach_keys(pairs, kind, block):
     """[(exp, int)] -> engine poly, normalised primitive."""
-    terms = [(packed_key(e, kind, block), e, c) for e, c in pairs if c]
+    terms = [(packed_key(e, kind, block), _pack(e), c) for e, c in pairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
     return _primitive(terms)
 
 
-def _head(poly):
-    """Head record ``(exp, mask, coeff, key, rest, top)`` of a nonzero poly.
+def _head(poly, nvars):
+    """Head record ``(exp, pack, coeff, key, rest, top)`` of a nonzero poly.
 
-    ``mask`` has one bit per variable, set where the leading exponent is
-    > 0; ``top`` is the largest total degree among the terms.
+    ``exp`` is the leading exponent, decoded from its pack; ``top`` is the
+    largest total degree among the terms.
     """
-    k, e, c = poly[0]
-    bits = [1 << i for i in range(len(e))]
-    top = max(map(sum, map(itemgetter(1), poly)))
-    return e, sum(compress(bits, e)), c, k, poly[1:], top
+    k, p, c = poly[0]
+    top = max(map(itemgetter(1), poly)) >> _layout(nvars)[2]
+    return _unpack(p, nvars), p, c, k, poly[1:], top
 
 
-def _strip_keys(poly):
-    return [(e, c) for _, e, c in poly]
+def _strip_keys(poly, nvars):
+    """Engine poly -> [(exp, int)]."""
+    return [(_unpack(p, nvars), c) for _, p, c in poly]
 
 
 def _content(terms):
@@ -168,15 +211,8 @@ def _primitive(terms):
     if terms[0][2] < 0:
         g = -g
     if g != 1:
-        terms = [(k, e, c // g) for k, e, c in terms]
+        terms = [(k, p, c // g) for k, p, c in terms]
     return terms
-
-
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 def _reduce(f, heads, track_multiplier=False):
@@ -194,26 +230,26 @@ def _reduce(f, heads, track_multiplier=False):
 
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled.  The head
-    search calls ``_divides`` only on heads whose variable mask fits in the
-    term's; the mask filters, ``_divides`` decides.  Steps, and so the
-    result, are those of taking ``max`` of the remainder each time.
+    search tests each head's pack against the term's with one subtraction
+    and one AND.  Steps, and so the result, are those of taking ``max`` of
+    the remainder each time.
     """
-    bits = [1 << i for i in range(len(heads[0][0]))] if heads else []
-    # the remainder still to reduce, as key -> coeff; exps maps every key
-    # ever seen to its exponent, computed once per new key
+    _, guard, shift = _layout(len(heads[0][0]) if heads else 0)
+    # the remainder still to reduce, as key -> coeff; packs maps every key
+    # ever seen to its pack
     h = {}
-    exps = {}
-    for k, e, c in f:
+    packs = {}
+    for k, p, c in f:
         c += h.pop(k, 0)
         if c:
             h[k] = c
-        exps[k] = e
-    # the leader list: every key of exps not yet taken, ascending.  A key
+        packs[k] = p
+    # the leader list: every key of packs not yet taken, ascending.  A key
     # whose terms cancelled stays in it, since a later step can create it
     # again; every key a step creates lies below the key it takes, so the
     # last live key is always the largest of h
-    order = sorted(exps)
-    # irreducible terms (key, exp, coeff, scale when taken): the true
+    order = sorted(packs)
+    # irreducible terms (key, pack, coeff, scale when taken): the true
     # coefficient is coeff * (scale // taken), brought up to date by _settle
     tail = []
     scale = 1
@@ -224,19 +260,17 @@ def _reduce(f, heads, track_multiplier=False):
         c0 = h.pop(k0, 0)
         if not c0:
             continue
-        e0 = exps[k0]
-        # a head divides e0 only if its variables are among e0's
-        nm0 = ~sum(compress(bits, e0))
-        for ge, gm, gc, gk, grest, gtop in heads:
-            if not gm & nm0 and _divides(ge, e0):
+        p0 = packs[k0]
+        for ge, gp, gc, gk, grest, gtop in heads:
+            if not (p0 - gp) & guard:
                 break
         else:
-            tail.append((k0, e0, c0, scale))
+            tail.append((k0, p0, c0, scale))
             continue
-        dexp = tuple(map(sub, e0, ge))
-        # the monomials this step makes have degree at most gtop + |dexp|
-        _degree_guard(gtop + sum(dexp))
-        # h <- m*h - b*x^dexp*g with m*c0 = b*gc, the smallest such m > 0
+        dpack = p0 - gp
+        # the monomials this step makes have degree at most gtop + |dpack|
+        _degree_guard(gtop + (dpack >> shift))
+        # h <- m*h - b*x^dpack*g with m*c0 = b*gc, the smallest such m > 0
         common = gcd(gc, c0)
         b = c0 // common
         if common != gc:
@@ -246,13 +280,13 @@ def _reduce(f, heads, track_multiplier=False):
             scale *= m
             mult *= m
         dkey = k0 - gk
-        for k, e, c in grest:
+        for k, p, c in grest:
             sk = k + dkey
             sc = h.get(sk, 0) - b * c
             if sc:
                 h[sk] = sc
-                if sk not in exps:
-                    exps[sk] = tuple(map(add, e, dexp))
+                if sk not in packs:
+                    packs[sk] = p + dpack
                     insort(order, sk)
             else:
                 del h[sk]
@@ -266,10 +300,10 @@ def _reduce(f, heads, track_multiplier=False):
             if g0 > 1:
                 for k in h:
                     h[k] //= g0
-                tail = [(k, e, c // g0, 1) for k, e, c, _ in tail]
+                tail = [(k, p, c // g0, 1) for k, p, c, _ in tail]
                 if track_multiplier:
                     mult //= g0
-    tail = [(k, e, c) for k, e, c, _ in _settle(tail, scale)]
+    tail = [(k, p, c) for k, p, c, _ in _settle(tail, scale)]
     if not track_multiplier:
         return _primitive(tail), 1
     return tail, mult
@@ -278,20 +312,21 @@ def _reduce(f, heads, track_multiplier=False):
 def _settle(tail, scale):
     """Bring lazily scaled tail terms up to date with ``scale``."""
     return [
-        (k, e, c if s == scale else c * (scale // s), 1) for k, e, c, s in tail
+        (k, p, c if s == scale else c * (scale // s), 1) for k, p, c, s in tail
     ]
 
 
 def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     """Reduced Groebner basis of ``gens`` (list of [(exp, int)] term lists).
 
-    Returns a list of primitive integer polynomials as [(exp, int)] lists,
-    each sorted descending in the order, the basis sorted ascending by
-    leading monomial.  Raises ResourceLimitExceeded past the caps, and
-    before making a monomial of total degree 2^31 or more.
-    ``nvars`` is unused; it stays because ``perfbench/tracing.py`` reads the
-    order kind as the third positional argument.
+    Every exponent has length ``nvars``, which sizes the packs.  Returns a
+    list of primitive integer polynomials as [(exp, int)] lists, each sorted
+    descending in the order, the basis sorted ascending by leading monomial.
+    Raises ResourceLimitExceeded past the caps, and before making a monomial
+    of total degree 2^31 or more.
     """
+    struct, guard, shift = _layout(nvars)
+    pack_fields = struct.pack
     polys = []
     for g in gens:
         p = _attach_keys(g, kind, block)
@@ -304,7 +339,7 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     # pair set considerably.
     while True:
         polys.sort(key=lambda p: p[0][0])
-        heads = [_head(p) for p in polys]
+        heads = [_head(p, nvars) for p in polys]
         nxt = []
         nxt_heads = []
         changed = False
@@ -316,7 +351,7 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
                 r = p
             if r:
                 nxt.append(r)
-                nxt_heads.append(_head(r))
+                nxt_heads.append(_head(r, nvars))
             if r != p:
                 changed = True
         polys = nxt
@@ -331,33 +366,34 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
 
     def update(G, B, ih):
         # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
-        # pair records (key of lcm, lcm, ih, ig)
-        mh = f[ih][0]
+        # pair records (key of lcm, pack of lcm, ih, ig, lcm)
+        mh, ph = f[ih][:2]
         B = [
             pr
             for pr in B
-            if not _divides(mh, pr[1])
-            or tuple(map(max, f[pr[2]][0], mh)) == pr[1]
-            or tuple(map(max, f[pr[3]][0], mh)) == pr[1]
+            if (pr[1] - ph) & guard
+            or tuple(map(max, f[pr[2]][0], mh)) == pr[4]
+            or tuple(map(max, f[pr[3]][0], mh)) == pr[4]
         ]
         # of several new pairs with equal lcm the chain test keeps the last
         # candidate, so candidate order decides which pair survives; it is
         # the iteration order of a fresh copy of G
-        C = []
-        for ig in set(G):
-            mg = f[ig][0]
-            C.append((tuple(map(max, mh, mg)), tuple(map(add, mh, mg)), ig))
-        D = []  # lcms of the new pairs kept, coprime ones included
-        for n, (m, product, ig) in enumerate(C):
-            if product == m:
-                D.append(m)  # coprime leading monomials: kept out of B
+        C = [(tuple(map(max, mh, f[ig][0])), ig) for ig in set(G)]
+        # the lcms' packs; their degree may pass 2^31, which the degree
+        # field holds and a kept pair's key refuses
+        lcms = [int.from_bytes(pack_fields(*m, sum(m)), "little") for m, _ in C]
+        D = []  # packs of the new pairs' lcms kept, coprime ones included
+        for n, (m, ig) in enumerate(C):
+            pm = lcms[n]
+            if pm == ph + f[ig][1]:
+                D.append(pm)  # coprime leading monomials: kept out of B
             elif not (
-                any(_divides(m2, m) for m2, _, _ in C[n + 1 :])
-                or any(_divides(m2, m) for m2 in D)
+                any(not (pm - q) & guard for q in lcms[n + 1 :])
+                or any(not (pm - q) & guard for q in D)
             ):
-                D.append(m)
-                B.append((packed_key(m, kind, block), m, ih, ig))
-        G_new = {ig for ig in G if not _divides(mh, f[ig][0])}
+                D.append(pm)
+                B.append((packed_key(m, kind, block), pm, ih, ig, m))
+        G_new = {ig for ig in G if (f[ig][1] - ph) & guard}
         G_new.add(ih)
         return G_new, B
 
@@ -378,30 +414,31 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
-        key, lcm_exp, i1, i2 = best
-        e1, _, c1, k1, rest1, top1 = f[i1]
-        e2, _, c2, k2, rest2, top2 = f[i2]
-        de1 = tuple(map(sub, lcm_exp, e1))
-        de2 = tuple(map(sub, lcm_exp, e2))
-        _degree_guard(max(top1 + sum(de1), top2 + sum(de2)))
+        key, lcm, i1, i2, _ = best
+        _, p1, c1, k1, rest1, top1 = f[i1]
+        _, p2, c2, k2, rest2, top2 = f[i2]
+        dp1 = lcm - p1
+        dp2 = lcm - p2
+        _degree_guard(max(top1 + (dp1 >> shift), top2 + (dp2 >> shift)))
         d = gcd(c1, c2)
         # the S-polynomial (c2/d) x^(lcm-e1) p1 - (c1/d) x^(lcm-e2) p2 as the
         # two shifted, scaled tails (the leading terms cancel), which _reduce
-        # sums; keys are additive, so a cofactor's key is a difference of keys
+        # sums; keys and packs are additive, so a cofactor's key and pack are
+        # differences
         s = (
-            (k + dk, tuple(map(add, e, de)), m * c)
-            for rest, m, dk, de in (
-                (rest1, c2 // d, key - k1, de1),
-                (rest2, -(c1 // d), key - k2, de2),
+            (k + dk, p + dp, m * c)
+            for rest, m, dk, dp in (
+                (rest1, c2 // d, key - k1, dp1),
+                (rest2, -(c1 // d), key - k2, dp2),
             )
-            for k, e, c in rest
+            for k, p, c in rest
         )
         r, _ = _reduce(s, divisors)
         if not r:
             continue
-        if sum(r[0][1]) > max_degree:
+        if r[0][1] >> shift > max_degree:
             raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
-        f.append(_head(r))
+        f.append(_head(r, nvars))
         G, CP = update(G, CP, len(f) - 1)
         divisors = sorted((f[ig] for ig in G), key=by_key)
 
@@ -409,16 +446,16 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     # the new one divides, and a new polynomial is reduced against G first.
     # Tail-reduce each member against the rest for the unique reduced basis.
     result = []
-    for idx, (e, _, c, k, rest, _) in enumerate(divisors):
+    for idx, (_, p, c, k, rest, _) in enumerate(divisors):
         others = divisors[:idx] + divisors[idx + 1 :]
-        p = [(k, e, c), *rest]
+        q = [(k, p, c), *rest]
         if others:
-            r, _ = _reduce(p, others)
+            r, _ = _reduce(q, others)
         else:
-            r = p
+            r = q
         result.append(r)
     result.sort(key=lambda p: p[0][0])
-    return [_strip_keys(p) for p in result]
+    return [_strip_keys(p, nvars) for p in result]
 
 
 def key_basis(basis_pairs, kind, block):
@@ -435,13 +472,14 @@ def key_basis(basis_pairs, kind, block):
 def normal_form(fpairs, basis, nvars, kind, block):
     """Exact remainder of f modulo a (Groebner) basis.
 
-    The input is an [(exp, int)] term list and the basis the output of
-    ``key_basis`` for the same order; returns ``(tail, mult)`` with the exact
-    normal form equal to tail / mult, tail as an [(exp, int)] list.  The input
-    is not content-normalised: the multiplier accounts for everything.
-    Raises ResourceLimitExceeded on, or before making, a monomial of total
-    degree 2^31 or more.  ``nvars`` is unused, as in ``buchberger``.
+    The input is an [(exp, int)] term list over ``nvars`` variables, which
+    size the packs, and the basis the output of ``key_basis`` for the same
+    order; returns ``(tail, mult)`` with the exact normal form equal to
+    tail / mult, tail as an [(exp, int)] list.  The input is not
+    content-normalised: the multiplier accounts for everything.  Raises
+    ResourceLimitExceeded on, or before making, a monomial of total degree
+    2^31 or more.
     """
-    terms = ((packed_key(e, kind, block), e, c) for e, c in fpairs)
-    tail, mult = _reduce(terms, [_head(p) for p in basis], track_multiplier=True)
-    return _strip_keys(tail), mult
+    terms = ((packed_key(e, kind, block), _pack(e), c) for e, c in fpairs)
+    tail, mult = _reduce(terms, [_head(p, nvars) for p in basis], track_multiplier=True)
+    return _strip_keys(tail, nvars), mult

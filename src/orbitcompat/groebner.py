@@ -93,7 +93,9 @@ class ReducedGB:
 
     Every element is monic and no term of any element is divisible by the
     leading term of another.  ``basis`` is sorted ascending by leading
-    monomial, so equal ideals compare equal structurally.
+    monomial, so equal ideals compare equal structurally.  Each element is
+    stored leading term first: its first term is its leading term under
+    ``order``, as the kernel returns it and as ``homogenise_poly`` keeps it.
     """
 
     ctx: VarContext
@@ -110,7 +112,7 @@ class ReducedGB:
         return self._keyed
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.basis)
+        return tuple(next(iter(g.terms)) for g in self.basis)
 
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].degree() == 0

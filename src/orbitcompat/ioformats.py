@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _META_PREFIX = "# meta:"
+# the grammar's whitespace; any other character at a line's ends is a
+# ParseError, as it is inside a polynomial
+_SPACE = " \t\n\r\f\v"
 
 
 def write_ideal(out: IO[str], ideal: IdealPresentation, meta: dict | None = None) -> None:
@@ -42,7 +45,7 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
     ctx: VarContext | None = None
     gens = []
     for lineno, raw in enumerate(inp, start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line:
             continue
         if line.startswith(_META_PREFIX):
@@ -51,7 +54,7 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
         if line.startswith("#"):
             continue
         if line.startswith("vars:"):
-            names = [n.strip() for n in line[len("vars:"):].split(",") if n.strip()]
+            names = [n.strip(_SPACE) for n in line[len("vars:"):].split(",") if n.strip(_SPACE)]
             ctx = VarContext(names)
             continue
         if ctx is None:
@@ -59,7 +62,9 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
         try:
             gens.append(parse_poly(line, ctx))
         except ParseError as e:
-            raise ParseError(f"line {lineno}: {e.message}", e.pos) from None
+            # the position counts from the start of the line, indent included
+            indent = len(raw) - len(raw.lstrip(_SPACE))
+            raise ParseError(f"line {lineno}: {e.message}", e.pos + indent) from None
     if ctx is None:
         raise PolyError("missing vars: header")
     return IdealPresentation(ctx, gens), meta

@@ -54,7 +54,8 @@ class VarContext:
             raise PolyError("context needs at least one variable")
         seen = set()
         for name in names:
-            if not name or name[0].isdigit() or not set(name) <= _IDENT_OK:
+            # the grammar's var: an ASCII letter, then letters, digits and '_'
+            if not name or not name[0].isalpha() or not set(name) <= _IDENT_OK:
                 raise PolyError(f"invalid variable name {name!r}")
             if name in seen:
                 raise PolyError(f"duplicate variable name {name!r}")

@@ -86,6 +86,17 @@ def test_basis_is_reduced_and_monic(fibration_110):
             )
 
 
+def test_leading_monomials_are_the_first_terms(fibration_110, fibration_321):
+    # each element is stored leading term first, by the kernel under every
+    # order kind and by homogenise_ideal in the basis it attaches
+    bases = []
+    for d in (fibration_110, fibration_321):
+        bases += [buchberger(d["I"], order) for order in (LEX, GREVLEX, elimination(2))]
+        bases.append(homogenise_ideal(d["I"], "t")._reduced)
+    for G in bases:
+        assert G.leading_monomials() == tuple(G.order.leading(g.terms) for g in G.basis)
+
+
 def test_generator_permutations_reach_the_same_basis(fibration_110):
     I = fibration_110["I_hom"]
     G0 = buchberger(I)

@@ -4,8 +4,10 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitcompat import IdealPresentation, PolyError, VarContext, buchberger, parse_poly
+from orbitcompat import IdealPresentation, MultiPoly, PolyError, VarContext, buchberger, parse_poly
 from orbitcompat.hilbert import hilbert
 from orbitcompat.parsing import ParseError
 from orbitcompat.ioformats import (
@@ -55,6 +57,38 @@ def test_ideal_file_parse_error_names_its_line():
         read_ideal(io.StringIO("vars: x, y\nx - y\nx^2 - q\n"))
     assert err.value.pos == 6
     assert str(err.value) == "line 3: unknown variable 'q' (at position 6)"
+
+
+def test_ideal_file_parse_error_counts_the_indent():
+    with pytest.raises(ParseError) as err:
+        read_ideal(io.StringIO("vars: x, y\n    x - q\n"))
+    assert err.value.pos == 8
+    assert str(err.value) == "line 2: unknown variable 'q' (at position 8)"
+
+
+def test_ideal_file_rejects_non_ascii_space_at_a_line_end():
+    # only the grammar's ASCII whitespace is stripped from a line
+    with pytest.raises(ParseError) as err:
+        read_ideal(io.StringIO("vars: x, y\n x - y\u00a0\n"))
+    assert str(err.value) == "line 2: unexpected '\\xa0' (at position 6)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="aZ9_", min_size=1, max_size=4))
+@example("_x")
+def test_every_accepted_variable_name_reads_back(name):
+    # a name VarContext accepts must survive write_ideal and read_ideal
+    try:
+        ctx = VarContext([name, "y"])
+    except PolyError:
+        assert not name[0].isalpha()
+        return
+    x, y = MultiPoly.variable(ctx, name), MultiPoly.variable(ctx, "y")
+    ideal = IdealPresentation(ctx, [x * x - y, x - MultiPoly.constant(ctx, 3)])
+    buf = io.StringIO()
+    write_ideal(buf, ideal)
+    back, _ = read_ideal(io.StringIO(buf.getvalue()))
+    assert back == ideal
 
 
 def test_ideal_json_round_trip():

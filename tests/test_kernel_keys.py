@@ -1,8 +1,10 @@
-"""The pure engine's packed monomial keys: ordered as ``make_key`` and
-additive below total degree 2^31, and refused, never merged, at or above it."""
+"""The pure engine's packed monomial keys and packed exponent vectors: keys
+ordered as ``make_key``, packs decoded exactly and ordered by divisibility,
+both additive below total degree 2^31 and refused, never merged, at or above
+it."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcompat import ResourceLimitExceeded
@@ -12,10 +14,11 @@ TOP = 2**31 - 1  # the largest total degree a packed key holds
 
 
 @st.composite
-def exponent(draw, n):
-    """An exponent tuple of length n and total degree at most TOP: TOP
-    itself, any degree, or a small one."""
-    total = draw(st.one_of(st.just(TOP), st.integers(0, TOP), st.integers(0, 8)))
+def exponent(draw, n, total=None):
+    """An exponent tuple of length n and total degree ``total``, by default
+    at most TOP: TOP itself, any degree, or a small one."""
+    if total is None:
+        total = draw(st.one_of(st.just(TOP), st.integers(0, TOP), st.integers(0, 8)))
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
     return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
 
@@ -62,6 +65,54 @@ def test_packed_keys_add(data):
     b = tuple(x - y for x, y in zip(c, a))
     key = lambda e: pure.packed_key(e, kind, block)
     assert key(c) == key(a) + key(b)
+    assert pure._pack(c) == pure._pack(a) + pure._pack(b)
+
+
+SIZES = st.sampled_from([1, 3, 16, 26])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIZES, st.data())
+def test_unpack_inverts_pack(n, data):
+    a = data.draw(exponent(n))
+    assert pure._unpack(pure._pack(a), n) == a
+
+
+@st.composite
+def divisor_pair(draw):
+    """(n, a, b): a drawn on its own, a divisor of b, or on b's variables but
+    above b in one of them, as x^2*y against x*y."""
+    n = draw(SIZES)
+    b = draw(exponent(n))
+    how = draw(st.sampled_from(["any", "divisor", "same variables"]))
+    if how == "any":
+        a = draw(exponent(n))
+    elif how == "divisor":
+        a = tuple(draw(st.integers(0, x)) for x in b)
+    else:
+        support = [i for i, x in enumerate(b) if x]
+        assume(support and sum(b) < TOP)
+        a = list(b)
+        a[draw(st.sampled_from(support))] += 1
+        a = tuple(a)
+    return n, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(divisor_pair())
+def test_pack_difference_decides_divisibility(case):
+    n, a, b = case
+    _, guard, _ = pure._layout(n)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (not (pure._pack(b) - pure._pack(a)) & guard) == divides
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZES, st.data())
+def test_a_pack_of_degree_2_31_raises(n, data):
+    total = data.draw(st.one_of(st.just(2**31), st.integers(2**31, 2**33)))
+    with pytest.raises(ResourceLimitExceeded):
+        pure._pack(data.draw(exponent(n, total)))
 
 
 # lex with x > y, and the basis x - y^(2^30)

@@ -69,8 +69,20 @@ def random_poly(rng, terms, degree, coeff):
     return out
 
 
+def term(e, c):
+    return key(e), pure._pack(e), c
+
+
+def decoded(tail):
+    return {pure._unpack(p, 3): c for _, p, c in tail}
+
+
 def engine_poly(f):
-    return sorted(((key(e), e, c) for e, c in f.items() if c), reverse=True)
+    return sorted((term(e, c) for e, c in f.items() if c), reverse=True)
+
+
+def head(f):
+    return pure._head(engine_poly(f), 3)
 
 
 def cases(seed, count):
@@ -97,9 +109,7 @@ def summed_terms(f, g):
     fg = dict(f)
     for e, c in g.items():
         fg[e] = fg.get(e, 0) + c
-    return [(key(e), e, c) for e, c in fg.items() if c] + [
-        (key(e), e, -c) for e, c in g.items()
-    ]
+    return [term(e, c) for e, c in fg.items() if c] + [term(e, -c) for e, c in g.items()]
 
 
 def test_reduce_keeps_the_fraction_free_contract():
@@ -108,13 +118,13 @@ def test_reduce_keeps_the_fraction_free_contract():
     for basis, _, f, rem in cases(2718, 30):
         leads = [max(g, key=key) for g in basis]
         leading_coeffs.update(g[e] for g, e in zip(basis, leads))
-        kbasis = [pure._head(engine_poly(g)) for g in basis]
+        kbasis = [head(g) for g in basis]
         g = random_poly(rng, rng.randint(5, 10), 7, 9)
         shapes = (engine_poly(f), summed_terms(f, g))
         for track, terms in product((True, False), shapes):
             tail, mult = pure._reduce(terms, kbasis, track_multiplier=track)
             assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
-            tail = {e: c for _, e, c in tail}
+            tail = decoded(tail)
             assert 0 not in tail.values()
             assert not any(divides(g, e) for e in tail for g in leads)
             if track:
@@ -145,12 +155,12 @@ def test_normal_form_is_the_remainder_over_q():
 
 
 def test_a_head_with_the_same_variables_need_not_divide():
-    # x*y and x^2*y set the same variable bits, so only the exponents decide
+    # x*y and x^2*y have the same variables, so only the exponents decide
     g = {(2, 1, 0): 3, (0, 0, 2): 1}
     f = {(1, 1, 0): 2, (0, 1, 1): -5}
     for track in (True, False):
-        tail, mult = pure._reduce(engine_poly(f), [pure._head(engine_poly(g))], track_multiplier=track)
-        assert {e: c for _, e, c in tail} == f and mult == 1
+        tail, mult = pure._reduce(engine_poly(f), [head(g)], track_multiplier=track)
+        assert decoded(tail) == f and mult == 1
 
 
 def test_a_cancelled_input_key_created_again_is_reduced():
@@ -159,9 +169,9 @@ def test_a_cancelled_input_key_created_again_is_reduced():
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     g = {x: 1, y: -2}
     f = {x: 3, y: 0, z: 1}
-    terms = [(key(x), x, 3), (key(y), y, 4), (key(z), z, 1), (key(y), y, -4)]
+    terms = [term(x, 3), term(y, 4), term(z, 1), term(y, -4)]
     rem, _ = remainder_over_q(f, [g])
     assert rem == {y: 6, z: 1}
     for track in (True, False):
-        tail, mult = pure._reduce(terms, [pure._head(engine_poly(g))], track_multiplier=track)
-        assert {e: Fraction(c, mult) for _, e, c in tail} == rem
+        tail, mult = pure._reduce(terms, [head(g)], track_multiplier=track)
+        assert {e: Fraction(c, mult) for e, c in decoded(tail).items()} == rem

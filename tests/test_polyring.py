@@ -47,6 +47,8 @@ def test_context_rejects_duplicates_and_bad_names():
     with pytest.raises(PolyError):
         VarContext(["1x"])
     with pytest.raises(PolyError):
+        VarContext(["_x", "y"])
+    with pytest.raises(PolyError):
         VarContext([])
     ctx = VarContext(["x", "y"])
     assert ctx.index("y") == 1
