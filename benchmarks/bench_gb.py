@@ -53,13 +53,23 @@ from orbitcompat._kernel import pure
 from orbitcompat.hilbert import hilbert_of_leading_terms
 
 
+def raw_terms(polys):
+    """The kernel's term lists of `polys`.  A coefficient that is not an
+    integer raises: truncating it would time a different system."""
+    raw = []
+    for g in polys:
+        if any(c.denominator != 1 for c in g.terms.values()):
+            raise ValueError(f"non-integer coefficient in {g}")
+        raw.append([(m, int(c)) for m, c in g.terms.items()])
+    return raw
+
+
 def orbit_fibre_raw():
     spec = DiagSpec([1, 0, -1])
     orbit = orbit_ideal_charvalues(spec, [0, -1])
     fib = fibre_ideal(orbit, DiagSpec([1, -1, 0]), 0)
     hom = homogenise_naive(fib, "t")
-    gens = [[(m, int(c)) for m, c in g.terms.items()] for g in hom.generators]
-    return gens, len(hom.ctx), 1, 0
+    return raw_terms(hom.generators), len(hom.ctx), 1, 0
 
 
 def orbit_saturate_raw():
@@ -72,15 +82,12 @@ def orbit_saturate_raw():
     ctx = VarContext(names)
     gens = [g.map_context(ctx) for g in hom.generators]
     gens.append(parse_poly("1 - w*t", ctx))
-    raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
-    return raw, len(ctx), 2, 1
+    return raw_terms(gens), len(ctx), 2, 1
 
 
 def minimal_orbit_raw(eigenvalues):
     orbit = orbit_ideal_minpoly(DiagSpec(eigenvalues))
-    gens = orbit.presentation.generators
-    raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
-    return raw, len(orbit.presentation.ctx), 1, 0
+    return raw_terms(orbit.presentation.generators), len(orbit.presentation.ctx), 1, 0
 
 
 def katsura(n):
@@ -99,8 +106,7 @@ def katsura(n):
     for i in range(-n, n + 1):
         total = total + u(i)
     gens.append(total - parse_poly("1", ctx))
-    raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
-    return raw, n + 1, 1, 0
+    return raw_terms(gens), n + 1, 1, 0
 
 
 def cyclic(n):
@@ -120,8 +126,7 @@ def cyclic(n):
     for x in xs:
         prod = prod * x
     gens.append(prod - parse_poly("1", ctx))
-    raw = [[(m, int(c)) for m, c in g.terms.items()] for g in gens]
-    return raw, n, 1, 0
+    return raw_terms(gens), n, 1, 0
 
 
 WORKLOADS = {

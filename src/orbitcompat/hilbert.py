@@ -2,14 +2,16 @@
 ideal, giving dimension and degree of the projective variety.
 
 For a monomial ideal I in n variables the Hilbert series of the quotient is
-K(s) / (1-s)^n where K is computed by the standard pivot recursion
+K(s) / (1-s)^n where K is computed by the pivot recursion of Bayer and
+Stillman ("Computing the Hilbert series of monomial ideals", JSC 1992)
 
     K(I) = K(I + <x>) + s * K(I : x)
 
 coming from the exact sequence 0 -> S/(I:x) -> S/I -> S/(I+<x>) -> 0, with
 base cases: no generators (K = 1), unit ideal (K = 0) and pairwise-coprime
 generators (K = prod(1 - s^deg)).  The pivot is the most frequently used
-variable; subproblems are memoised on the generator set.
+variable; subproblems are memoised on the generator set.  K is a list of
+integer coefficients in s, constant term first, with no trailing zeros.
 
 Writing K(s) = (1-s)^e * Q(s) with Q(1) != 0, the quotient has Krull
 dimension n - e, the projective variety has dimension n - e - 1 and its
@@ -19,55 +21,12 @@ degree is Q(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .groebner import ReducedGB
 from .polyring import Monomial, PolyError
 
 __all__ = ["HilbertData", "hilbert", "hilbert_of_leading_terms"]
-
-
-# -- small dense integer polynomials in one variable s -----------------------
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ]
-
-
-def _poly_shift(a: list[int], k: int) -> list[int]:
-    return [0] * k + a
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_eval_one(a: list[int]) -> int:
-    return sum(a)
-
-
-def _poly_div_one_minus_s(a: list[int]) -> list[int]:
-    """Exact quotient a(s) / (1 - s); caller guarantees a(1) = 0."""
-    # a = (1-s) q  =>  q_0 = a_0, q_i = a_i + q_{i-1}
-    q = []
-    acc = 0
-    for coeff in a[:-1]:
-        acc += coeff
-        q.append(acc)
-    return _poly_trim(q if q else [0])
 
 
 @dataclass(frozen=True)
@@ -80,76 +39,49 @@ class HilbertData:
     degree: int
 
 
-def _one_minus_s_d(d: int) -> list[int]:
-    """The polynomial 1 - s^d."""
-    return [1] + [0] * (d - 1) + [-1] if d > 0 else [1]
-
-
-class _KPoly:
-    """Memoised K-polynomial of monomial ideals (generators as exp tuples)."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.cache: dict[frozenset, tuple[int, ...]] = {}
-
-    def of(self, gens: frozenset[Monomial]) -> list[int]:
-        got = self.cache.get(gens)
-        if got is not None:
-            return list(got)
-        out = self._compute(gens)
-        self.cache[gens] = tuple(out)
-        return out
-
-    def _compute(self, gens: frozenset[Monomial]) -> list[int]:
-        if not gens:
-            return [1]
-        degs = [sum(m) for m in gens]
-        if any(d == 0 for d in degs):
-            return [0]
-        # pairwise coprime (in particular a single generator): a regular
-        # sequence, K = prod (1 - s^deg)
-        if self._pairwise_coprime(gens):
-            out = [1]
-            for d in degs:
-                out = _poly_mul(out, _one_minus_s_d(d))
-            return _poly_trim(out)
-        v = self._pivot(gens)
-        plus, colon = self._split(gens, v)
-        return _poly_trim(
-            _poly_add(self.of(plus), _poly_shift(self.of(colon), 1))
-        )
-
-    @staticmethod
-    def _pairwise_coprime(gens) -> bool:
-        seen = [False] * len(next(iter(gens)))
-        for m in gens:
-            for i, e in enumerate(m):
-                if e:
-                    if seen[i]:
-                        return False
-                    seen[i] = True
-        return True
-
-    @staticmethod
-    def _pivot(gens) -> int:
+def _kpoly(gens: frozenset[Monomial], cache: dict) -> list[int]:
+    """K-polynomial of the monomial ideal with minimal generators `gens`
+    (exponent tuples), memoised in `cache`; callers must not mutate it."""
+    got = cache.get(gens)
+    if got is not None:
+        return got
+    if not gens:
+        out = [1]
+    elif any(not any(m) for m in gens):
+        # the monomial 1: the unit ideal
+        out = [0]
+    else:
         counts = [0] * len(next(iter(gens)))
         for m in gens:
             for i, e in enumerate(m):
                 if e:
                     counts[i] += 1
-        return max(range(len(counts)), key=lambda i: counts[i])
-
-    @staticmethod
-    def _split(gens, v: int):
-        """Generators of (I + <x_v>, I : x_v), both minimalised."""
-        unit = tuple(1 if i == v else 0 for i in range(len(next(iter(gens)))))
-        plus = frozenset(m for m in gens if m[v] == 0) | {unit}
-        quotient = []
-        for m in gens:
-            if m[v]:
-                m = m[:v] + (m[v] - 1,) + m[v + 1 :]
-            quotient.append(m)
-        return plus, _minimalise(quotient)
+        most = max(counts)
+        if most == 1:
+            # pairwise coprime (in particular a single generator): a regular
+            # sequence, K = prod (1 - s^deg), each factor applied in place
+            out = [1]
+            for m in gens:
+                d = sum(m)
+                out += [0] * d
+                for i in range(len(out) - 1, d - 1, -1):
+                    out[i] -= out[i - d]
+        else:
+            # pivot: the first of the most frequently used variables
+            v = counts.index(most)
+            unit = tuple(int(i == v) for i in range(len(counts)))
+            plus = _kpoly(frozenset(m for m in gens if not m[v]) | {unit}, cache)
+            # I : x_v lowers the exponent of x_v by one where it is positive
+            lowered = (m[:v] + (m[v] - 1,) + m[v + 1 :] if m[v] else m for m in gens)
+            colon = _kpoly(_minimalise(lowered), cache)
+            # K = K(I + <x_v>) + s * K(I : x_v), trailing zeros trimmed
+            out = plus + [0] * (len(colon) + 1 - len(plus))
+            for i, c in enumerate(colon, start=1):
+                out[i] += c
+            while len(out) > 1 and out[-1] == 0:
+                out.pop()
+    cache[gens] = out
+    return out
 
 
 def _minimalise(monos) -> frozenset[Monomial]:
@@ -163,19 +95,18 @@ def _minimalise(monos) -> frozenset[Monomial]:
 def hilbert_of_leading_terms(lead_monomials, nvars: int) -> HilbertData:
     """Hilbert data of the quotient by the monomial ideal of the given
     leading terms."""
-    gens = _minimalise(tuple(lead_monomials))
-    K = _KPoly(nvars).of(gens)
-    if all(c == 0 for c in K):
+    K = _kpoly(_minimalise(tuple(lead_monomials)), {})
+    if not any(K):
         # only the unit ideal lands here: the quotient is the zero ring
         raise PolyError("unit ideal: the quotient ring is zero, no Hilbert data")
     e = 0
-    while _poly_eval_one(K) == 0:
-        K = _poly_div_one_minus_s(K)
+    while sum(K) == 0:
+        # exact quotient K / (1 - s): q_i = K_0 + ... + K_i
+        K = list(accumulate(K[:-1]))
         e += 1
-    degree = _poly_eval_one(K)
     krull = nvars - e
     return HilbertData(
-        numerator=tuple(K), krull_dim=krull, proj_dim=krull - 1, degree=degree
+        numerator=tuple(K), krull_dim=krull, proj_dim=krull - 1, degree=sum(K)
     )
 
 
@@ -184,6 +115,4 @@ def hilbert(G: ReducedGB) -> HilbertData:
     ideal, read off the leading-term ideal of its reduced basis."""
     if not G.is_homogeneous():
         raise PolyError("hilbert requires a homogeneous basis")
-    if not G.basis:
-        return hilbert_of_leading_terms((), len(G.ctx))
     return hilbert_of_leading_terms(G.leading_monomials(), len(G.ctx))

@@ -1,9 +1,10 @@
 """Ideal files and JSON encodings.
 
-An ideal file is plain text: a ``vars:`` header naming the context, then one
+An ideal file is plain text: one ``vars:`` header naming the context, then one
 generator per line in the polynomial grammar.  ``#`` starts a comment; a
-``# meta:`` comment carries a JSON metadata block (orbit files record their
-eigenvalue spec and construction style there) and survives a round trip.
+``# meta:`` comment carries a JSON object of metadata (orbit files record
+their eigenvalue spec and construction style there) and survives a round
+trip.  An error at a line of the file names that line.
 """
 
 from __future__ import annotations
@@ -49,13 +50,23 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
         if not line:
             continue
         if line.startswith(_META_PREFIX):
-            meta = json.loads(line[len(_META_PREFIX):])
+            try:
+                meta = json.loads(line[len(_META_PREFIX):])
+            except json.JSONDecodeError as e:
+                raise PolyError(f"line {lineno}: meta is not valid JSON: {e.msg}") from None
+            if not isinstance(meta, dict):
+                raise PolyError(f"line {lineno}: meta must be a JSON object")
             continue
         if line.startswith("#"):
             continue
         if line.startswith("vars:"):
+            if ctx is not None:
+                raise PolyError(f"line {lineno}: a second vars: header")
             names = [n.strip(_SPACE) for n in line[len("vars:"):].split(",") if n.strip(_SPACE)]
-            ctx = VarContext(names)
+            try:
+                ctx = VarContext(names)
+            except PolyError as e:
+                raise PolyError(f"line {lineno}: {e}") from None
             continue
         if ctx is None:
             raise PolyError(f"line {lineno}: polynomial before the vars: header")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitcompat import GBLimits
+from orbitcompat import GBLimits, VarContext, parse_poly
 from orbitcompat._kernel import pure
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_gb.py"
@@ -38,3 +38,11 @@ def test_cyclic5_finishes_within_102_pairs():
     basis = pure.buchberger(*raw, 102, max_degree)
     measure, want = bench_gb.EXPECTED["cyclic-5"]
     assert measure(basis, raw[1]) == want
+
+
+def test_raw_terms_refuses_a_fractional_coefficient():
+    # int() would truncate 1/2 to 0 and time a different system
+    ctx = VarContext(["x", "y"])
+    assert bench_gb.raw_terms([parse_poly("2*x - y", ctx)]) == [[((1, 0), 2), ((0, 1), -1)]]
+    with pytest.raises(ValueError):
+        bench_gb.raw_terms([parse_poly("1/2*x - y", ctx)])

@@ -55,6 +55,14 @@ def test_gb_parse_error_names_the_line(capsys, tmp_path):
     assert err == "error: line 3: unknown variable 'q' (at position 6)\n"
 
 
+def test_homogenise_rejects_meta_that_is_not_an_object(capsys, tmp_path):
+    ideal = tmp_path / "bad.ideal"
+    ideal.write_text("# meta: [1, 2]\nvars: x,y\nx - y\n")
+    code, out, err = run(capsys, "homogenise", "--ideal", str(ideal), "--mode", "naive")
+    assert code == 1 and out == ""
+    assert err == "error: line 1: meta must be a JSON object\n"
+
+
 def test_gb_order_flag(capsys, tmp_path):
     ideal = tmp_path / "lin.ideal"
     ideal.write_text("vars: x,y\nx\nx - y\n")

@@ -1,5 +1,6 @@
 """Hilbert series: spec examples plus a brute-force standard-monomial oracle."""
 
+import random
 from itertools import product
 
 import pytest
@@ -140,6 +141,28 @@ def _standard_monomial_counts(gens, nvars, upto):
     return counts
 
 
+def _random_ideals(count, seed):
+    """Seeded monomial ideals in 1-4 variables with 1-6 generators of
+    exponents up to 3, none of them 1; some lists repeat a generator or hold
+    a multiple of one, so the recursion starts from non-minimal input."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        nvars = rng.randint(1, 4)
+        size = rng.randint(1, 6)
+        gens = []
+        while len(gens) < size:
+            m = tuple(rng.randint(0, 3) for _ in range(nvars))
+            if any(m):
+                gens.append(m)
+        if rng.random() < 0.3:
+            gens.append(gens[0])
+        if rng.random() < 0.3:
+            gens.append(tuple(e + 1 for e in gens[-1]))
+        cases.append((gens, nvars))
+    return cases
+
+
 @pytest.mark.parametrize(
     "gens,nvars",
     [
@@ -148,7 +171,8 @@ def _standard_monomial_counts(gens, nvars, upto):
         ([(2, 1, 0), (0, 0, 4)], 3),
         ([(1, 1), (2, 0)], 2),
         ([(3, 0, 0, 0), (0, 2, 1, 0), (1, 0, 0, 2)], 4),
-    ],
+    ]
+    + _random_ideals(40, seed=2026),
 )
 def test_series_counts_standard_monomials(gens, nvars):
     h = hilbert_of_leading_terms(gens, nvars)

@@ -66,6 +66,26 @@ def test_ideal_file_parse_error_counts_the_indent():
     assert str(err.value) == "line 2: unknown variable 'q' (at position 8)"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("vars: x\nx\nvars: y\ny\n", "line 3: a second vars: header"),
+        ("vars: x\nvars: x, y\ny\n", "line 2: a second vars: header"),
+        ("# c\nvars: x, x\n", "line 2: duplicate variable name 'x'"),
+        ("vars:\nx\n", "line 1: context needs at least one variable"),
+        ("vars: x, 1y\n", "line 1: invalid variable name '1y'"),
+        ("# meta: {bad\nvars: x\n", "line 1: meta is not valid JSON: "
+         "Expecting property name enclosed in double quotes"),
+        ("vars: x\n\n# meta: [1, 2]\n", "line 3: meta must be a JSON object"),
+        ("# meta: 3\nvars: x\n", "line 1: meta must be a JSON object"),
+    ],
+)
+def test_ideal_file_header_errors_name_their_line(text, message):
+    with pytest.raises(PolyError) as err:
+        read_ideal(io.StringIO(text))
+    assert str(err.value) == message
+
+
 def test_ideal_file_rejects_non_ascii_space_at_a_line_end():
     # only the grammar's ASCII whitespace is stripped from a line
     with pytest.raises(ParseError) as err:
