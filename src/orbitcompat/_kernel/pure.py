@@ -55,8 +55,13 @@ interpreted work of a step grows with the reducer's length, not the
 remainder's.  A step scales the remainder only by ``gc // gcd(gc, c0)``
 (reducer and remainder leading coefficients), which is 1 for most steps.
 Irreducible terms go to the tail with the scale they were taken at and are
-brought up to date only when the integer content is normalised, every
-``_CONTENT_STRIDE`` steps, and at the end.
+brought up to date only when the integer content is normalised, and at the
+end.  The content pass (``_divide_content``) runs over the whole remainder
+and tail, so it runs only when a step's leading coefficient has grown past
+twice the bit length it had after the last pass, and never below
+``_CONTENT_BITS``: a pass every few steps costs more than the steps, and
+dividing out small factors leaves later leaders coprime to the reducers'
+leading coefficients, so more steps scale the whole remainder.
 
 ``buchberger`` keeps one record per critical pair, ``(key of lcm, pack of
 lcm, i, j, lcm)``, made once when ``update`` creates the pair.  The
@@ -80,9 +85,10 @@ from struct import Struct
 
 from ..errors import ResourceLimitExceeded
 
-# Re-normalise integer content after this many reduction steps to keep
-# coefficient growth in check without paying a gcd on every step.
-_CONTENT_STRIDE = 8
+# _reduce divides out the integer content only once a leading coefficient
+# has more bits than this: two 30-bit CPython digits, and arithmetic on
+# smaller ints is no cheaper, so dividing their content out saves nothing
+_CONTENT_BITS = 60
 
 # packed keys hold make_key's fields as signed digits of this many bits, and
 # packs the exponents as unsigned fields of as many; a field stays within
@@ -254,7 +260,9 @@ def _reduce(f, heads, track_multiplier=False):
     tail = []
     scale = 1
     mult = 1
-    steps = 0
+    # a step whose leading coefficient has more bits than this divides out
+    # the content first
+    limit = _CONTENT_BITS
     while order:
         k0 = order.pop()
         c0 = h.pop(k0, 0)
@@ -270,6 +278,10 @@ def _reduce(f, heads, track_multiplier=False):
         dpack = p0 - gp
         # the monomials this step makes have degree at most gtop + |dpack|
         _degree_guard(gtop + (dpack >> shift))
+        if c0.bit_length() > limit:
+            tail, c0, mult = _divide_content(h, tail, scale, c0, mult, track_multiplier)
+            scale = 1
+            limit = max(2 * c0.bit_length(), _CONTENT_BITS)
         # h <- m*h - b*x^dpack*g with m*c0 = b*gc, the smallest such m > 0
         common = gcd(gc, c0)
         b = c0 // common
@@ -290,19 +302,6 @@ def _reduce(f, heads, track_multiplier=False):
                     insort(order, sk)
             else:
                 del h[sk]
-        steps += 1
-        if steps % _CONTENT_STRIDE == 0 and h:
-            tail = _settle(tail, scale)
-            scale = 1
-            g0 = gcd(*h.values(), *(t[2] for t in tail))
-            if track_multiplier:
-                g0 = gcd(g0, mult)
-            if g0 > 1:
-                for k in h:
-                    h[k] //= g0
-                tail = [(k, p, c // g0, 1) for k, p, c, _ in tail]
-                if track_multiplier:
-                    mult //= g0
     tail = [(k, p, c) for k, p, c, _ in _settle(tail, scale)]
     if not track_multiplier:
         return _primitive(tail), 1
@@ -314,6 +313,28 @@ def _settle(tail, scale):
     return [
         (k, p, c if s == scale else c * (scale // s), 1) for k, p, c, s in tail
     ]
+
+
+def _divide_content(h, tail, scale, c0, mult, track_multiplier):
+    """Divide the integer content out of a remainder of ``_reduce``.
+
+    The remainder is the leading coefficient ``c0``, the dict ``h``, which
+    is divided in place, and the ``tail`` taken at ``scale``; with
+    ``track_multiplier`` the content includes ``mult``.  Returns the tail,
+    settled at scale 1, ``c0`` and ``mult``, each divided by the content.
+    """
+    tail = _settle(tail, scale)
+    g = gcd(c0, *h.values(), *(t[2] for t in tail))
+    if track_multiplier:
+        g = gcd(g, mult)
+    if g > 1:
+        for k in h:
+            h[k] //= g
+        tail = [(k, p, c // g, 1) for k, p, c, _ in tail]
+        c0 //= g
+        if track_multiplier:
+            mult //= g
+    return tail, c0, mult
 
 
 def buchberger(gens, nvars, kind, block, max_pairs, max_degree):

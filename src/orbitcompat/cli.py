@@ -61,9 +61,12 @@ def _limits() -> GBLimits:
     cap = os.environ.get("ORBITCOMPAT_MAX_PAIRS")
     if cap:
         try:
-            return GBLimits(max_pairs=int(cap))
+            pairs = int(cap)
         except ValueError:
             raise CliError(f"ORBITCOMPAT_MAX_PAIRS={cap!r} is not an integer")
+        if pairs < 1:
+            raise CliError(f"ORBITCOMPAT_MAX_PAIRS={cap!r} must be at least 1")
+        return GBLimits(max_pairs=pairs)
     return GBLimits()
 
 

@@ -46,10 +46,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GBLimits:
-    """Caps for a Buchberger run; generous defaults for this problem size."""
+    """Caps for a Buchberger run; generous defaults for this problem size.
+
+    Raises ValueError on a negative cap.
+    """
 
     max_pairs: int = 500_000
     max_degree: int = 64
+
+    def __post_init__(self):
+        for name in ("max_pairs", "max_degree"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"GBLimits.{name} must be >= 0, got {getattr(self, name)}")
 
 
 DEFAULT_LIMITS = GBLimits()

@@ -1,10 +1,11 @@
 """Ideal files and JSON encodings.
 
 An ideal file is plain text: one ``vars:`` header naming the context, then one
-generator per line in the polynomial grammar.  ``#`` starts a comment; a
-``# meta:`` comment carries a JSON object of metadata (orbit files record
+generator per line in the polynomial grammar.  ``#`` starts a comment; one
+``# meta:`` comment may carry a JSON object of metadata (orbit files record
 their eigenvalue spec and construction style there) and survives a round
-trip.  An error at a line of the file names that line.
+trip.  An error at a line of the file names that line, and an error in a
+JSON document names its field.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def write_ideal(out: IO[str], ideal: IdealPresentation, meta: dict | None = None
 
 
 def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
-    meta: dict = {}
+    meta: dict | None = None
     ctx: VarContext | None = None
     gens = []
     for lineno, raw in enumerate(inp, start=1):
@@ -50,6 +51,8 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
         if not line:
             continue
         if line.startswith(_META_PREFIX):
+            if meta is not None:
+                raise PolyError(f"line {lineno}: a second meta line")
             try:
                 meta = json.loads(line[len(_META_PREFIX):])
             except json.JSONDecodeError as e:
@@ -62,7 +65,10 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
         if line.startswith("vars:"):
             if ctx is not None:
                 raise PolyError(f"line {lineno}: a second vars: header")
-            names = [n.strip(_SPACE) for n in line[len("vars:"):].split(",") if n.strip(_SPACE)]
+            # every comma separates two names, so an empty name between
+            # commas reaches VarContext and is refused there
+            header = line[len("vars:"):].strip(_SPACE)
+            names = [n.strip(_SPACE) for n in header.split(",")] if header else []
             try:
                 ctx = VarContext(names)
             except PolyError as e:
@@ -78,7 +84,7 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
             raise ParseError(f"line {lineno}: {e.message}", e.pos + indent) from None
     if ctx is None:
         raise PolyError("missing vars: header")
-    return IdealPresentation(ctx, gens), meta
+    return IdealPresentation(ctx, gens), meta or {}
 
 
 def ideal_to_json(ideal: IdealPresentation, meta: dict | None = None) -> str:
@@ -91,11 +97,26 @@ def ideal_to_json(ideal: IdealPresentation, meta: dict | None = None) -> str:
     return json.dumps(doc)
 
 
+def _strings(doc: dict, field: str) -> list[str]:
+    value = doc.get(field)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise PolyError(f'ideal JSON: "{field}" must be a list of strings')
+    return value
+
+
 def ideal_from_json(text: str) -> tuple[IdealPresentation, dict]:
-    doc = json.loads(text)
-    ctx = VarContext(doc["vars"])
-    gens = [parse_poly(s, ctx) for s in doc["generators"]]
-    return IdealPresentation(ctx, gens), doc.get("meta", {})
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PolyError(f"ideal JSON is not valid JSON: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise PolyError("ideal JSON must be an object")
+    ctx = VarContext(_strings(doc, "vars"))
+    gens = [parse_poly(s, ctx) for s in _strings(doc, "generators")]
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise PolyError('ideal JSON: "meta" must be an object')
+    return IdealPresentation(ctx, gens), meta
 
 
 def gb_to_json(G: ReducedGB) -> str:

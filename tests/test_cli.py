@@ -211,6 +211,16 @@ def test_pair_cap_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_pair_cap_below_one_is_refused_before_the_run(capsys, tmp_path, monkeypatch, cap):
+    ideal = tmp_path / "k.ideal"
+    ideal.write_text("vars: a,b\na^2 - b\na*b - 1\n")
+    monkeypatch.setenv("ORBITCOMPAT_MAX_PAIRS", cap)
+    code, out, err = run(capsys, "gb", "--ideal", str(ideal))
+    assert code == 1 and out == ""
+    assert err == f"error: ORBITCOMPAT_MAX_PAIRS='{cap}' must be at least 1\n"
+
+
 def test_diamond_requires_exactly_one_selector(capsys):
     code, _, err = run(capsys, "diamond", "--name", "k3", "--pnpn", "1")
     assert code == 1 and "exactly one" in err

@@ -115,6 +115,13 @@ def test_resource_limit_raises():
         buchberger(gens, GREVLEX, GBLimits(max_pairs=1))
 
 
+@pytest.mark.parametrize("caps", [{"max_pairs": -3}, {"max_degree": -1}])
+def test_negative_caps_are_refused_when_built(caps):
+    (name,) = caps
+    with pytest.raises(ValueError, match=f"GBLimits.{name} must be >= 0"):
+        GBLimits(**caps)
+
+
 def test_input_degree_cap_raises_before_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel must not run past the input degree cap")

@@ -78,6 +78,10 @@ def test_ideal_file_parse_error_counts_the_indent():
          "Expecting property name enclosed in double quotes"),
         ("vars: x\n\n# meta: [1, 2]\n", "line 3: meta must be a JSON object"),
         ("# meta: 3\nvars: x\n", "line 1: meta must be a JSON object"),
+        ('# meta: {"a": 1}\nvars: x\n# meta: {"b": 2}\n', "line 3: a second meta line"),
+        ("vars: x,,y\n", "line 1: invalid variable name ''"),
+        ("vars: x, y,\n", "line 1: invalid variable name ''"),
+        ("vars: ,x\n", "line 1: invalid variable name ''"),
     ],
 )
 def test_ideal_file_header_errors_name_their_line(text, message):
@@ -115,6 +119,24 @@ def test_ideal_json_round_trip():
     ideal = _sample()
     back, meta = ideal_from_json(ideal_to_json(ideal, {"k": 1}))
     assert back == ideal and meta == {"k": 1}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"generators": ["x"]}', 'ideal JSON: "vars" must be a list of strings'),
+        ('{"vars": "xy", "generators": ["x"]}', 'ideal JSON: "vars" must be a list of strings'),
+        ('{"vars": ["x", 1], "generators": []}', 'ideal JSON: "vars" must be a list of strings'),
+        ('{"vars": ["x"]}', 'ideal JSON: "generators" must be a list of strings'),
+        ('{"vars": ["x"], "generators": ["x"], "meta": [1, 2]}', 'ideal JSON: "meta" must be an object'),
+        ("[1]", "ideal JSON must be an object"),
+        ("{bad", "ideal JSON is not valid JSON: Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_ideal_json_errors_name_their_field(text, message):
+    with pytest.raises(PolyError) as err:
+        ideal_from_json(text)
+    assert str(err.value) == message
 
 
 def test_gb_json_mirrors_fields():

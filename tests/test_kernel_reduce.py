@@ -1,8 +1,11 @@
 """Property test of the pure engine's fraction-free reduction against the
-division algorithm over Q, on seeded random inputs long enough to cross the
-content-normalisation stride, given sorted or as unsorted terms to sum."""
+division algorithm over Q, on seeded random inputs whose leading coefficients
+grow past the bit length that starts a content pass (``pure._CONTENT_BITS``),
+given sorted or as unsorted terms to sum; and a reduction whose remainder
+builds up content, which the passes must keep bounded."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -87,7 +90,10 @@ def head(f):
 
 def cases(seed, count):
     """Random Groebner bases with non-unit leading coefficients and inputs
-    whose reduction takes more than twice the content stride."""
+    whose reduction takes more than 16 steps.  The input's coefficients share
+    a factor of ``pure._CONTENT_BITS - 4`` bits, so a few scaling steps take
+    the leading coefficient past ``_CONTENT_BITS`` in the middle of the
+    reduction, and a content pass has that factor to divide out."""
     rng = random.Random(seed)
     found = []
     while len(found) < count:
@@ -96,11 +102,29 @@ def cases(seed, count):
         basis = [dict(b) for b in pure.buchberger(raw, 3, KIND, BLOCK, LIMITS.max_pairs, LIMITS.max_degree)]
         if not basis or any(max(g, key=key) == (0, 0, 0) for g in basis):
             continue
-        f = random_poly(rng, rng.randint(10, 20), 7, 9)
+        common = rng.getrandbits(pure._CONTENT_BITS - 4) | 1 << (pure._CONTENT_BITS - 5)
+        f = {e: common * c for e, c in random_poly(rng, rng.randint(10, 20), 7, 9).items()}
         rem, steps = remainder_over_q(f, basis)
-        if steps > 2 * pure._CONTENT_STRIDE:
+        if steps > 16:
             found.append((basis, gens, f, rem))
     return found
+
+
+@contextmanager
+def content_passes(monkeypatch):
+    """Record ``_reduce``'s content passes: for each, whether it divided
+    the leading coefficient by a content greater than 1."""
+    passes = []
+    divide = pure._divide_content
+
+    def spy(h, tail, scale, c0, mult, track_multiplier):
+        out = divide(h, tail, scale, c0, mult, track_multiplier)
+        passes.append(out[1] != c0)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(pure, "_divide_content", spy)
+        yield passes
 
 
 def summed_terms(f, g):
@@ -112,9 +136,10 @@ def summed_terms(f, g):
     return [term(e, c) for e, c in fg.items() if c] + [term(e, -c) for e, c in g.items()]
 
 
-def test_reduce_keeps_the_fraction_free_contract():
+def test_reduce_keeps_the_fraction_free_contract(monkeypatch):
     rng = random.Random(1618)
     leading_coeffs = set()
+    divided = False
     for basis, _, f, rem in cases(2718, 30):
         leads = [max(g, key=key) for g in basis]
         leading_coeffs.update(g[e] for g, e in zip(basis, leads))
@@ -122,7 +147,10 @@ def test_reduce_keeps_the_fraction_free_contract():
         g = random_poly(rng, rng.randint(5, 10), 7, 9)
         shapes = (engine_poly(f), summed_terms(f, g))
         for track, terms in product((True, False), shapes):
-            tail, mult = pure._reduce(terms, kbasis, track_multiplier=track)
+            with content_passes(monkeypatch) as passes:
+                tail, mult = pure._reduce(terms, kbasis, track_multiplier=track)
+            assert passes, "the reduction ran no content pass"
+            divided = divided or any(passes)
             assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
             tail = decoded(tail)
             assert 0 not in tail.values()
@@ -143,15 +171,37 @@ def test_reduce_keeps_the_fraction_free_contract():
             else:
                 assert tail == {}
     assert leading_coeffs - {1}, "no basis with a leading coefficient other than 1"
+    assert divided, "no content pass divided out a content"
 
 
-def test_normal_form_is_the_remainder_over_q():
+def test_normal_form_is_the_remainder_over_q(monkeypatch):
     rng = random.Random(31)
     for basis, gens, f, rem in cases(1414, 15):
         G = buchberger(IdealPresentation(CTX, [MultiPoly(CTX, g) for g in gens]))
         den = rng.randint(1, 6)
         F = MultiPoly(CTX, {e: Fraction(c, den) for e, c in f.items()})
-        assert normal_form(F, G) == MultiPoly(CTX, {e: c / den for e, c in rem.items()})
+        with content_passes(monkeypatch) as passes:
+            nf = normal_form(F, G)
+        assert passes, "the reduction ran no content pass"
+        assert nf == MultiPoly(CTX, {e: c / den for e, c in rem.items()})
+
+
+def test_content_passes_bound_a_tracked_remainder():
+    # modulo a*x - y and y - a*z, x^n is z^n; reducing c*x^n scales by a at
+    # each of n steps by the first (mult = a^n), then each step by the
+    # second multiplies the remainder by a, so without content passes the
+    # tail would end as c*a^n*z^n over mult = a^n
+    rng = random.Random(2024)
+    a = rng.choice([2, 3, 5, 7])
+    n = rng.randint(150, 250)
+    c = rng.choice([-1, 1]) * rng.choice([k for k in range(1, 10) if k % a])
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    basis = [{x: a, y: -1}, {y: 1, z: -a}]
+    f = {(n, 0, 0): c}
+    tail, mult = pure._reduce(engine_poly(f), [head(g) for g in basis], track_multiplier=True)
+    tail = decoded(tail)
+    assert tail == {(0, 0, n): c * mult}
+    assert 0 < mult.bit_length() <= 2 * pure._CONTENT_BITS < n
 
 
 def test_a_head_with_the_same_variables_need_not_divide():
