@@ -36,11 +36,11 @@ degree 2^31 or more, and each reduction step checks that the monomials it
 makes stay below it, raising ``ResourceLimitExceeded`` rather than merging
 two monomials under one key.
 
-A reducer enters ``_reduce`` as a head record ``(exp, pack, coeff, key,
-rest, top)``: its leading exponent, pack, coefficient and key, its
-remaining terms and its top total degree.  ``buchberger`` makes one per
-polynomial, when the polynomial is created; ``normal_form`` makes them from
-the ``key_basis`` output on each call.
+A reducer is a plain engine polynomial: the head search and a step read
+its first term, and the step subtracts the terms after it.  Each step is
+checked against one degree bound for the whole basis, its largest total
+degree, which ``buchberger`` keeps as a running maximum over the
+polynomials it makes and ``normal_form`` reads off the ``key_basis`` output.
 
 Reduction (``_reduce``) keeps the remainder still to be reduced as a
 ``{key: coeff}`` dict with a side map from key to pack.  It sums its input
@@ -49,7 +49,7 @@ goes in as the two shifted, scaled tails (the leading terms cancel).  A
 leader list, every key seen and not yet taken in ascending order, gives the
 leading term by a pop from its end; a key enters it once, by
 ``bisect.insort``, when a step first creates it.  The head search is one
-subtraction and one AND per head.  A step subtracts the reducer term by
+subtraction and one AND per reducer.  A step subtracts the reducer term by
 term, shifting each key and each pack by one integer addition, so the
 interpreted work of a step grows with the reducer's length, not the
 remainder's.  A step scales the remainder only by ``gc // gcd(gc, c0)``
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
+from itertools import chain, islice
 from math import gcd
 from operator import itemgetter, mul
 from struct import Struct
@@ -184,15 +185,14 @@ def _attach_keys(pairs, kind, block):
     return _primitive(terms)
 
 
-def _head(poly, nvars):
-    """Head record ``(exp, pack, coeff, key, rest, top)`` of a nonzero poly.
+def _top(terms, shift):
+    """The largest total degree among ``terms``, 0 if there are none."""
+    return max(map(itemgetter(1), terms), default=0) >> shift
 
-    ``exp`` is the leading exponent, decoded from its pack; ``top`` is the
-    largest total degree among the terms.
-    """
-    k, p, c = poly[0]
-    top = max(map(itemgetter(1), poly)) >> _layout(nvars)[2]
-    return _unpack(p, nvars), p, c, k, poly[1:], top
+
+def _lead_key(poly):
+    """The key of a nonzero engine polynomial's leading term."""
+    return poly[0][0]
 
 
 def _strip_keys(poly, nvars):
@@ -221,26 +221,25 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, heads, track_multiplier=False):
-    """Fully reduce ``f`` modulo the basis given by its ``heads`` (fraction-free).
+def _reduce(f, basis, nvars, top, track_multiplier=False):
+    """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
-    are summed and zero sums dropped.  ``heads`` are the ``_head`` records
-    of the basis.  Returns ``(tail, mult)`` with ``mult * f = (combination
-    of basis) + tail``, the tail sorted descending and no tail monomial
-    divisible by any basis leading monomial.  When ``track_multiplier`` is
-    false the tail is normalised primitive and mult is meaningless (callers
-    that only need the remainder up to a scalar).  Raises
-    ResourceLimitExceeded before a step would make a monomial of total
-    degree 2^31 or more.
+    are summed and zero sums dropped.  ``basis`` holds engine polynomials
+    over ``nvars`` variables, and ``top`` is at least the total degree of
+    each of their terms.  Returns ``(tail, mult)`` with ``mult * f =
+    (combination of basis) + tail``, the tail sorted descending and no tail
+    monomial divisible by any basis leading monomial.  When
+    ``track_multiplier`` is false the tail is normalised primitive and mult
+    is meaningless (callers that only need the remainder up to a scalar).
+    Raises ResourceLimitExceeded before a step could make a monomial of
+    total degree 2^31 or more, judged by ``top``, not by the reducer.
 
     Each step pops the largest key from a sorted leader list instead of
-    scanning the remainder, and skips it if its terms cancelled.  The head
-    search tests each head's pack against the term's with one subtraction
-    and one AND.  Steps, and so the result, are those of taking ``max`` of
-    the remainder each time.
+    scanning the remainder, and skips it if its terms cancelled; steps, and
+    so the result, are those of taking ``max`` of the remainder each time.
     """
-    _, guard, shift = _layout(len(heads[0][0]) if heads else 0)
+    _, guard, shift = _layout(nvars)
     # the remainder still to reduce, as key -> coeff; packs maps every key
     # ever seen to its pack
     h = {}
@@ -269,15 +268,17 @@ def _reduce(f, heads, track_multiplier=False):
         if not c0:
             continue
         p0 = packs[k0]
-        for ge, gp, gc, gk, grest, gtop in heads:
-            if not (p0 - gp) & guard:
+        for g in basis:
+            if not (p0 - g[0][1]) & guard:
                 break
         else:
             tail.append((k0, p0, c0, scale))
             continue
+        terms = iter(g)
+        gk, gp, gc = next(terms)
         dpack = p0 - gp
-        # the monomials this step makes have degree at most gtop + |dpack|
-        _degree_guard(gtop + (dpack >> shift))
+        # the monomials this step makes have degree at most top + |dpack|
+        _degree_guard(top + (dpack >> shift))
         if c0.bit_length() > limit:
             tail, c0, mult = _divide_content(h, tail, scale, c0, mult, track_multiplier)
             scale = 1
@@ -292,7 +293,7 @@ def _reduce(f, heads, track_multiplier=False):
             scale *= m
             mult *= m
         dkey = k0 - gk
-        for k, p, c in grest:
+        for k, p, c in terms:
             sk = k + dkey
             sc = h.get(sk, 0) - b * c
             if sc:
@@ -356,57 +357,57 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     if not polys:
         return []
 
+    # the degree bound of every _reduce call: the largest total degree of
+    # any polynomial made so far
+    top = max(_top(p, shift) for p in polys)
+
     # Mutual pre-reduction of the inputs until stable; cheap and trims the
     # pair set considerably.
     while True:
-        polys.sort(key=lambda p: p[0][0])
-        heads = [_head(p, nvars) for p in polys]
+        polys.sort(key=_lead_key)
         nxt = []
-        nxt_heads = []
         changed = False
         for i, p in enumerate(polys):
-            others = nxt_heads + heads[i + 1 :]
-            if others:
-                r, _ = _reduce(p, others)
-            else:
-                r = p
+            others = nxt + polys[i + 1 :]
+            r = _reduce(p, others, nvars, top)[0] if others else p
             if r:
                 nxt.append(r)
-                nxt_heads.append(_head(r, nvars))
             if r != p:
                 changed = True
+                top = max(top, _top(r, shift))
         polys = nxt
         if not changed:
             break
         if not polys:
             return []
 
-    # the head record of every polynomial ever created; G and pairs hold
-    # indices into it
-    f = nxt_heads
+    # every polynomial ever created, and its leading exponent; G and pairs
+    # hold indices into them
+    f = polys
+    exps = [_unpack(p[0][1], nvars) for p in f]
 
     def update(G, B, ih):
         # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
         # pair records (key of lcm, pack of lcm, ih, ig, lcm)
-        mh, ph = f[ih][:2]
+        mh, ph = exps[ih], f[ih][0][1]
         B = [
             pr
             for pr in B
             if (pr[1] - ph) & guard
-            or tuple(map(max, f[pr[2]][0], mh)) == pr[4]
-            or tuple(map(max, f[pr[3]][0], mh)) == pr[4]
+            or tuple(map(max, exps[pr[2]], mh)) == pr[4]
+            or tuple(map(max, exps[pr[3]], mh)) == pr[4]
         ]
         # of several new pairs with equal lcm the chain test keeps the last
         # candidate, so candidate order decides which pair survives; it is
         # the iteration order of a fresh copy of G
-        C = [(tuple(map(max, mh, f[ig][0])), ig) for ig in set(G)]
+        C = [(tuple(map(max, mh, exps[ig])), ig) for ig in set(G)]
         # the lcms' packs; their degree may pass 2^31, which the degree
         # field holds and a kept pair's key refuses
         lcms = [int.from_bytes(pack_fields(*m, sum(m)), "little") for m, _ in C]
         D = []  # packs of the new pairs' lcms kept, coprime ones included
         for n, (m, ig) in enumerate(C):
             pm = lcms[n]
-            if pm == ph + f[ig][1]:
+            if pm == ph + f[ig][0][1]:
                 D.append(pm)  # coprime leading monomials: kept out of B
             elif not (
                 any(not (pm - q) & guard for q in lcms[n + 1 :])
@@ -414,17 +415,16 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
             ):
                 D.append(pm)
                 B.append((packed_key(m, kind, block), pm, ih, ig, m))
-        G_new = {ig for ig in G if (f[ig][1] - ph) & guard}
+        G_new = {ig for ig in G if (f[ig][0][1] - ph) & guard}
         G_new.add(ih)
         return G_new, B
 
-    by_key = itemgetter(3)
     G = set()
     CP = []
     for i in range(len(f)):
         G, CP = update(G, CP, i)
-    # G's head records by leading key, sorted again only when G changes
-    divisors = sorted((f[ig] for ig in G), key=by_key)
+    # G's polynomials by leading key, sorted again only when G changes
+    divisors = sorted((f[ig] for ig in G), key=_lead_key)
 
     pairs_done = 0
     while CP:
@@ -436,11 +436,11 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
         key, lcm, i1, i2, _ = best
-        _, p1, c1, k1, rest1, top1 = f[i1]
-        _, p2, c2, k2, rest2, top2 = f[i2]
+        k1, p1, c1 = f[i1][0]
+        k2, p2, c2 = f[i2][0]
         dp1 = lcm - p1
         dp2 = lcm - p2
-        _degree_guard(max(top1 + (dp1 >> shift), top2 + (dp2 >> shift)))
+        _degree_guard(top + (max(dp1, dp2) >> shift))
         d = gcd(c1, c2)
         # the S-polynomial (c2/d) x^(lcm-e1) p1 - (c1/d) x^(lcm-e2) p2 as the
         # two shifted, scaled tails (the leading terms cancel), which _reduce
@@ -448,34 +448,31 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         # differences
         s = (
             (k + dk, p + dp, m * c)
-            for rest, m, dk, dp in (
-                (rest1, c2 // d, key - k1, dp1),
-                (rest2, -(c1 // d), key - k2, dp2),
+            for g, m, dk, dp in (
+                (f[i1], c2 // d, key - k1, dp1),
+                (f[i2], -(c1 // d), key - k2, dp2),
             )
-            for k, p, c in rest
+            for k, p, c in islice(g, 1, None)
         )
-        r, _ = _reduce(s, divisors)
+        r, _ = _reduce(s, divisors, nvars, top)
         if not r:
             continue
         if r[0][1] >> shift > max_degree:
             raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
-        f.append(_head(r, nvars))
+        f.append(r)
+        exps.append(_unpack(r[0][1], nvars))
+        top = max(top, _top(r, shift))
         G, CP = update(G, CP, len(f) - 1)
-        divisors = sorted((f[ig] for ig in G), key=by_key)
+        divisors = sorted((f[ig] for ig in G), key=_lead_key)
 
     # G is already minimal: update drops every member whose leading monomial
     # the new one divides, and a new polynomial is reduced against G first.
     # Tail-reduce each member against the rest for the unique reduced basis.
     result = []
-    for idx, (_, p, c, k, rest, _) in enumerate(divisors):
+    for idx, g in enumerate(divisors):
         others = divisors[:idx] + divisors[idx + 1 :]
-        q = [(k, p, c), *rest]
-        if others:
-            r, _ = _reduce(q, others)
-        else:
-            r = q
-        result.append(r)
-    result.sort(key=lambda p: p[0][0])
+        result.append(_reduce(g, others, nvars, top)[0] if others else g)
+    result.sort(key=_lead_key)
     return [_strip_keys(p, nvars) for p in result]
 
 
@@ -502,5 +499,6 @@ def normal_form(fpairs, basis, nvars, kind, block):
     2^31 or more.
     """
     terms = ((packed_key(e, kind, block), _pack(e), c) for e, c in fpairs)
-    tail, mult = _reduce(terms, [_head(p, nvars) for p in basis], track_multiplier=True)
+    top = _top(chain.from_iterable(basis), _layout(nvars)[2])
+    tail, mult = _reduce(terms, basis, nvars, top, track_multiplier=True)
     return _strip_keys(tail, nvars), mult

@@ -134,7 +134,7 @@ def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
     den = 1
     for c in f.terms.values():
         den = lcm(den, c.denominator)
-    return den, [(m, int(c * den)) for m, c in f.terms.items()]
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in f.terms.items()]
 
 
 def buchberger(

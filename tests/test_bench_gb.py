@@ -3,11 +3,15 @@ pure engine on one of its systems.
 
 Systems and expected values come from the script's own ``WORKLOADS`` and
 ``EXPECTED``, and bases from its own ``bench``, so an engine change that
-breaks the script fails here.  katsura-6 (about 1.5 s) and sl5-minimal (tens
-of seconds) are left to the script.
+breaks the script fails here.  katsura-6 (about 0.6 s) and sl5-minimal (tens
+of seconds) are left to the script, whose ``--skip-slow`` leaves out only
+sl5-minimal.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,17 @@ def test_raw_terms_refuses_a_fractional_coefficient():
     assert bench_gb.raw_terms([parse_poly("2*x - y", ctx)]) == [[((1, 0), 2), ((0, 1), -1)]]
     with pytest.raises(ValueError):
         bench_gb.raw_terms([parse_poly("1/2*x - y", ctx)])
+
+
+def test_the_script_runs_from_a_checkout(tmp_path):
+    # with -S and no PYTHONPATH no installed copy of the package is on the
+    # path, so the script must find the tree's src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", str(_SCRIPT), "--help"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

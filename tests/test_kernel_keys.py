@@ -150,3 +150,15 @@ def test_buchberger_refuses_degree_2_31():
     gens = [[((1, 1, 0), 1), ((0, 0, TOP), -1)], [((2, 0, 0), 1), ((0, 0, 0), -1)]]
     with pytest.raises(ResourceLimitExceeded):
         pure.buchberger(gens, 3, *LEX, 100, 2**40)
+
+
+def test_the_degree_bound_is_the_whole_basis():
+    # lex, x > y > z: z alone reduces y^(2^30)*z to 0, but next to
+    # x - y^(2^30) the bound is the basis's largest degree, 2^30, and a
+    # step shifting z by y^(2^30) is judged to reach 2^31
+    z = [((0, 0, 1), 1)]
+    f = [((0, 2**30, 1), 1)]
+    assert pure.normal_form(f, pure.key_basis([z], *LEX), 3, *LEX) == ([], 1)
+    keyed = pure.key_basis([[((1, 0, 0), 1), ((0, 2**30, 0), -1)], z], *LEX)
+    with pytest.raises(ResourceLimitExceeded):
+        pure.normal_form(f, keyed, 3, *LEX)

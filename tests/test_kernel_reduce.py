@@ -84,8 +84,11 @@ def engine_poly(f):
     return sorted((term(e, c) for e, c in f.items() if c), reverse=True)
 
 
-def head(f):
-    return pure._head(engine_poly(f), 3)
+def reduce(terms, basis, track):
+    """``pure._reduce`` of engine ``terms`` modulo a basis of {exp: coeff}
+    dicts, with the basis's own degree bound."""
+    top = max(sum(e) for g in basis for e in g)
+    return pure._reduce(terms, [engine_poly(g) for g in basis], 3, top, track_multiplier=track)
 
 
 def cases(seed, count):
@@ -143,12 +146,11 @@ def test_reduce_keeps_the_fraction_free_contract(monkeypatch):
     for basis, _, f, rem in cases(2718, 30):
         leads = [max(g, key=key) for g in basis]
         leading_coeffs.update(g[e] for g, e in zip(basis, leads))
-        kbasis = [head(g) for g in basis]
         g = random_poly(rng, rng.randint(5, 10), 7, 9)
         shapes = (engine_poly(f), summed_terms(f, g))
         for track, terms in product((True, False), shapes):
             with content_passes(monkeypatch) as passes:
-                tail, mult = pure._reduce(terms, kbasis, track_multiplier=track)
+                tail, mult = reduce(terms, basis, track)
             assert passes, "the reduction ran no content pass"
             divided = divided or any(passes)
             assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
@@ -186,6 +188,17 @@ def test_normal_form_is_the_remainder_over_q(monkeypatch):
         assert nf == MultiPoly(CTX, {e: c / den for e, c in rem.items()})
 
 
+def test_normal_form_leaves_its_keyed_basis_unchanged():
+    # the reducers are the caller's own lists, shared by every call
+    for basis, _, f, rem in cases(577, 3):
+        keyed = pure.key_basis([list(g.items()) for g in basis], KIND, BLOCK)
+        before = [list(g) for g in keyed]
+        for _ in range(2):
+            tail, mult = pure.normal_form(list(f.items()), keyed, 3, KIND, BLOCK)
+            assert {e: Fraction(c, mult) for e, c in tail} == rem
+            assert keyed == before
+
+
 def test_content_passes_bound_a_tracked_remainder():
     # modulo a*x - y and y - a*z, x^n is z^n; reducing c*x^n scales by a at
     # each of n steps by the first (mult = a^n), then each step by the
@@ -198,7 +211,7 @@ def test_content_passes_bound_a_tracked_remainder():
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     basis = [{x: a, y: -1}, {y: 1, z: -a}]
     f = {(n, 0, 0): c}
-    tail, mult = pure._reduce(engine_poly(f), [head(g) for g in basis], track_multiplier=True)
+    tail, mult = reduce(engine_poly(f), basis, True)
     tail = decoded(tail)
     assert tail == {(0, 0, n): c * mult}
     assert 0 < mult.bit_length() <= 2 * pure._CONTENT_BITS < n
@@ -209,7 +222,7 @@ def test_a_head_with_the_same_variables_need_not_divide():
     g = {(2, 1, 0): 3, (0, 0, 2): 1}
     f = {(1, 1, 0): 2, (0, 1, 1): -5}
     for track in (True, False):
-        tail, mult = pure._reduce(engine_poly(f), [head(g)], track_multiplier=track)
+        tail, mult = reduce(engine_poly(f), [g], track)
         assert decoded(tail) == f and mult == 1
 
 
@@ -223,5 +236,5 @@ def test_a_cancelled_input_key_created_again_is_reduced():
     rem, _ = remainder_over_q(f, [g])
     assert rem == {y: 6, z: 1}
     for track in (True, False):
-        tail, mult = pure._reduce(terms, [head(g)], track_multiplier=track)
+        tail, mult = reduce(terms, [g], track)
         assert {e: Fraction(c, mult) for e, c in decoded(tail).items()} == rem
