@@ -1,14 +1,16 @@
 """Command-line front end.
 
 One subcommand per activity -- orbit, fibre, homogenise, gb, euler, diamond,
-critical -- composable through ideal files, so a whole compactification
-pipeline is a short shell script.  Output is pretty text by default or JSON
-with --format json.  Exit codes: 0 success, 1 domain error, 2 usage error.
+critical -- composable through ideal files, text or JSON, so a whole
+compactification pipeline is a short shell script.  Output is pretty text by
+default or JSON with --format json.  Exit codes: 0 success, 1 domain error,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,6 +38,7 @@ from .hilbert import hilbert
 from .ioformats import (
     gb_to_json,
     hilbert_to_json,
+    ideal_from_json,
     ideal_to_json,
     parse_rational_list,
     read_ideal,
@@ -49,7 +52,7 @@ from .orbits import (
     potential,
     weyl_critical,
 )
-from .parsing import ParseError, format_rational
+from .parsing import WHITESPACE, ParseError, format_rational
 from .polyring import PolyError, order_from_name
 
 
@@ -71,25 +74,22 @@ def _limits() -> GBLimits:
 
 
 def _emit_ideal(args, ideal: IdealPresentation, meta: dict | None) -> None:
-    if args.format == "json":
-        text = ideal_to_json(ideal, meta)
-        payload = text + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        write_ideal(buf, ideal, meta)
-        payload = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    target = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    with target as out:
+        if args.format == "json":
+            out.write(ideal_to_json(ideal, meta) + "\n")
+        else:
+            write_ideal(out, ideal, meta)
 
 
 def _load_ideal(path: str):
+    """Read an ideal file in either format: JSON if it starts with '{'."""
     try:
         with open(path) as fh:
+            text = fh.read()
+            if text.lstrip(WHITESPACE).startswith("{"):
+                return ideal_from_json(text)
+            fh.seek(0)
             return read_ideal(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}")

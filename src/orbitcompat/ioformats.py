@@ -16,7 +16,7 @@ from typing import IO
 
 from .groebner import IdealPresentation, ReducedGB
 from .hilbert import HilbertData
-from .parsing import ParseError, parse_poly, poly_to_string
+from .parsing import WHITESPACE, ParseError, parse_poly, poly_to_string
 from .polyring import PolyError, VarContext
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
 ]
 
 _META_PREFIX = "# meta:"
-# the grammar's whitespace; any other character at a line's ends is a
-# ParseError, as it is inside a polynomial
-_SPACE = " \t\n\r\f\v"
 
 
 def write_ideal(out: IO[str], ideal: IdealPresentation, meta: dict | None = None) -> None:
@@ -47,7 +44,9 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
     ctx: VarContext | None = None
     gens = []
     for lineno, raw in enumerate(inp, start=1):
-        line = raw.strip(_SPACE)
+        # only the grammar's whitespace is stripped; any other character at
+        # a line's ends is a ParseError, as it is inside a polynomial
+        line = raw.strip(WHITESPACE)
         if not line:
             continue
         if line.startswith(_META_PREFIX):
@@ -67,8 +66,8 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
                 raise PolyError(f"line {lineno}: a second vars: header")
             # every comma separates two names, so an empty name between
             # commas reaches VarContext and is refused there
-            header = line[len("vars:"):].strip(_SPACE)
-            names = [n.strip(_SPACE) for n in header.split(",")] if header else []
+            header = line[len("vars:"):].strip(WHITESPACE)
+            names = [n.strip(WHITESPACE) for n in header.split(",")] if header else []
             try:
                 ctx = VarContext(names)
             except PolyError as e:
@@ -80,7 +79,7 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
             gens.append(parse_poly(line, ctx))
         except ParseError as e:
             # the position counts from the start of the line, indent included
-            indent = len(raw) - len(raw.lstrip(_SPACE))
+            indent = len(raw) - len(raw.lstrip(WHITESPACE))
             raise ParseError(f"line {lineno}: {e.message}", e.pos + indent) from None
     if ctx is None:
         raise PolyError("missing vars: header")

@@ -34,6 +34,8 @@ _SIGN = re.compile(r"\s*([+-])", re.ASCII)
 _COEFF = re.compile(r"\s*([0-9]+)(?:\s*/\s*([0-9]*))?", re.ASCII)
 _FACTOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*)(?:\s*\^\s*([0-9]*))?", re.ASCII)
 _STAR = re.compile(r"\s*\*", re.ASCII)
+# the grammar's whitespace, the set that \s matches under re.ASCII
+WHITESPACE = " \t\n\r\f\v"
 # where an error or trailing text starts
 _SPACE = re.compile(r"\s*", re.ASCII)
 
@@ -93,11 +95,7 @@ def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
             exps[index[name]] += 1 if power is None else int(power)
             pos = item.end()
         mono = tuple(exps)
-        s = terms.get(mono, 0) + coeff
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
+        terms[mono] = terms.get(mono, 0) + coeff
         m = _SIGN.match(text, pos)
         if not m:
             break

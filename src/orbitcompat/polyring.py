@@ -6,6 +6,10 @@ names) and is stored sparsely as a map from exponent tuples to nonzero
 map.  All values are immutable after construction, so everything here is safe
 to share between threads.
 
+The ``MultiPoly`` constructor is the one place that drops zero coefficients
+and checks exponents (none negative, none above ``MAX_EXPONENT``).  The
+arithmetic below only accumulates coefficients and may hand it zero sums.
+
 Monomials are plain ``tuple[int, ...]`` exponent vectors, one entry per
 context variable.  Monomial orders are small objects exposing an additive
 sort key: ``key(a) + key(b) == key(mul(a, b))`` componentwise, which is what
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from ._kernel.pure import KINDS, make_key
@@ -94,21 +99,6 @@ class VarContext:
         return f"{stem}{i}"
 
 
-def mono_one(nvars: int) -> Monomial:
-    return (0,) * nvars
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e > MAX_EXPONENT for e in out):
-        raise PolyError("monomial exponent overflow")
-    return out
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on a fixed number of variables.
@@ -176,6 +166,12 @@ class MultiPoly:
     __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Fraction | int]):
+        """Keep the nonzero terms of ``terms`` as Fractions.
+
+        This is the only normaliser: zero coefficients, sums that cancelled
+        included, are dropped here, and every kept monomial is checked for
+        its length and for a negative or overflowing exponent.
+        """
         cleaned: dict[Monomial, Fraction] = {}
         n = len(ctx)
         for mono, coeff in terms.items():
@@ -202,7 +198,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(ctx: VarContext, value) -> "MultiPoly":
-        return MultiPoly(ctx, {mono_one(len(ctx)): Fraction(value)})
+        return MultiPoly(ctx, {(0,) * len(ctx): Fraction(value)})
 
     @staticmethod
     def variable(ctx: VarContext, name: str) -> "MultiPoly":
@@ -219,14 +215,13 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(mono_one(len(self.ctx)), Fraction(0))
+        return self.terms.get((0,) * len(self.ctx), Fraction(0))
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         if not self.terms:
@@ -248,22 +243,14 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return MultiPoly(self.ctx, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) - c
         return MultiPoly(self.ctx, out)
 
     def __mul__(self, other) -> "MultiPoly":
@@ -273,12 +260,8 @@ class MultiPoly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
         return MultiPoly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -288,8 +271,6 @@ class MultiPoly:
 
     def scale(self, factor) -> "MultiPoly":
         factor = Fraction(factor)
-        if factor == 0:
-            return MultiPoly.zero(self.ctx)
         return MultiPoly(self.ctx, {m: c * factor for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -341,14 +322,8 @@ class MultiPoly:
                 if mono[i]:
                     c *= v ** mono[i]
                 new[i] = 0
-            if not c:
-                continue
             key = tuple(new)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return MultiPoly(self.ctx, out)
 
     def map_context(self, new_ctx: VarContext) -> "MultiPoly":
@@ -390,7 +365,7 @@ def homogenise_poly(f: MultiPoly, tvar: str) -> MultiPoly:
     d = f.degree()
     out = {}
     for mono, coeff in f.terms.items():
-        out[mono + (d - mono_degree(mono),)] = coeff
+        out[mono + (d - sum(mono),)] = coeff
     return MultiPoly(ctx, out)
 
 
@@ -401,9 +376,5 @@ def dehomogenise_poly(f: MultiPoly, tvar: str) -> MultiPoly:
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in f.terms.items():
         key = mono[:ti] + mono[ti + 1 :]
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + coeff
     return MultiPoly(ctx, out)

@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import contextlib
 import random
+import resource
 import time
 from fractions import Fraction
 
@@ -31,11 +32,6 @@ from orbitcompat.diamonds import (
 )
 from orbitcompat.hilbert import hilbert
 
-try:
-    import psutil
-except ImportError:  # memory budget then checked only by not crashing
-    psutil = None
-
 
 @contextlib.contextmanager
 def criterion(number, label):
@@ -48,9 +44,8 @@ def criterion(number, label):
 
 
 def _rss_gb():
-    if psutil is None:
-        return 0.0
-    return psutil.Process().memory_info().rss / 2**30
+    """Peak resident set size of this process so far; ru_maxrss is in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**20
 
 
 def test_criterion_1_euler_characteristics():

@@ -245,3 +245,19 @@ def test_full_compactification_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "gb", "--ideal", str(sat), "--hilbert", "--format", "json")
     doc = json.loads(out)
     assert doc["hilbert"]["proj_dim"] == 5 and doc["hilbert"]["degree"] == 6
+
+
+def test_pipeline_reads_its_own_json_ideal_files(capsys, tmp_path):
+    """The saturated route of the pipeline above, every file in JSON."""
+    orbit, fibre, sat = (tmp_path / f"{name}.json" for name in ("orbit", "fibre", "sat"))
+    js = ("--format", "json")
+    assert run(capsys, "orbit", "--n", "2", "--h0", "1,0,-1", "--style", "charvalues", "--shifts", "0,-1", *js, "-o", str(orbit))[0] == 0
+    assert json.loads(orbit.read_text())["meta"]["style"] == "charvalues"
+    assert run(capsys, "fibre", "--orbit", str(orbit), "--h", "1,-1,0", "--value", "0", *js, "-o", str(fibre))[0] == 0
+    assert run(capsys, "homogenise", "--ideal", str(fibre), "--mode", "saturated", *js, "-o", str(sat))[0] == 0
+    assert json.loads(sat.read_text())["meta"]["homogenisation"] == "saturated"
+
+    code, out, _ = run(capsys, "gb", "--ideal", str(sat), "--hilbert", *js)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hilbert"]["proj_dim"] == 5 and doc["hilbert"]["degree"] == 6

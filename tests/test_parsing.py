@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcompat import MultiPoly, VarContext, parse_poly, poly_to_string
-from orbitcompat.parsing import ParseError
+from orbitcompat.parsing import WHITESPACE, ParseError
 
 CTX = VarContext(["x", "y", "z", "t"])
 
@@ -36,6 +36,12 @@ def test_parse_rational_coefficients():
 def test_parse_leading_sign_and_whitespace():
     assert parse_poly("-x + y", CTX) == parse_poly("y-x", CTX)
     assert parse_poly("  x ^ 2 *y ", CTX) == parse_poly("x^2*y", CTX)
+
+
+def test_whitespace_is_what_the_patterns_skip():
+    # the one definition that ideal files strip at line ends
+    ascii_space = {chr(i) for i in range(128) if re.match(r"\s", chr(i), re.ASCII)}
+    assert set(WHITESPACE) == ascii_space
 
 
 def test_syntax_error_carries_position():
