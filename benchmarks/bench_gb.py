@@ -27,7 +27,8 @@ status 1.
 
 The last column is the first 12 hex digits of the sha256 of the basis as
 the engine returns it, so two runs give bit-identical bases iff their
-columns agree.
+columns agree.  Each workload's digest is checked against ``DIGESTS``, and
+a mismatch exits with status 1 too.
 
 The library is imported from ``src/`` next to this directory, so the script
 runs from a checkout without installing the package.
@@ -148,6 +149,11 @@ WORKLOADS = {
 }
 
 
+def digest(basis):
+    """The first 12 hex digits of the sha256 of ``basis``'s repr."""
+    return hashlib.sha256(repr(basis).encode()).hexdigest()[:12]
+
+
 def bench(raw_args, repeat):
     times = []
     basis = None
@@ -187,6 +193,19 @@ EXPECTED = {
     "sl5-minimal": (closure_hilbert, segre(4)),
 }
 
+# every workload's basis digest: a reduced basis is unique, and the engine
+# returns it primitive and sorted, so a digest changes only when the
+# engine's output format does
+DIGESTS = {
+    "orbit-fibre": "917ab68b9e04",
+    "orbit-saturate": "5efba89c61b7",
+    "sl4-minimal": "fcd2d95beaca",
+    "katsura-5": "02e920507443",
+    "cyclic-5": "2a7184a69e35",
+    "katsura-6": "b6e59c868fb9",
+    "sl5-minimal": "2d1a7128ddca",
+}
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
@@ -202,8 +221,10 @@ def main(argv=None):
             continue
         raw_args = make()
         best, mean, basis = bench(raw_args, args.repeat)
-        digest = hashlib.sha256(repr(basis).encode()).hexdigest()[:12]
-        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis):>5}  {digest}")
+        got = digest(basis)
+        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis):>5}  {got}")
+        if got != DIGESTS[name]:
+            wrong.append(f"{name}: sha256 {got}, expected {DIGESTS[name]}")
         if name in EXPECTED:
             measure, want = EXPECTED[name]
             got = measure(basis, raw_args[1])

@@ -42,23 +42,23 @@ checked against one degree bound for the whole basis, its largest total
 degree, which ``buchberger`` keeps as a running maximum over the
 polynomials it makes and ``normal_form`` reads off the ``key_basis`` output.
 
-Reduction (``_reduce``) keeps the remainder still to be reduced as a
-``{key: coeff}`` dict with a side map from key to pack.  It sums its input
-into that dict, so the input need not be sorted or merged: an S-polynomial
-goes in as the two shifted, scaled tails (the leading terms cancel).  A
-leader list, every key seen and not yet taken in ascending order, gives the
-leading term by a pop from its end; a key enters it once, by
-``bisect.insort``, when a step first creates it.  The head search is one
-subtraction and one AND per reducer.  A step subtracts the reducer term by
-term, shifting each key and each pack by one integer addition, so the
-interpreted work of a step grows with the reducer's length, not the
-remainder's.  A step scales the remainder only by ``gc // gcd(gc, c0)``
-(reducer and remainder leading coefficients), which is 1 for most steps.
-Irreducible terms go to the tail with the scale they were taken at and are
-brought up to date only when the integer content is normalised, and at the
-end.  The content pass (``_divide_content``) runs over the whole remainder
-and tail, so it runs only when a step's leading coefficient has grown past
-twice the bit length it had after the last pass, and never below
+Reduction (``_reduce``) keeps the whole remainder as one ``{key: coeff}``
+dict with a side map from key to pack.  It sums its input into that dict,
+so the input need not be sorted or merged: an S-polynomial goes in as the
+two shifted, scaled tails (the leading terms cancel).  A leader list, every
+key seen and not yet taken in ascending order, gives the leading term by a
+pop from its end; a key enters it once, by ``bisect.insort``, when a step
+first creates it.  The head search is one subtraction and one AND per
+reducer.  A step subtracts the reducer term by term, shifting each key and
+each pack by one integer addition, so the interpreted work of a step grows
+with the reducer's length, not the remainder's.  A step scales the
+remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
+coefficients), which is 1 for most steps.  An irreducible term stays in the
+dict, at the remainder's scale: every key a step makes lies below the key
+it takes, so no later step touches it, and at the end the dict holds
+exactly the tail.  The content pass (``_divide_content``) runs over the
+whole remainder, so it runs only when a step's leading coefficient has
+grown past twice the bit length it had after the last pass, and never below
 ``_CONTENT_BITS``: a pass every few steps costs more than the steps, and
 dividing out small factors leaves later leaders coprime to the reducers'
 leading coefficients, so more steps scale the whole remainder.
@@ -237,11 +237,12 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
 
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled; steps, and
-    so the result, are those of taking ``max`` of the remainder each time.
+    so the result, are those of taking ``max`` of the terms not yet found
+    irreducible each time.
     """
     _, guard, shift = _layout(nvars)
-    # the remainder still to reduce, as key -> coeff; packs maps every key
-    # ever seen to its pack
+    # the whole remainder, irreducible terms included, as key -> coeff;
+    # packs maps every key ever seen to its pack
     h = {}
     packs = {}
     for k, p, c in f:
@@ -252,12 +253,9 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
     # the leader list: every key of packs not yet taken, ascending.  A key
     # whose terms cancelled stays in it, since a later step can create it
     # again; every key a step creates lies below the key it takes, so the
-    # last live key is always the largest of h
+    # last live key is always the largest of h not yet taken, and the keys
+    # taken and found irreducible are never touched again
     order = sorted(packs)
-    # irreducible terms (key, pack, coeff, scale when taken): the true
-    # coefficient is coeff * (scale // taken), brought up to date by _settle
-    tail = []
-    scale = 1
     mult = 1
     # a step whose leading coefficient has more bits than this divides out
     # the content first
@@ -272,7 +270,8 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
             if not (p0 - g[0][1]) & guard:
                 break
         else:
-            tail.append((k0, p0, c0, scale))
+            # irreducible: it stays in h, at the remainder's scale
+            h[k0] = c0
             continue
         terms = iter(g)
         gk, gp, gc = next(terms)
@@ -280,8 +279,7 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
         # the monomials this step makes have degree at most top + |dpack|
         _degree_guard(top + (dpack >> shift))
         if c0.bit_length() > limit:
-            tail, c0, mult = _divide_content(h, tail, scale, c0, mult, track_multiplier)
-            scale = 1
+            c0, mult = _divide_content(h, c0, mult, track_multiplier)
             limit = max(2 * c0.bit_length(), _CONTENT_BITS)
         # h <- m*h - b*x^dpack*g with m*c0 = b*gc, the smallest such m > 0
         common = gcd(gc, c0)
@@ -290,7 +288,6 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
             m = gc // common
             for k in h:
                 h[k] *= m
-            scale *= m
             mult *= m
         dkey = k0 - gk
         for k, p, c in terms:
@@ -303,39 +300,31 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
                     insort(order, sk)
             else:
                 del h[sk]
-    tail = [(k, p, c) for k, p, c, _ in _settle(tail, scale)]
+    # every key is taken, so h holds exactly the irreducible terms
+    tail = [(k, packs[k], h[k]) for k in sorted(h, reverse=True)]
     if not track_multiplier:
         return _primitive(tail), 1
     return tail, mult
 
 
-def _settle(tail, scale):
-    """Bring lazily scaled tail terms up to date with ``scale``."""
-    return [
-        (k, p, c if s == scale else c * (scale // s), 1) for k, p, c, s in tail
-    ]
-
-
-def _divide_content(h, tail, scale, c0, mult, track_multiplier):
+def _divide_content(h, c0, mult, track_multiplier):
     """Divide the integer content out of a remainder of ``_reduce``.
 
-    The remainder is the leading coefficient ``c0``, the dict ``h``, which
-    is divided in place, and the ``tail`` taken at ``scale``; with
-    ``track_multiplier`` the content includes ``mult``.  Returns the tail,
-    settled at scale 1, ``c0`` and ``mult``, each divided by the content.
+    The remainder is the leading coefficient ``c0`` and the dict ``h``,
+    which is divided in place; with ``track_multiplier`` the content
+    includes ``mult``.  Returns ``c0`` and ``mult``, each divided by the
+    content.
     """
-    tail = _settle(tail, scale)
-    g = gcd(c0, *h.values(), *(t[2] for t in tail))
+    g = gcd(c0, *h.values())
     if track_multiplier:
         g = gcd(g, mult)
     if g > 1:
         for k in h:
             h[k] //= g
-        tail = [(k, p, c // g, 1) for k, p, c, _ in tail]
         c0 //= g
         if track_multiplier:
             mult //= g
-    return tail, c0, mult
+    return c0, mult
 
 
 def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
@@ -378,8 +367,6 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         polys = nxt
         if not changed:
             break
-        if not polys:
-            return []
 
     # every polynomial ever created, and its leading exponent; G and pairs
     # hold indices into them

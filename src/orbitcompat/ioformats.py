@@ -110,8 +110,17 @@ def ideal_from_json(text: str) -> tuple[IdealPresentation, dict]:
         raise PolyError(f"ideal JSON is not valid JSON: {e.msg}") from None
     if not isinstance(doc, dict):
         raise PolyError("ideal JSON must be an object")
-    ctx = VarContext(_strings(doc, "vars"))
-    gens = [parse_poly(s, ctx) for s in _strings(doc, "generators")]
+    names = _strings(doc, "vars")
+    try:
+        ctx = VarContext(names)
+    except PolyError as e:
+        raise PolyError(f'ideal JSON: "vars": {e}') from None
+    gens = []
+    for i, s in enumerate(_strings(doc, "generators")):
+        try:
+            gens.append(parse_poly(s, ctx))
+        except ParseError as e:
+            raise ParseError(f"generators[{i}]: {e.message}", e.pos) from None
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise PolyError('ideal JSON: "meta" must be an object')

@@ -1,10 +1,11 @@
 """The basis checks of ``benchmarks/bench_gb.py``, and the pair pruning of the
 pure engine on one of its systems.
 
-Systems and expected values come from the script's own ``WORKLOADS`` and
-``EXPECTED``, and bases from its own ``bench``, so an engine change that
-breaks the script fails here.  katsura-6 (about 0.6 s) and sl5-minimal (tens
-of seconds) are left to the script, whose ``--skip-slow`` leaves out only
+Systems, expected values and basis digests come from the script's own
+``WORKLOADS``, ``EXPECTED`` and ``DIGESTS``, and bases from its own
+``bench``, so an engine change that breaks the script, or changes a basis by
+a single bit, fails here.  katsura-6 (about 0.6 s) and sl5-minimal (tens of
+seconds) are left to the script, whose ``--skip-slow`` leaves out only
 sl5-minimal.
 """
 
@@ -32,6 +33,7 @@ def test_bench_basis_checks_pass(name):
     _, _, basis = bench_gb.bench(raw, 1)
     measure, want = bench_gb.EXPECTED[name]
     assert measure(basis, raw[1]) == want
+    assert bench_gb.digest(basis) == bench_gb.DIGESTS[name]
 
 
 def test_cyclic5_finishes_within_102_pairs():

@@ -131,11 +131,31 @@ def test_ideal_json_round_trip():
         ('{"vars": ["x"], "generators": ["x"], "meta": [1, 2]}', 'ideal JSON: "meta" must be an object'),
         ("[1]", "ideal JSON must be an object"),
         ("{bad", "ideal JSON is not valid JSON: Expecting property name enclosed in double quotes"),
+        ('{"vars": ["_x"], "generators": []}', 'ideal JSON: "vars": invalid variable name \'_x\''),
+        ('{"vars": ["x", "x"], "generators": []}', 'ideal JSON: "vars": duplicate variable name \'x\''),
+        ('{"vars": [], "generators": []}', 'ideal JSON: "vars": context needs at least one variable'),
     ],
 )
 def test_ideal_json_errors_name_their_field(text, message):
     with pytest.raises(PolyError) as err:
         ideal_from_json(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,pos,message",
+    [
+        ('{"vars": ["x", "y"], "generators": ["x - y", "x^2 - q"]}', 6,
+         "generators[1]: unknown variable 'q' (at position 6)"),
+        ('{"vars": ["x"], "generators": ["x +"]}', 3,
+         "generators[0]: expected a term (at position 3)"),
+    ],
+)
+def test_ideal_json_parse_errors_name_their_generator(text, pos, message):
+    # the same error as read_ideal's line N:, but ParseError is not a PolyError
+    with pytest.raises(ParseError) as err:
+        ideal_from_json(text)
+    assert err.value.pos == pos
     assert str(err.value) == message
 
 

@@ -120,9 +120,9 @@ def content_passes(monkeypatch):
     passes = []
     divide = pure._divide_content
 
-    def spy(h, tail, scale, c0, mult, track_multiplier):
-        out = divide(h, tail, scale, c0, mult, track_multiplier)
-        passes.append(out[1] != c0)
+    def spy(h, c0, mult, track_multiplier):
+        out = divide(h, c0, mult, track_multiplier)
+        passes.append(out[0] != c0)
         return out
 
     with monkeypatch.context() as m:
