@@ -15,15 +15,21 @@ Workloads:
                  makes, on the orbit's 16 generators in 15 variables
   sl5-minimal    the same for the sl(5) minimal orbit of diag(1,1,1,1,-4),
                  24 variables, tens of seconds a run (slow)
+  sl5-fibre      the grevlex run of the saturated closure of the regular
+                 sl(5) fibre of diag(2,1,0,-1,-2) (charvalues shifts
+                 -2,-1,0,1) under H = diag(2,1,0,-1,-2) at c = 1: five
+                 generators in 24 variables, about a minute a run (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
 
 Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
 monomials of its leading terms (the number of solutions with multiplicity),
-and the sl4-minimal and sl5-minimal closures against the Segre P^3 x P^3
+the sl4-minimal and sl5-minimal closures against the Segre P^3 x P^3
 and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective dimension
-2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8.  A mismatch exits with
-status 1.
+2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8, and the sl5-fibre
+closure against Kostant's: h-vector the q-factorial [5]_q!, so
+(1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120, projective dimension 19.  A
+mismatch exits with status 1.
 
 The last column is the first 12 hex digits of the sha256 of the basis as
 the engine returns it, so two runs give bit-identical bases iff their
@@ -41,7 +47,7 @@ import hashlib
 import statistics
 import sys
 import time
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -97,6 +103,12 @@ def minimal_orbit_raw(eigenvalues):
     return raw_terms(orbit.presentation.generators), len(orbit.presentation.ctx), 1, 0
 
 
+def fibre_raw(eigenvalues, shifts, H, c):
+    orbit = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
+    fib = fibre_ideal(orbit, DiagSpec(H), c)
+    return raw_terms(fib.generators), len(fib.ctx), 1, 0
+
+
 def katsura(n):
     names = [f"u{i}" for i in range(n + 1)]
     ctx = VarContext(names)
@@ -146,6 +158,7 @@ WORKLOADS = {
     "cyclic-5": (lambda: cyclic(5), False),
     "katsura-6": (lambda: katsura(6), False),
     "sl5-minimal": (lambda: minimal_orbit_raw([1, 1, 1, 1, -4]), True),
+    "sl5-fibre": (lambda: fibre_raw([2, 1, 0, -1, -2], [-2, -1, 0, 1], [2, 1, 0, -1, -2], 1), True),
 }
 
 
@@ -182,6 +195,15 @@ def segre(n):
     return tuple(comb(n, k) ** 2 for k in range(n + 1)), comb(2 * n, n), 2 * n
 
 
+def kostant(n):
+    """h-vector, degree and projective dimension of the closure of a regular
+    fibre of sl(n+1): the q-factorial [n+1]_q!, (n+1)! and n(n+1) - 1."""
+    h = [1]
+    for d in range(2, n + 2):
+        h = [sum(h[max(0, k - d + 1) : k + 1]) for k in range(len(h) + d - 1)]
+    return tuple(h), factorial(n + 1), n * (n + 1) - 1
+
+
 # what each checked workload's basis must give: the standard monomial count
 # of a zero-dimensional system (2^n for katsura-n, 70 for cyclic-5), or the
 # Hilbert data of a closure
@@ -191,6 +213,7 @@ EXPECTED = {
     "cyclic-5": (standard_monomials, 70),
     "sl4-minimal": (closure_hilbert, segre(3)),
     "sl5-minimal": (closure_hilbert, segre(4)),
+    "sl5-fibre": (closure_hilbert, kostant(4)),
 }
 
 # every workload's basis digest: a reduced basis is unique, and the engine
@@ -204,6 +227,7 @@ DIGESTS = {
     "cyclic-5": "2a7184a69e35",
     "katsura-6": "b6e59c868fb9",
     "sl5-minimal": "2d1a7128ddca",
+    "sl5-fibre": "02d0f55fb221",
 }
 
 

@@ -63,11 +63,45 @@ grown past twice the bit length it had after the last pass, and never below
 dividing out small factors leaves later leaders coprime to the reducers'
 leading coefficients, so more steps scale the whole remainder.
 
-``buchberger`` keeps one record per critical pair, ``(key of lcm, pack of
-lcm, i, j, lcm)``, made once when ``update`` creates the pair.  The
+``buchberger`` reduces its inputs against each other, runs one of two pair
+loops, and reduces the tails of the minimal basis the loop returns
+(``_tail_reduced``); the loops share the S-polynomial (``_spoly``) and
+``_reduce``.  The signature loop runs when at most ``nvars`` inputs remain,
+the Gebauer-Moeller (GM) loop otherwise.  A regular sequence has at most
+``nvars`` elements, and on a homogeneous one the signature loop reduces no
+pair to zero; on the six ``sl4-closures`` fibre runs it reduced 9 pairs to
+zero where GM reduced 53, in about half the time.  With more generators
+GM's reductions to zero are cheap and its bookkeeping is lighter: on the 16
+quadrics of the sl(4) minimal orbit, in 15 variables, the signature loop
+took five times as long.  Both loops count against ``max_pairs`` the
+S-pairs they reduce, not the pairs their criteria discard.
+
+The GM loop keeps one record per critical pair, ``(key of lcm, pack of lcm,
+i, j, lcm)``, made once when ``update`` creates the pair.  The
 Gebauer-Moeller tests decide divisibility on the stored packs, and the
 normal strategy takes the next pair as ``min`` of the records: the order
 key is injective, so that is the smallest lcm, ties broken by the indices.
+
+The signature loop follows Faugere's F5 (ISSAC 2002) in the form the
+Eder-Faugere survey (JSC 2017) gives.  Each polynomial carries a signature
+``t*e_i``, the leading term of a module element whose image it is,
+ordered by ``(t*lm(f_i), i)`` (the Schreyer order) and kept as the key and
+pack of ``t*lm(f_i)`` with ``i``.  Pairs are taken by ascending signature,
+and a pair is discarded when its signature is divisible by a syzygy's (the
+Koszul syzygy of every pair, and every reduction to zero, kept as a minimal
+set per index) or by the signature of a polynomial made after the pair's
+generator (the add-last rewrite criterion of Eder and Roune, ISSAC 2013);
+of several pairs with one signature only the one whose generator came last
+is kept.  Reduction is regular: a multiple
+``t*g`` may reduce a term only if its signature lies below the pair's.  So
+every polynomial ``g`` enters ``_reduce`` waiting, with the threshold
+``sv - (sig key - lead key of g)`` for a pair of signature key ``sv``
+(plus one when ``g``'s index is below the pair's, ties going by index), and
+joins the reducers once the leading key falls below it.  A result whose
+leading term is that of a multiple with the same signature (singular
+top-reducible) adds nothing and is dropped.  The loop keeps every
+polynomial it makes and returns those with minimal leading monomials.
+
 ``normal_form`` reduces against a basis keyed once by ``key_basis``.
 
 This is the package's only Groebner engine.  It has no caps of its own:
@@ -79,6 +113,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd
 from operator import itemgetter, mul
@@ -221,7 +256,7 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, basis, nvars, top, track_multiplier=False):
+def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=()):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
@@ -234,6 +269,13 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
     is meaningless (callers that only need the remainder up to a scalar).
     Raises ResourceLimitExceeded before a step could make a monomial of
     total degree 2^31 or more, judged by ``top``, not by the reducer.
+
+    ``waiting`` holds further reducers as ``(threshold, polynomial)`` pairs
+    sorted ascending by threshold.  A reducer is appended to ``basis``
+    (which must then be a list of the caller's own) once the leading key
+    falls below its threshold: terms leave the remainder in descending key
+    order, so it reduces exactly the terms whose keys lie below.  The list
+    is consumed.
 
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled; steps, and
@@ -265,6 +307,8 @@ def _reduce(f, basis, nvars, top, track_multiplier=False):
         c0 = h.pop(k0, 0)
         if not c0:
             continue
+        while waiting and k0 < waiting[-1][0]:
+            basis.append(waiting.pop()[1])
         p0 = packs[k0]
         for g in basis:
             if not (p0 - g[0][1]) & guard:
@@ -336,8 +380,7 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     Raises ResourceLimitExceeded past the caps, and before making a monomial
     of total degree 2^31 or more.
     """
-    struct, guard, shift = _layout(nvars)
-    pack_fields = struct.pack
+    shift = _layout(nvars)[2]
     polys = []
     for g in gens:
         p = _attach_keys(g, kind, block)
@@ -368,9 +411,23 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if not changed:
             break
 
-    # every polynomial ever created, and its leading exponent; G and pairs
-    # hold indices into them
-    f = polys
+    # a regular sequence has at most nvars elements; see the module docstring
+    loop = _signature_loop if len(polys) <= nvars else _gm_loop
+    divisors, top = loop(polys, nvars, kind, block, max_pairs, max_degree, top)
+    return _tail_reduced(divisors, nvars, top)
+
+
+def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
+    """A minimal Groebner basis of the polynomials ``f`` by Gebauer-Moeller.
+
+    ``f`` is pre-reduced and sorted by leading key, and ``top`` its degree
+    bound.  Returns the basis sorted by leading key, and the degree bound
+    of every polynomial made.
+    """
+    struct, guard, shift = _layout(nvars)
+    pack_fields = struct.pack
+    # f holds every polynomial ever created, exps their leading exponents;
+    # G and pairs hold indices into them
     exps = [_unpack(p[0][1], nvars) for p in f]
 
     def update(G, B, ih):
@@ -423,29 +480,10 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
         key, lcm, i1, i2, _ = best
-        k1, p1, c1 = f[i1][0]
-        k2, p2, c2 = f[i2][0]
-        dp1 = lcm - p1
-        dp2 = lcm - p2
-        _degree_guard(top + (max(dp1, dp2) >> shift))
-        d = gcd(c1, c2)
-        # the S-polynomial (c2/d) x^(lcm-e1) p1 - (c1/d) x^(lcm-e2) p2 as the
-        # two shifted, scaled tails (the leading terms cancel), which _reduce
-        # sums; keys and packs are additive, so a cofactor's key and pack are
-        # differences
-        s = (
-            (k + dk, p + dp, m * c)
-            for g, m, dk, dp in (
-                (f[i1], c2 // d, key - k1, dp1),
-                (f[i2], -(c1 // d), key - k2, dp2),
-            )
-            for k, p, c in islice(g, 1, None)
-        )
-        r, _ = _reduce(s, divisors, nvars, top)
+        r, _ = _reduce(_spoly(f, key, lcm, i1, i2, top, shift), divisors, nvars, top)
         if not r:
             continue
-        if r[0][1] >> shift > max_degree:
-            raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
+        _degree_cap(r, shift, max_degree)
         f.append(r)
         exps.append(_unpack(r[0][1], nvars))
         top = max(top, _top(r, shift))
@@ -453,14 +491,152 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
         divisors = sorted((f[ig] for ig in G), key=_lead_key)
 
     # G is already minimal: update drops every member whose leading monomial
-    # the new one divides, and a new polynomial is reduced against G first.
-    # Tail-reduce each member against the rest for the unique reduced basis.
+    # the new one divides, and a new polynomial is reduced against G first
+    return divisors, top
+
+
+def _spoly(f, key, lcm, i1, i2, top, shift):
+    """The S-polynomial of ``f[i1]`` and ``f[i2]`` at the lcm of key ``key``
+    and pack ``lcm``, ``(c2/d) x^(lcm-e1) f[i1] - (c1/d) x^(lcm-e2) f[i2]``.
+
+    It is the two shifted, scaled tails (the leading terms cancel), which
+    ``_reduce`` sums; keys and packs are additive, so a cofactor's key and
+    pack are differences.  Raises ResourceLimitExceeded if a step reducing
+    it against a basis of degree bound ``top`` could reach degree 2^31.
+    """
+    k1, p1, c1 = f[i1][0]
+    k2, p2, c2 = f[i2][0]
+    dp1 = lcm - p1
+    dp2 = lcm - p2
+    _degree_guard(top + (max(dp1, dp2) >> shift))
+    d = gcd(c1, c2)
+    return (
+        (k + dk, p + dp, m * c)
+        for g, m, dk, dp in (
+            (f[i1], c2 // d, key - k1, dp1),
+            (f[i2], -(c1 // d), key - k2, dp2),
+        )
+        for k, p, c in islice(g, 1, None)
+    )
+
+
+def _degree_cap(r, shift, max_degree):
+    if r[0][1] >> shift > max_degree:
+        raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
+
+
+def _tail_reduced(divisors, nvars, top):
+    """The reduced basis from a minimal one sorted by leading key.
+
+    Each member's tail is reduced against the rest, which gives the unique
+    reduced basis; returned as [(exp, int)] lists sorted by leading key.
+    """
     result = []
     for idx, g in enumerate(divisors):
         others = divisors[:idx] + divisors[idx + 1 :]
         result.append(_reduce(g, others, nvars, top)[0] if others else g)
     result.sort(key=_lead_key)
     return [_strip_keys(p, nvars) for p in result]
+
+
+def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
+    """A minimal Groebner basis of the polynomials ``f`` by signatures.
+
+    ``f`` is pre-reduced and sorted by leading key, and ``top`` its degree
+    bound.  Returns the basis sorted by leading key, and the degree bound
+    of every polynomial made.  A polynomial's signature is ``t*e_i``, kept
+    as ``(key, i, pack)`` of ``t*lm(f[i])``: the Schreyer order compares
+    ``(key, i)``, and ``t*e_i`` divides ``s*e_i`` iff the packs do.
+    """
+    _, guard, shift = _layout(nvars)
+    exps = [_unpack(p[0][1], nvars) for p in f]
+    sigs = [(p[0][0], i, p[0][1]) for i, p in enumerate(f)]
+    # per index i, the minimal packs of the syzygy signatures known
+    syz = [[] for _ in f]
+    # pair records (signature key, index, generator, other, lcm key, lcm
+    # pack, signature pack), the generator being the side of the larger
+    # signature
+    pairs = []
+
+    def covered(i, sp):
+        return any(not (sp - q) & guard for q in syz[i])
+
+    def note(i, sp):
+        if not covered(i, sp):
+            syz[i] = [q for q in syz[i] if (q - sp) & guard]
+            syz[i].append(sp)
+
+    def add_pairs(n):
+        kn, pn, _ = f[n][0]
+        skn, i_n, spn = sigs[n]
+        for j in range(n):
+            kj, pj, _ = f[j][0]
+            skj, i_j, spj = sigs[j]
+            # the Koszul syzygy f[j]*sig(n) - f[n]*sig(j) has the larger
+            # side's signature unless the two sides cancel.  Each side is a
+            # multiple of the pair's side from the same polynomial, so
+            # bounding its degree bounds the pair's signature too
+            a, b = (skn + kj, i_n, spn + pj), (skj + kn, i_j, spj + pn)
+            _degree_guard(max(a[2], b[2]) >> shift)
+            if a[:2] != b[:2]:
+                note(*max(a, b)[1:])
+            m = tuple(map(max, exps[n], exps[j]))
+            key, lcm = packed_key(m, kind, block), _pack(m)
+            a = (skn + key - kn, i_n, n, j, key, lcm, spn + lcm - pn)
+            b = (skj + key - kj, i_j, j, n, key, lcm, spj + lcm - pj)
+            if a[:2] != b[:2]:
+                heappush(pairs, max(a, b))
+
+    for n in range(len(f)):
+        add_pairs(n)
+    pairs_done = 0
+    while pairs:
+        # the smallest signature, and of its pairs the one whose generator
+        # came last
+        sk, i, g, o, key, lcm, sp = heappop(pairs)
+        while pairs and pairs[0][:2] == (sk, i):
+            sk, i, g, o, key, lcm, sp = heappop(pairs)
+        # the syzygy criterion, then the add-last rewrite criterion
+        if covered(i, sp) or any(
+            s[1] == i and not (sp - s[2]) & guard for s in islice(sigs, g + 1, None)
+        ):
+            continue
+        pairs_done += 1
+        if pairs_done > max_pairs:
+            raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
+        # regular reduction: a multiple of p reduces a term of key k only if
+        # its signature lies below (sk, i), that is k < sk - (sig key - lead
+        # key of p), or k equal to that with p's index below i
+        waiting = sorted(
+            ((sk - s[0] + p[0][0] + (s[1] < i), p) for s, p in zip(sigs, f)),
+            key=itemgetter(0),
+        )
+        r, _ = _reduce(_spoly(f, key, lcm, g, o, top, shift), [], nvars, top, waiting=waiting)
+        if not r:
+            note(i, sp)
+            continue
+        kr, pr, _ = r[0]
+        # singular top-reducible: a multiple of some p has r's leading
+        # monomial and signature, so r adds nothing
+        if any(
+            s[1] == i and s[0] - p[0][0] == sk - kr and not (pr - p[0][1]) & guard
+            for s, p in zip(sigs, f)
+        ):
+            continue
+        _degree_cap(r, shift, max_degree)
+        f.append(r)
+        sigs.append((sk, i, sp))
+        exps.append(_unpack(pr, nvars))
+        top = max(top, _top(r, shift))
+        add_pairs(len(f) - 1)
+
+    # keep one polynomial per minimal leading monomial; a divisor's key is
+    # never larger
+    divisors = []
+    for p in sorted(f, key=_lead_key):
+        if all((p[0][1] - q[0][1]) & guard for q in divisors):
+            divisors.append(p)
+    return divisors, top
 
 
 def key_basis(basis_pairs, kind, block):

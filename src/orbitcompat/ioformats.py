@@ -81,6 +81,9 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
             # the position counts from the start of the line, indent included
             indent = len(raw) - len(raw.lstrip(WHITESPACE))
             raise ParseError(f"line {lineno}: {e.message}", e.pos + indent) from None
+        except PolyError as e:
+            # the polynomial layer's refusals, such as an exponent overflow
+            raise PolyError(f"line {lineno}: {e}") from None
     if ctx is None:
         raise PolyError("missing vars: header")
     return IdealPresentation(ctx, gens), meta or {}
@@ -121,6 +124,8 @@ def ideal_from_json(text: str) -> tuple[IdealPresentation, dict]:
             gens.append(parse_poly(s, ctx))
         except ParseError as e:
             raise ParseError(f"generators[{i}]: {e.message}", e.pos) from None
+        except PolyError as e:
+            raise PolyError(f"generators[{i}]: {e}") from None
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise PolyError('ideal JSON: "meta" must be an object')

@@ -4,9 +4,9 @@ pure engine on one of its systems.
 Systems, expected values and basis digests come from the script's own
 ``WORKLOADS``, ``EXPECTED`` and ``DIGESTS``, and bases from its own
 ``bench``, so an engine change that breaks the script, or changes a basis by
-a single bit, fails here.  katsura-6 (about 0.6 s) and sl5-minimal (tens of
-seconds) are left to the script, whose ``--skip-slow`` leaves out only
-sl5-minimal.
+a single bit, fails here.  katsura-6 (about 0.15 s), sl5-minimal (tens of
+seconds) and sl5-fibre (about a minute) are left to the script, whose
+``--skip-slow`` leaves out only the last two.
 """
 
 import importlib.util
@@ -36,14 +36,25 @@ def test_bench_basis_checks_pass(name):
     assert bench_gb.digest(basis) == bench_gb.DIGESTS[name]
 
 
-def test_cyclic5_finishes_within_102_pairs():
-    # Gebauer-Moeller pruning leaves 102 pairs to process; without the chain
-    # test on old pairs 123 are left, without it on new pairs 226
-    raw = bench_gb.WORKLOADS["cyclic-5"][0]()
-    max_degree = GBLimits().max_degree
-    basis = pure.buchberger(*raw, 102, max_degree)
-    measure, want = bench_gb.EXPECTED["cyclic-5"]
+def finishes_within(name, max_pairs):
+    raw = bench_gb.WORKLOADS[name][0]()
+    basis = pure.buchberger(*raw, max_pairs, GBLimits().max_degree)
+    measure, want = bench_gb.EXPECTED[name]
     assert measure(basis, raw[1]) == want
+
+
+def test_cyclic5_finishes_within_102_pairs():
+    # five generators in five variables run the signature loop, which
+    # reduces 54 pairs; the Gebauer-Moeller loop took 102 here, 123 without
+    # its chain test on old pairs and 226 without it on new pairs
+    finishes_within("cyclic-5", 102)
+
+
+def test_sl4_minimal_finishes_within_597_pairs():
+    # 16 generators in 15 variables run the Gebauer-Moeller loop, whose
+    # pruning leaves 597 pairs to process; without the chain test on old
+    # pairs 936 are left, without it on new pairs 1020
+    finishes_within("sl4-minimal", 597)
 
 
 def test_raw_terms_refuses_a_fractional_coefficient():

@@ -201,7 +201,8 @@ def test_usage_error_exits_two(capsys):
 def test_pair_cap_env_var(capsys, tmp_path, monkeypatch):
     ideal = tmp_path / "k.ideal"
     ideal.write_text(
-        "vars: a,b,c\na^2 + b^2 + c^2 - a\na*b + b*c - b\na + 2*b + 2*c - 1\n"
+        "vars: a,b,c,d\na^2 + 2*b^2 + 2*c^2 + 2*d^2 - a\n2*a*b + 2*b*c + 2*c*d - b\n"
+        "b^2 + 2*a*c + 2*b*d - c\na + 2*b + 2*c + 2*d - 1\n"
     )
     monkeypatch.setenv("ORBITCOMPAT_MAX_PAIRS", "1")
     code, _, err = run(capsys, "gb", "--ideal", str(ideal))

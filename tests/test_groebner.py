@@ -108,9 +108,15 @@ def test_generator_permutations_reach_the_same_basis(fibration_110):
 
 
 def test_resource_limit_raises():
-    # katsura-style dense quadrics trip a two-pair cap immediately
-    ctx = VarContext(["a", "b", "c"])
-    gens = ideal(ctx, "a^2 + b^2 + c^2 - a", "a*b + b*c - b", "a + 2*b + 2*c - 1")
+    # katsura-3's dense quadrics need three S-pairs, so a one-pair cap trips
+    ctx = VarContext(["a", "b", "c", "d"])
+    gens = ideal(
+        ctx,
+        "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+        "2*a*b + 2*b*c + 2*c*d - b",
+        "b^2 + 2*a*c + 2*b*d - c",
+        "a + 2*b + 2*c + 2*d - 1",
+    )
     with pytest.raises(ResourceLimitExceeded):
         buchberger(gens, GREVLEX, GBLimits(max_pairs=1))
 

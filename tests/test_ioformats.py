@@ -82,6 +82,7 @@ def test_ideal_file_parse_error_counts_the_indent():
         ("vars: x,,y\n", "line 1: invalid variable name ''"),
         ("vars: x, y,\n", "line 1: invalid variable name ''"),
         ("vars: ,x\n", "line 1: invalid variable name ''"),
+        ("vars: x\nx - 1\nx^99999999999999\n", "line 3: monomial exponent overflow"),
     ],
 )
 def test_ideal_file_header_errors_name_their_line(text, message):
@@ -134,6 +135,7 @@ def test_ideal_json_round_trip():
         ('{"vars": ["_x"], "generators": []}', 'ideal JSON: "vars": invalid variable name \'_x\''),
         ('{"vars": ["x", "x"], "generators": []}', 'ideal JSON: "vars": duplicate variable name \'x\''),
         ('{"vars": [], "generators": []}', 'ideal JSON: "vars": context needs at least one variable'),
+        ('{"vars": ["x"], "generators": ["x", "x^99999999999999"]}', "generators[1]: monomial exponent overflow"),
     ],
 )
 def test_ideal_json_errors_name_their_field(text, message):
