@@ -63,18 +63,25 @@ grown past twice the bit length it had after the last pass, and never below
 dividing out small factors leaves later leaders coprime to the reducers'
 leading coefficients, so more steps scale the whole remainder.
 
-``buchberger`` reduces its inputs against each other, runs one of two pair
-loops, and reduces the tails of the minimal basis the loop returns
-(``_tail_reduced``); the loops share the S-polynomial (``_spoly``) and
-``_reduce``.  The signature loop runs when at most ``nvars`` inputs remain,
-the Gebauer-Moeller (GM) loop otherwise.  A regular sequence has at most
-``nvars`` elements, and on a homogeneous one the signature loop reduces no
-pair to zero; on the six ``sl4-closures`` fibre runs it reduced 9 pairs to
-zero where GM reduced 53, in about half the time.  With more generators
-GM's reductions to zero are cheap and its bookkeeping is lighter: on the 16
-quadrics of the sl(4) minimal orbit, in 15 variables, the signature loop
-took five times as long.  Both loops count against ``max_pairs`` the
-S-pairs they reduce, not the pairs their criteria discard.
+``buchberger`` interreduces its inputs, runs one of two pair loops, and
+interreduces the minimal basis the loop returns into the reduced one
+(Becker and Weispfenning, "Groebner Bases", 1993, section 5.4).  A pass of
+``_interreduce`` reduces each polynomial against the results before it and
+the polynomials after it, so after a pass that moved no leading monomial
+every result is irreducible by the final leading monomials: another pass
+runs only if one moved, and on a minimal basis none does.  Every polynomial
+the engine makes goes through ``_capped``, which raises the running degree
+bound to its total degree and refuses it past ``max_degree``.  The loops
+share the S-polynomial (``_spoly``) and ``_reduce``.  The signature loop
+runs when at most ``nvars`` inputs remain, the Gebauer-Moeller (GM) loop
+otherwise.  A regular sequence has at most ``nvars`` elements, and on a
+homogeneous one the signature loop reduces no pair to zero; on the six
+``sl4-closures`` fibre runs it reduced 9 pairs to zero where GM reduced 53,
+in about half the time.  With more generators GM's reductions to zero are
+cheap and its bookkeeping is lighter: on the 16 quadrics of the sl(4)
+minimal orbit, in 15 variables, the signature loop took five times as long.
+Both loops count against ``max_pairs`` the S-pairs they reduce, not the
+pairs their criteria discard.
 
 The GM loop keeps one record per critical pair, ``(key of lcm, pack of lcm,
 i, j, lcm)``, made once when ``update`` creates the pair.  The
@@ -377,50 +384,57 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     Every exponent has length ``nvars``, which sizes the packs.  Returns a
     list of primitive integer polynomials as [(exp, int)] lists, each sorted
     descending in the order, the basis sorted ascending by leading monomial.
-    Raises ResourceLimitExceeded past the caps, and before making a monomial
+    Raises ResourceLimitExceeded past the caps, ``max_degree`` bounding the
+    total degree of every polynomial it makes, and before making a monomial
     of total degree 2^31 or more.
     """
-    shift = _layout(nvars)[2]
-    polys = []
-    for g in gens:
-        p = _attach_keys(g, kind, block)
-        if p:
-            polys.append(p)
-    if not polys:
-        return []
-
+    polys = key_basis(gens, kind, block)
     # the degree bound of every _reduce call: the largest total degree of
     # any polynomial made so far
-    top = max(_top(p, shift) for p in polys)
-
-    # Mutual pre-reduction of the inputs until stable; cheap and trims the
-    # pair set considerably.
-    while True:
-        polys.sort(key=_lead_key)
-        nxt = []
-        changed = False
-        for i, p in enumerate(polys):
-            others = nxt + polys[i + 1 :]
-            r = _reduce(p, others, nvars, top)[0] if others else p
-            if r:
-                nxt.append(r)
-            if r != p:
-                changed = True
-                top = max(top, _top(r, shift))
-        polys = nxt
-        if not changed:
-            break
-
+    top = _top(chain.from_iterable(polys), _layout(nvars)[2])
+    polys, top = _interreduce(polys, nvars, top, max_degree)
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= nvars else _gm_loop
     divisors, top = loop(polys, nvars, kind, block, max_pairs, max_degree, top)
-    return _tail_reduced(divisors, nvars, top)
+    return [_strip_keys(p, nvars) for p in _interreduce(divisors, nvars, top, max_degree)[0]]
+
+
+def _interreduce(polys, nvars, top, max_degree):
+    """``polys`` interreduced, sorted by leading key, and their degree bound;
+    ``top`` bounds the degree of ``polys``.  Zeros are dropped.
+    """
+    shift = _layout(nvars)[2]
+    while True:
+        polys.sort(key=_lead_key)
+        done = []
+        moved = False
+        for i, p in enumerate(polys):
+            others = done + polys[i + 1 :]
+            r = _reduce(p, others, nvars, top)[0] if others else p
+            if r:
+                top = _capped(r, shift, top, max_degree)
+                moved = moved or r[0][0] != p[0][0]
+                done.append(r)
+        polys = done
+        if not moved:
+            return polys, top
+
+
+def _capped(r, shift, top, max_degree):
+    """``top`` raised to the total degree of ``r``; raises
+    ResourceLimitExceeded if that exceeds ``max_degree``."""
+    degree = _top(r, shift)
+    if degree > max_degree:
+        raise ResourceLimitExceeded(
+            f"degree cap {max_degree} exceeded by a polynomial of degree {degree}"
+        )
+    return max(top, degree)
 
 
 def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
     """A minimal Groebner basis of the polynomials ``f`` by Gebauer-Moeller.
 
-    ``f`` is pre-reduced and sorted by leading key, and ``top`` its degree
+    ``f`` is interreduced and sorted by leading key, and ``top`` its degree
     bound.  Returns the basis sorted by leading key, and the degree bound
     of every polynomial made.
     """
@@ -483,10 +497,9 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
         r, _ = _reduce(_spoly(f, key, lcm, i1, i2, top, shift), divisors, nvars, top)
         if not r:
             continue
-        _degree_cap(r, shift, max_degree)
+        top = _capped(r, shift, top, max_degree)
         f.append(r)
         exps.append(_unpack(r[0][1], nvars))
-        top = max(top, _top(r, shift))
         G, CP = update(G, CP, len(f) - 1)
         divisors = sorted((f[ig] for ig in G), key=_lead_key)
 
@@ -520,29 +533,10 @@ def _spoly(f, key, lcm, i1, i2, top, shift):
     )
 
 
-def _degree_cap(r, shift, max_degree):
-    if r[0][1] >> shift > max_degree:
-        raise ResourceLimitExceeded(f"degree cap {max_degree} exceeded")
-
-
-def _tail_reduced(divisors, nvars, top):
-    """The reduced basis from a minimal one sorted by leading key.
-
-    Each member's tail is reduced against the rest, which gives the unique
-    reduced basis; returned as [(exp, int)] lists sorted by leading key.
-    """
-    result = []
-    for idx, g in enumerate(divisors):
-        others = divisors[:idx] + divisors[idx + 1 :]
-        result.append(_reduce(g, others, nvars, top)[0] if others else g)
-    result.sort(key=_lead_key)
-    return [_strip_keys(p, nvars) for p in result]
-
-
 def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
     """A minimal Groebner basis of the polynomials ``f`` by signatures.
 
-    ``f`` is pre-reduced and sorted by leading key, and ``top`` its degree
+    ``f`` is interreduced and sorted by leading key, and ``top`` its degree
     bound.  Returns the basis sorted by leading key, and the degree bound
     of every polynomial made.  A polynomial's signature is ``t*e_i``, kept
     as ``(key, i, pack)`` of ``t*lm(f[i])``: the Schreyer order compares
@@ -623,11 +617,10 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
             for s, p in zip(sigs, f)
         ):
             continue
-        _degree_cap(r, shift, max_degree)
+        top = _capped(r, shift, top, max_degree)
         f.append(r)
         sigs.append((sk, i, sp))
         exps.append(_unpack(pr, nvars))
-        top = max(top, _top(r, shift))
         add_pairs(len(f) - 1)
 
     # keep one polynomial per minimal leading monomial; a divisor's key is

@@ -48,7 +48,9 @@ __all__ = [
 class GBLimits:
     """Caps for a Buchberger run; generous defaults for this problem size.
 
-    Raises ValueError on a negative cap.
+    ``max_pairs`` bounds the S-pairs reduced, and ``max_degree`` the total
+    degree of every generator and of every polynomial the engine makes,
+    under any monomial order.  Raises ValueError on a negative cap.
     """
 
     max_pairs: int = 500_000
@@ -147,7 +149,8 @@ def buchberger(
     Deterministic: the reduced basis is unique for (ideal, order), so the
     result does not depend on generator order or pair selection.  Raises
     ResourceLimitExceeded when a generator's degree exceeds
-    ``limits.max_degree``, as the kernel does for the polynomials it makes.
+    ``limits.max_degree``, before the kernel runs, and when the total degree
+    of any polynomial the kernel makes does, under any monomial order.
     """
     top = max((g.degree() for g in I.generators), default=-1)
     if top > limits.max_degree:

@@ -143,6 +143,16 @@ def test_input_degree_cap_raises_before_the_kernel(monkeypatch):
         buchberger(closed, GREVLEX, GBLimits(max_degree=2))
 
 
+def test_degree_cap_bounds_every_polynomial_the_kernel_makes():
+    # under lex, x - y^3 reduces the quadric x^2 - 1 to y^6 - 1
+    xy = VarContext(["x", "y"])
+    I = ideal(xy, "x - y^3", "x^2 - 1")
+    with pytest.raises(ResourceLimitExceeded, match="degree cap 3"):
+        buchberger(I, LEX, GBLimits(max_degree=3))
+    G = buchberger(I, LEX, GBLimits(max_degree=6))
+    assert G.basis == (P("y^6 - 1", xy), P("x - y^3", xy))
+
+
 # -- normal form ----------------------------------------------------------------
 
 

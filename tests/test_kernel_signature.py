@@ -1,8 +1,8 @@
 """The pure engine's signature pair loop, against its Gebauer-Moeller loop.
 
 ``pure.buchberger`` takes the signature loop when at most ``nvars``
-generators remain after the mutual pre-reduction.  Both loops end in the
-same tail reduction and a reduced basis is unique, so on every input here
+generators remain after interreducing them.  Both loops end in the same
+interreduction and a reduced basis is unique, so on every input here
 the two must return bit-identical bases; the GM loop is the reference.
 """
 
