@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -142,9 +143,11 @@ def _det(rows: list[list[MultiPoly]], ctx: VarContext) -> MultiPoly:
     return out
 
 
+@cache
 def generic_matrix(n: int) -> GenericMatrix:
     """The generic element of sl(n+1): n diagonal coordinates and n(n+1)
-    off-diagonal ones, trace identically zero."""
+    off-diagonal ones, trace identically zero.  Built once per rank and
+    shared, like its context."""
     if n < 1:
         raise PolyError("matrix size parameter must be >= 1")
     xs, ys, zs = _coordinate_names(n)
@@ -197,11 +200,31 @@ def orbit_ideal_minpoly(spec: DiagSpec) -> OrbitIdeal:
     )
 
 
+@cache
+def _shifted_det(n: int) -> tuple[dict, ...]:
+    """det(A + s) for the generic matrix A of sl(n+1) and a fresh variable s,
+    as its coefficients D_0..D_{n+1} in powers of s: D_k maps monomials in
+    A's context to coefficients."""
+    A = generic_matrix(n)
+    ctx = A.ctx.extend(A.ctx.fresh_name("s"))
+    s = MultiPoly.variable(ctx, ctx.names[-1])
+    rows = [
+        [e.map_context(ctx) + s if i == j else e.map_context(ctx) for j, e in enumerate(row)]
+        for i, row in enumerate(A.entries)
+    ]
+    parts = tuple({} for _ in range(n + 2))
+    for mono, c in _det(rows, ctx).terms.items():
+        parts[mono[-1]][mono[:-1]] = int(c)
+    return parts
+
+
 def orbit_ideal_charvalues(spec: DiagSpec, shifts) -> OrbitIdeal:
     """Orbit ideal from shifted determinants det(A + s) for s in shifts.
 
     Each -s must be an eigenvalue, otherwise the generator would not vanish
-    on the orbit; n distinct shifts are required.
+    on the orbit; n distinct shifts are required.  det(A + s) is expanded
+    once per rank, as a polynomial in a fresh variable s, and each generator
+    is read off it as sum_k shift^k D_k: no determinant is taken per call.
     """
     shifts = tuple(Fraction(s) for s in shifts)
     if len(set(shifts)) != len(shifts):
@@ -212,7 +235,16 @@ def orbit_ideal_charvalues(spec: DiagSpec, shifts) -> OrbitIdeal:
         if -s not in spec.eigenvalues:
             raise PolyError(f"-({s}) is not an eigenvalue of {spec.eigenvalues}")
     A = generic_matrix(spec.n)
-    gens = [A.add_scalar(s).det() for s in shifts]
+    gens = []
+    for s in shifts:
+        # D_k's coefficients are ints, so an integral shift stays in ints
+        s = s.numerator if s.denominator == 1 else s
+        terms: dict = {}
+        for k, part in enumerate(_shifted_det(spec.n)):
+            p = s**k
+            for mono, c in part.items():
+                terms[mono] = terms.get(mono, 0) + c * p
+        gens.append(MultiPoly(A.ctx, terms))
     return OrbitIdeal(spec, "charvalues", IdealPresentation(A.ctx, gens), A)
 
 
@@ -243,15 +275,9 @@ def weyl_critical(H: DiagSpec, H0: DiagSpec) -> WeylCritical:
     values of the potential given by H."""
     if H.size != H0.size:
         raise PolyError("H and H0 sizes differ")
-    points: list[tuple[Fraction, ...]] = []
-    values: set[Fraction] = set()
-    for perm in permutations(H0.eigenvalues):
-        if perm in points:
-            continue
-        points.append(perm)
-        values.add(sum(h * a for h, a in zip(H.eigenvalues, perm)))
-    points.sort()
-    return WeylCritical(tuple(points), tuple(sorted(values)))
+    points = tuple(sorted(set(permutations(H0.eigenvalues))))
+    values = {sum(h * a for h, a in zip(H.eigenvalues, p)) for p in points}
+    return WeylCritical(points, tuple(sorted(values)))
 
 
 def cut_by_potential(

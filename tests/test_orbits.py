@@ -1,10 +1,14 @@
 """Orbit ideals, potentials, Weyl critical data and the vertical fibre."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
+from orbitcompat import orbits
 from orbitcompat import (
     DiagSpec,
     IdealPresentation,
@@ -121,6 +125,75 @@ def test_charvalues_orbit_62():
     assert orb.presentation.generators[1] == A.add_scalar(2).det()
 
 
+# (eigenvalues, shifts) for n = 1..4: fractional shifts, a non-regular
+# spectrum, and the sl(5) regular orbit of benchmarks/bench_gb.py sl5-fibre
+CHARVALUES_CASES = [
+    ([Fraction(1, 2), Fraction(-1, 2)], [Fraction(1, 2)]),
+    ([1, 0, -1], [1, 0]),
+    ([Fraction(2, 3), Fraction(1, 3), -1], [Fraction(-2, 3), 1]),
+    ([1, 1, -2], [2, -1]),
+    ([3, 1, -1, -3], [-3, -1, 1]),
+    (
+        [Fraction(5, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-7, 3)],
+        [Fraction(-5, 2), Fraction(1, 2), Fraction(7, 3)],
+    ),
+    ([2, 1, 0, -1, -2], [-2, -1, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("eigenvalues,shifts", CHARVALUES_CASES)
+def test_charvalues_generators_are_laplace_determinants(eigenvalues, shifts):
+    orb = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
+    A = orb.matrix
+    assert len(orb.presentation.generators) == len(shifts)
+    for g, s in zip(orb.presentation.generators, shifts):
+        assert g == A.add_scalar(s).det()
+
+
+def _gauss_det(M):
+    """det of a square Fraction matrix by Gaussian elimination."""
+    M = [list(row) for row in M]
+    m, det = len(M), Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if M[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, m):
+            f = M[r][col] / M[col][col]
+            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return det
+
+
+@pytest.mark.parametrize("eigenvalues,shifts", CHARVALUES_CASES)
+def test_charvalues_generators_at_rational_matrices(eigenvalues, shifts):
+    # a second algorithm: the value of each generator at a rational point is
+    # det(M + s) of the matrix M there, by elimination rather than expansion
+    orb = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
+    A = orb.matrix
+    rng = random.Random(0)
+    for _ in range(3):
+        point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in A.ctx.names}
+        M = [[e.substitute(point).constant_term() for e in row] for row in A.entries]
+        for g, s in zip(orb.presentation.generators, shifts):
+            shifted = [[v + s if i == j else v for j, v in enumerate(row)] for i, row in enumerate(M)]
+            assert g.substitute(point).constant_term() == _gauss_det(shifted)
+
+
+def test_charvalues_generators_do_not_depend_on_earlier_ranks():
+    orbits._shifted_det.cache_clear()
+    first = orbit_ideal_charvalues(DiagSpec([3, -1, -2]), [1, 2]).presentation
+    sl4 = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1]).presentation
+    again = orbit_ideal_charvalues(DiagSpec([3, -1, -2]), [1, 2]).presentation
+    assert len(sl4.ctx) == 15 and len(again.ctx) == 8
+    assert again.generators == first.generators
+    # one matrix and context per rank, shared by the orbit and the potential
+    assert potential(DiagSpec([1, -1, 0]), 2).poly.ctx is again.ctx
+
+
 def test_charvalues_rejects_bad_shift():
     with pytest.raises(PolyError):
         orbit_ideal_charvalues(DiagSpec([1, 0, -1]), [0, -2])
@@ -173,6 +246,17 @@ def test_critical_values_match_potential_at_points(h, h0, npoints, values):
         sub.update({xs[i]: point[i] for i in range(len(xs))})
         got = pot.substitute(sub).constant_term()
         assert got in crit.values
+
+
+def test_weyl_critical_point_count_is_multinomial():
+    # the distinct permutations of a spectrum with multiplicities m_i number
+    # (n+1)! / prod m_i!
+    H0 = DiagSpec([2, 2, 1, -1, -2, -2])
+    crit = weyl_critical(DiagSpec([5, 3, 1, -1, -3, -5]), H0)
+    mults = Counter(H0.eigenvalues).values()
+    assert len(crit.points) == factorial(6) // prod(map(factorial, mults)) == 180
+    assert list(crit.points) == sorted(set(crit.points))
+    assert all(sorted(p) == sorted(H0.eigenvalues) for p in crit.points)
 
 
 def test_negation_symmetric_values_for_symmetric_spectrum():
