@@ -123,7 +123,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from struct import Struct
 
 from ..errors import ResourceLimitExceeded
@@ -149,15 +149,8 @@ def make_key(exp, kind, block):
     if kind == 0:
         return exp
     if kind == 1:
-        return (sum(exp), *(-e for e in reversed(exp)))
-    head = exp[:block]
-    tail = exp[block:]
-    return (
-        sum(head),
-        *(-e for e in reversed(head)),
-        sum(tail),
-        *(-e for e in reversed(tail)),
-    )
+        return (sum(exp), *map(neg, reversed(exp)))
+    return make_key(exp[:block], 1, 0) + make_key(exp[block:], 1, 0)
 
 
 @lru_cache(maxsize=64)
@@ -238,8 +231,15 @@ def _lead_key(poly):
 
 
 def _strip_keys(poly, nvars):
-    """Engine poly -> [(exp, int)]."""
-    return [(_unpack(p, nvars), c) for _, p, c in poly]
+    """Engine poly -> [(exp, int)].
+
+    The packs are written to one bytes object and read back by one
+    ``iter_unpack``; each exponent tuple drops the pack's degree field.
+    """
+    struct = _layout(nvars)[0]
+    size = struct.size
+    data = b"".join([p.to_bytes(size, "little") for _, p, _ in poly])
+    return [(e[:nvars], t[2]) for e, t in zip(struct.iter_unpack(data), poly)]
 
 
 def _content(terms):

@@ -56,7 +56,7 @@ def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
     at the end of the text.
     """
     index = {name: i for i, name in enumerate(ctx.names)}
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Fraction | int] = {}
     pos = 0
     m = _SIGN.match(text)  # optional before the first term, required after
     while True:
@@ -72,10 +72,10 @@ def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
                 raise ParseError("expected a number", item.end())
             if den is not None and not int(den):
                 raise ParseError("zero denominator", item.start(2))
-            coeff = Fraction(sign * int(num), int(den or 1))
+            coeff = sign * int(num) if den is None else Fraction(sign * int(num), int(den))
             pos = item.end()
         else:
-            coeff = Fraction(sign)
+            coeff = sign
         while True:
             if item:
                 # after a coefficient or a factor only '*' continues the term
@@ -95,7 +95,7 @@ def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
             exps[index[name]] += 1 if power is None else int(power)
             pos = item.end()
         mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + coeff
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
         m = _SIGN.match(text, pos)
         if not m:
             break
@@ -128,14 +128,14 @@ def poly_to_string(f: MultiPoly, order: MonomialOrder = GREVLEX) -> str:
     for mono in sorted(f.terms, key=order.key, reverse=True):
         coeff = f.terms[mono]
         mstr = _monomial_str(mono, f.ctx)
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+        neg = coeff.numerator < 0
+        mag = format_rational(coeff).lstrip("-")
         if not mstr:
-            body = format_rational(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mstr
         else:
-            body = f"{format_rational(mag)}*{mstr}"
+            body = f"{mag}*{mstr}"
         if not out:
             out.append(f"-{body}" if neg else body)
         else:

@@ -6,9 +6,12 @@ names) and is stored sparsely as a map from exponent tuples to nonzero
 map.  All values are immutable after construction, so everything here is safe
 to share between threads.
 
-The ``MultiPoly`` constructor is the one place that drops zero coefficients
-and checks exponents (none negative, none above ``MAX_EXPONENT``).  The
-arithmetic below only accumulates coefficients and may hand it zero sums.
+The ``MultiPoly`` constructor is the one place that drops zero coefficients,
+checks exponents (none negative, none above ``MAX_EXPONENT``) and makes
+coefficients Fractions.  The arithmetic below only accumulates: it stores
+the first coefficient it meets for a monomial and adds only when a second
+one collides with it, so it may hand the constructor zero sums, and the
+parser hands it integer coefficients as ints.
 
 Monomials are plain ``tuple[int, ...]`` exponent vectors, one entry per
 context variable.  Monomial orders are small objects exposing an additive
@@ -168,24 +171,22 @@ class MultiPoly:
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Fraction | int]):
         """Keep the nonzero terms of ``terms`` as Fractions.
 
-        This is the only normaliser: zero coefficients, sums that cancelled
-        included, are dropped here, and every kept monomial is checked for
-        its length and for a negative or overflowing exponent.
+        This is the only normaliser.  Zero coefficients, sums that cancelled
+        included, are dropped first, by truthiness, so a zero term is never
+        checked.  The kept monomials are then checked together, in one pass
+        per property: their length, then a negative exponent, then an
+        overflowing one.
         """
-        cleaned: dict[Monomial, Fraction] = {}
-        n = len(ctx)
-        for mono, coeff in terms.items():
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(mono) != n:
+        cleaned: dict[Monomial, Fraction] = {
+            m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c
+        }
+        if cleaned:
+            if set(map(len, cleaned)) != {len(ctx)}:
                 raise PolyError("monomial length does not match context")
-            if min(mono, default=0) < 0:
+            if min(map(min, cleaned)) < 0:
                 raise PolyError("negative exponent")
-            if max(mono, default=0) > MAX_EXPONENT:
+            if max(map(max, cleaned)) > MAX_EXPONENT:
                 raise PolyError("monomial exponent overflow")
-            cleaned[mono] = coeff
         self.ctx = ctx
         self.terms = cleaned
         self._hash = None
@@ -243,14 +244,14 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+            out[m] = out[m] + c if m in out else c
         return MultiPoly(self.ctx, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
+            out[m] = out[m] - c if m in out else -c
         return MultiPoly(self.ctx, out)
 
     def __mul__(self, other) -> "MultiPoly":
@@ -261,7 +262,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return MultiPoly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -315,15 +316,14 @@ class MultiPoly:
         """Replace the named variables with rational constants."""
         idx = {self.ctx.index(name): Fraction(v) for name, v in values.items()}
         out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            c = coeff
+        for mono, c in self.terms.items():
             new = list(mono)
             for i, v in idx.items():
                 if mono[i]:
                     c *= v ** mono[i]
                 new[i] = 0
             key = tuple(new)
-            out[key] = out.get(key, 0) + c
+            out[key] = out[key] + c if key in out else c
         return MultiPoly(self.ctx, out)
 
     def map_context(self, new_ctx: VarContext) -> "MultiPoly":
@@ -362,10 +362,9 @@ def homogenise_poly(f: MultiPoly, tvar: str) -> MultiPoly:
     if f.is_zero():
         raise PolyError("cannot homogenise the zero polynomial")
     ctx = f.ctx.extend(tvar)
-    d = f.degree()
-    out = {}
-    for mono, coeff in f.terms.items():
-        out[mono + (d - sum(mono),)] = coeff
+    degrees = list(map(sum, f.terms))
+    d = max(degrees)
+    out = {mono + (d - e,): c for (mono, c), e in zip(f.terms.items(), degrees)}
     return MultiPoly(ctx, out)
 
 
@@ -374,7 +373,7 @@ def dehomogenise_poly(f: MultiPoly, tvar: str) -> MultiPoly:
     ti = f.ctx.index(tvar)
     ctx = f.ctx.without([tvar])
     out: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
+    for mono, c in f.terms.items():
         key = mono[:ti] + mono[ti + 1 :]
-        out[key] = out.get(key, 0) + coeff
+        out[key] = out[key] + c if key in out else c
     return MultiPoly(ctx, out)

@@ -11,12 +11,15 @@ from orbitcompat import (
     GREVLEX,
     LEX,
     ContextMismatch,
+    IdealPresentation,
     MultiPoly,
     PolyError,
     VarContext,
+    buchberger,
     dehomogenise_poly,
     elimination,
     homogenise_poly,
+    normal_form,
     parse_poly,
 )
 from operator import add
@@ -107,8 +110,9 @@ def test_context_mismatch_raises():
         lambda: dehomogenise_poly(P("t*x - x", VarContext(["x", "t"])), "t"),
         lambda: P("x^2 + 3*y").scale(0),
         lambda: P("x*y - y*x"),
+        lambda: P("2*x*y + y*x - 3*x*y"),
     ],
-    ids=["sub", "mul", "substitute", "dehomogenise", "scale", "parse"],
+    ids=["sub", "mul", "substitute", "dehomogenise", "scale", "parse", "parse-ints"],
 )
 def test_zero_terms_never_stored(make):
     f = make()
@@ -127,6 +131,64 @@ def test_construction_rejects_out_of_range_exponents():
     with pytest.raises(PolyError, match="overflow"):
         MultiPoly(ctx, {(0, MAX_EXPONENT + 1): 1})
     assert MultiPoly(ctx, {(MAX_EXPONENT, 0): 2}).terms == {(MAX_EXPONENT, 0): 2}
+
+
+def test_construction_rejects_a_monomial_of_the_wrong_length():
+    ctx = VarContext(["x", "y"])
+    with pytest.raises(PolyError, match="^monomial length does not match context$"):
+        MultiPoly(ctx, {(1, 0): 1, (1, 0, 0): 2})
+    with pytest.raises(PolyError, match="^monomial length does not match context$"):
+        MultiPoly(ctx, {(1,): 1})
+
+
+def test_zero_coefficients_are_dropped_before_any_monomial_check():
+    ctx = VarContext(["x", "y"])
+    assert MultiPoly(ctx, {(1, -1): 0}).is_zero()
+    assert MultiPoly(ctx, {(1, -1): Fraction(0), (0,): 0}).terms == {}
+    assert MultiPoly(ctx, {(0, MAX_EXPONENT + 1): 0, (1, 1): 3}).terms == {(1, 1): 3}
+
+
+# every construction route, each against a fixed polynomial.  The arithmetic
+# adds coefficients only where monomials collide and parse_poly passes
+# integer coefficients on as ints, so only the constructor makes them
+# Fractions; an int stored in terms fails the type check here
+F = Fraction
+X, Y, Z, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+_LINEAR = IdealPresentation(XY, [P("2*x - 1"), P("3*y + 2"), P("z - x")])
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (lambda: P("x + 1/2") + P("x - y"), {X: F(2), ONE: F(1, 2), Y: F(-1)}),
+        (lambda: P("x + y") - P("x - 2*z"), {Y: F(1), Z: F(2)}),
+        (lambda: P("x + 1") * P("x - 1/3"), {(2, 0, 0): F(1), X: F(2, 3), ONE: F(-1, 3)}),
+        (lambda: P("x - y") * P("x + y"), {(2, 0, 0): F(1), (0, 2, 0): F(-1)}),
+        (lambda: P("x + 1/2").scale(4), {X: F(4), ONE: F(2)}),
+        (lambda: 3 * P("x"), {X: F(3)}),
+        (lambda: P("x*y + 2*y - z").substitute({"x": 2, "z": F(1, 2)}), {Y: F(4), ONE: F(-1, 2)}),
+        (
+            lambda: dehomogenise_poly(P("x*t + 2*x - t^2", VarContext(["x", "t"])), "t"),
+            {(1,): F(3), (0,): F(-1)},
+        ),
+        (lambda: homogenise_poly(P("x^2 + 2"), "t"), {(2, 0, 0, 0): F(1), (0, 0, 0, 2): F(2)}),
+        (lambda: buchberger(_LINEAR).basis[0], {Z: F(1), ONE: F(-1, 2)}),
+        (lambda: normal_form(P("x*y + z"), buchberger(_LINEAR)), {ONE: F(1, 6)}),
+        (lambda: P("3*x - 2"), {X: F(3), ONE: F(-2)}),
+        (lambda: P("1/2*x - 3/4*y"), {X: F(1, 2), Y: F(-3, 4)}),
+        (lambda: P("2*x*y + y*x - 3*x*y + 5*z - z"), {Z: F(4)}),
+        (lambda: P("2*x*y + y*x + 1/2*y*x"), {(1, 1, 0): F(7, 2)}),
+    ],
+    ids=[
+        "add", "sub", "mul", "mul-cancel", "scale", "rmul", "substitute",
+        "dehomogenise", "homogenise", "buchberger", "normal_form",
+        "parse-int", "parse-fraction", "parse-repeated", "parse-mixed",
+    ],
+)
+def test_every_route_stores_fraction_coefficients(make, want):
+    f = make()
+    assert f.terms == want
+    assert all(type(c) is Fraction for c in f.terms.values())
 
 
 # -- ring axioms on random small polynomials ----------------------------------
