@@ -28,16 +28,18 @@ the sl4-minimal and sl5-minimal closures against the Segre P^3 x P^3
 and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective dimension
 2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8, and the sl5-fibre
 closure against Kostant's: h-vector the q-factorial [5]_q!, so
-(1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120, projective dimension 19.  A
-mismatch exits with status 1.
+(1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120, projective dimension 19.
+The closed forms are ``segre`` and ``kostant_fibre`` of
+``perfbench/oracles.py``.  A mismatch exits with status 1.
 
 The last column is the first 12 hex digits of the sha256 of the basis as
 the engine returns it, so two runs give bit-identical bases iff their
 columns agree.  Each workload's digest is checked against ``DIGESTS``, and
 a mismatch exits with status 1 too.
 
-The library is imported from ``src/`` next to this directory, so the script
-runs from a checkout without installing the package.
+The library is imported from ``src/`` next to this directory, and the
+oracles from ``perfbench/``, so the script runs from a checkout without
+installing the package.
 
 Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 """
@@ -47,10 +49,14 @@ import hashlib
 import statistics
 import sys
 import time
-from math import comb, factorial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "src"))
+# the closed forms the closures are checked against
+sys.path.insert(0, str(_ROOT / "perfbench"))
+
+import oracles  # noqa: E402
 
 from orbitcompat import (  # noqa: E402
     DiagSpec,
@@ -187,21 +193,7 @@ def closure_hilbert(basis, nvars):
     # homogenising each element with t appended last keeps its grevlex
     # leading monomial, so the closure's leading terms are these times t^0
     h = hilbert_of_leading_terms([terms[0][0] + (0,) for terms in basis], nvars + 1)
-    return h.numerator, h.degree, h.proj_dim
-
-
-def segre(n):
-    """h-vector, degree and projective dimension of P^n x P^n."""
-    return tuple(comb(n, k) ** 2 for k in range(n + 1)), comb(2 * n, n), 2 * n
-
-
-def kostant(n):
-    """h-vector, degree and projective dimension of the closure of a regular
-    fibre of sl(n+1): the q-factorial [n+1]_q!, (n+1)! and n(n+1) - 1."""
-    h = [1]
-    for d in range(2, n + 2):
-        h = [sum(h[max(0, k - d + 1) : k + 1]) for k in range(len(h) + d - 1)]
-    return tuple(h), factorial(n + 1), n * (n + 1) - 1
+    return oracles.Hilbert(h.numerator, h.proj_dim, h.degree)
 
 
 # what each checked workload's basis must give: the standard monomial count
@@ -211,9 +203,9 @@ EXPECTED = {
     "katsura-5": (standard_monomials, 32),
     "katsura-6": (standard_monomials, 64),
     "cyclic-5": (standard_monomials, 70),
-    "sl4-minimal": (closure_hilbert, segre(3)),
-    "sl5-minimal": (closure_hilbert, segre(4)),
-    "sl5-fibre": (closure_hilbert, kostant(4)),
+    "sl4-minimal": (closure_hilbert, oracles.segre(3)),
+    "sl5-minimal": (closure_hilbert, oracles.segre(4)),
+    "sl5-fibre": (closure_hilbert, oracles.kostant_fibre(4)),
 }
 
 # every workload's basis digest: a reduced basis is unique, and the engine

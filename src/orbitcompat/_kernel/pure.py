@@ -12,29 +12,29 @@ Orders are encoded as ``(kind, block)`` with kind 0 = lex, 1 = grevlex,
 2 = block elimination (grevlex on the first ``block`` variables, then
 grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
 ``make_key`` is the one copy of the three key formulas: ``polyring``'s
-``MonomialOrder.key`` calls it too.  Each formula is linear in the
-exponent, so the engine packs a key into one int: ``packed_key`` is the dot
-product of the exponent with per-variable weights, the weight of a variable
-being ``make_key`` of its unit vector read as signed 32-bit digits, most
+``MonomialOrder.key`` calls it too.  ``_encode`` makes a monomial's two
+ints, its key and its pack, with one degree sum and one degree check.  Each
+key formula is linear in the exponent, so the key is the dot product of the
+exponent with per-variable weights, the weight of a variable being
+``make_key`` of its unit vector read as signed 32-bit digits, most
 significant field first.  While a monomial's total degree is below 2^31
-every field of its key fits its digit, so packed keys order monomials as
-``make_key`` does and are injective; being a dot product they are additive,
-so a product's key is a sum of ints.
+every field of its key fits its digit, so keys order monomials as
+``make_key`` does and are injective; being a dot product they are additive.
 
-The exponent vector is packed too (Bachmann and Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998): ``_pack``
-lays out ``nvars + 1`` unsigned 32-bit fields, exponent ``i`` in field
-``i`` and the total degree in the top one.  A product's pack is the sum of
-the packs, the total degree is the pack shifted down by ``_layout``'s
-shift, and ``a`` divides ``b`` iff ``(pack(b) - pack(a)) & guard == 0``,
-the guard holding bit 31 of every exponent field: with every exponent below
-2^31 a nonnegative difference leaves the guard bits clear, and the lowest
-negative field of a difference sets its own.  Exponent tuples are made only
-at input, at output, for a new polynomial's leading monomial and for the
-lcms of ``update``.  Key and pack creation refuse a monomial of total
-degree 2^31 or more, and each reduction step checks that the monomials it
-makes stay below it, raising ``ResourceLimitExceeded`` rather than merging
-two monomials under one key.
+The pack is the packed exponent vector (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998): ``nvars +
+1`` unsigned 32-bit fields, exponent ``i`` in field ``i`` and the total
+degree in the top one.  A product's pack is the sum of the packs, the total
+degree is the pack shifted down by ``_layout``'s shift, and ``a`` divides
+``b`` iff ``(pack(b) - pack(a)) & guard == 0``, the guard holding bit 31 of
+every exponent field: with every exponent below 2^31 a nonnegative
+difference leaves the guard bits clear, and the lowest negative field of a
+difference sets its own.  Exponent tuples are made only at input, at
+output, for a new polynomial's leading monomial and for the candidate lcms
+of ``update``.  ``_encode`` refuses a monomial of total degree 2^31 or
+more, and each reduction step checks that the monomials it makes stay below
+it, raising ``ResourceLimitExceeded`` rather than merging two monomials
+under one key.
 
 A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
@@ -84,10 +84,12 @@ Both loops count against ``max_pairs`` the S-pairs they reduce, not the
 pairs their criteria discard.
 
 The GM loop keeps one record per critical pair, ``(key of lcm, pack of lcm,
-i, j, lcm)``, made once when ``update`` creates the pair.  The
-Gebauer-Moeller tests decide divisibility on the stored packs, and the
-normal strategy takes the next pair as ``min`` of the records: the order
-key is injective, so that is the smallest lcm, ties broken by the indices.
+i, j)``, made once when ``update`` creates it, and the records in a heap,
+as the signature loop does.  The key is injective, so the smallest record
+is the smallest lcm, ties broken by the indices (the normal strategy).  The
+basis is a list of indices in ascending order, and so are a new
+polynomial's candidate pairs: of several with one lcm, the chain test keeps
+at most the one of largest index.
 
 The signature loop follows Faugere's F5 (ISSAC 2002) in the form the
 Eder-Faugere survey (JSC 2017) gives.  Each polynomial carries a signature
@@ -120,7 +122,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd
 from operator import itemgetter, mul, neg
@@ -173,15 +175,6 @@ def _degree_guard(degree):
         )
 
 
-def packed_key(exp, kind, block):
-    """The int sort key of ``exp``: ordered as ``make_key``, and additive.
-
-    Raises ResourceLimitExceeded when ``exp`` has total degree 2^31 or more.
-    """
-    _degree_guard(sum(exp))
-    return sum(map(mul, exp, _weights(len(exp), kind, block)))
-
-
 @lru_cache(maxsize=64)
 def _layout(nvars):
     """``(struct, guard, shift)`` for packs of ``nvars`` exponents.
@@ -190,21 +183,24 @@ def _layout(nvars):
     least significant first; ``guard`` has bit 31 of every exponent field
     set; a pack shifted right by ``shift`` is its total degree.  The degree
     field needs no guard bit, since divisibility of the exponents implies
-    its own, and the lcms in ``update`` may take it past 2^31.
+    its own, and the candidate lcms in ``update`` may take it past 2^31.
     """
     guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(nvars))
     return Struct(f"<{nvars + 1}I"), guard, _FIELD_BITS * nvars
 
 
-def _pack(exp):
-    """The packed exponent vector of ``exp``: additive, and ordered by
-    divisibility through ``_layout``'s guard.
+def _encode(exp, kind, block):
+    """``(key, pack)`` of ``exp``: the int sort key, ordered as ``make_key``,
+    and the packed exponent vector, ordered by divisibility through
+    ``_layout``'s guard; both additive.
 
     Raises ResourceLimitExceeded when ``exp`` has total degree 2^31 or more.
     """
     degree = sum(exp)
     _degree_guard(degree)
-    return int.from_bytes(_layout(len(exp))[0].pack(*exp, degree), "little")
+    nvars = len(exp)
+    key = sum(map(mul, exp, _weights(nvars, kind, block)))
+    return key, int.from_bytes(_layout(nvars)[0].pack(*exp, degree), "little")
 
 
 def _unpack(pack, nvars):
@@ -215,7 +211,7 @@ def _unpack(pack, nvars):
 
 def _attach_keys(pairs, kind, block):
     """[(exp, int)] -> engine poly, normalised primitive."""
-    terms = [(packed_key(e, kind, block), _pack(e), c) for e, c in pairs if c]
+    terms = [(*_encode(e, kind, block), c) for e, c in pairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
     return _primitive(terms)
 
@@ -446,21 +442,23 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
 
     def update(G, B, ih):
         # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
-        # pair records (key of lcm, pack of lcm, ih, ig, lcm)
+        # pair records (key of lcm, pack of lcm, ih, ig)
         mh, ph = exps[ih], f[ih][0][1]
+        # an old pair goes if lm(h) divides its lcm and neither lcm with h
+        # equals it; lcm(i, h) divides the pair's lcm, so it equals it iff
+        # their degrees agree
         B = [
             pr
             for pr in B
             if (pr[1] - ph) & guard
-            or tuple(map(max, exps[pr[2]], mh)) == pr[4]
-            or tuple(map(max, exps[pr[3]], mh)) == pr[4]
+            or sum(map(max, exps[pr[2]], mh)) == pr[1] >> shift
+            or sum(map(max, exps[pr[3]], mh)) == pr[1] >> shift
         ]
         # of several new pairs with equal lcm the chain test keeps the last
-        # candidate, so candidate order decides which pair survives; it is
-        # the iteration order of a fresh copy of G
-        C = [(tuple(map(max, mh, exps[ig])), ig) for ig in set(G)]
+        # candidate, so the candidates go in ascending index order
+        C = [(tuple(map(max, mh, exps[ig])), ig) for ig in G]
         # the lcms' packs; their degree may pass 2^31, which the degree
-        # field holds and a kept pair's key refuses
+        # field holds and a kept pair's _encode refuses
         lcms = [int.from_bytes(pack_fields(*m, sum(m)), "little") for m, _ in C]
         D = []  # packs of the new pairs' lcms kept, coprime ones included
         for n, (m, ig) in enumerate(C):
@@ -472,12 +470,14 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
                 or any(not (pm - q) & guard for q in D)
             ):
                 D.append(pm)
-                B.append((packed_key(m, kind, block), pm, ih, ig, m))
-        G_new = {ig for ig in G if (f[ig][0][1] - ph) & guard}
-        G_new.add(ih)
-        return G_new, B
+                B.append((*_encode(m, kind, block), ih, ig))
+        heapify(B)
+        # ih is the largest index yet, so G stays ascending
+        G = [ig for ig in G if (f[ig][0][1] - ph) & guard]
+        G.append(ih)
+        return G, B
 
-    G = set()
+    G = []
     CP = []
     for i in range(len(f)):
         G, CP = update(G, CP, i)
@@ -488,12 +488,10 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
     while CP:
         # normal strategy: smallest lcm in the order, then smallest indices;
         # the key is injective, so comparing records compares exactly that
-        best = min(CP)
-        CP.remove(best)
+        key, lcm, i1, i2 = heappop(CP)
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
-        key, lcm, i1, i2, _ = best
         r, _ = _reduce(_spoly(f, key, lcm, i1, i2, top, shift), divisors, nvars, top)
         if not r:
             continue
@@ -575,7 +573,7 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
             if a[:2] != b[:2]:
                 note(*max(a, b)[1:])
             m = tuple(map(max, exps[n], exps[j]))
-            key, lcm = packed_key(m, kind, block), _pack(m)
+            key, lcm = _encode(m, kind, block)
             a = (skn + key - kn, i_n, n, j, key, lcm, spn + lcm - pn)
             b = (skj + key - kj, i_j, j, n, key, lcm, spj + lcm - pj)
             if a[:2] != b[:2]:
@@ -654,7 +652,7 @@ def normal_form(fpairs, basis, nvars, kind, block):
     ResourceLimitExceeded on, or before making, a monomial of total degree
     2^31 or more.
     """
-    terms = ((packed_key(e, kind, block), _pack(e), c) for e, c in fpairs)
+    terms = ((*_encode(e, kind, block), c) for e, c in fpairs)
     top = _top(chain.from_iterable(basis), _layout(nvars)[2])
     tail, mult = _reduce(terms, basis, nvars, top, track_multiplier=True)
     return _strip_keys(tail, nvars), mult

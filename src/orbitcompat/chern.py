@@ -127,7 +127,10 @@ class CompleteIntersectionSpec:
     degrees: tuple[int, ...]
 
     def __init__(self, ambient_dim: int, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        if any(int(d) != d for d in degrees):
+            raise ValueError("degrees must be integers")
+        degrees = tuple(map(int, degrees))
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be >= 0")
         if any(d < 1 for d in degrees):

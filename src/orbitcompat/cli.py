@@ -188,7 +188,7 @@ def cmd_gb(args) -> int:
 
 def cmd_euler(args) -> int:
     try:
-        degrees = [int(d) for d in args.degrees.split(",") if d.strip()] if args.degrees else []
+        degrees = parse_rational_list(args.degrees)
         spec = CompleteIntersectionSpec(args.ambient, degrees)
     except ValueError as e:
         raise CliError(str(e))

@@ -154,7 +154,12 @@ def hilbert_to_json(h: HilbertData) -> str:
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
+    """The comma-separated rationals of ``text``.  Empty text is the empty
+    list; a non-empty list with an empty entry is refused."""
+    parts = [part.strip(WHITESPACE) for part in text.split(",")] if text.strip(WHITESPACE) else []
+    if "" in parts:
+        raise PolyError(f"bad rational list {text!r}: empty entry")
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as e:
         raise PolyError(f"bad rational list {text!r}: {e}") from None

@@ -1,5 +1,5 @@
-"""The basis checks of ``benchmarks/bench_gb.py``, and the pair pruning of the
-pure engine on one of its systems.
+"""The basis checks of ``benchmarks/bench_gb.py``, and the pair pruning and
+pair selection of the pure engine on its systems.
 
 Systems, expected values and basis digests come from the script's own
 ``WORKLOADS``, ``EXPECTED`` and ``DIGESTS``, and bases from its own
@@ -9,8 +9,10 @@ seconds) and sl5-fibre (about a minute) are left to the script, whose
 ``--skip-slow`` leaves out only the last two.
 """
 
+import heapq
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,64 @@ def test_sl4_minimal_finishes_within_597_pairs():
     # pruning leaves 597 pairs to process; without the chain test on old
     # pairs 936 are left, without it on new pairs 1020
     finishes_within("sl4-minimal", 597)
+
+
+# Pair selection of the Gebauer-Moeller loop: every pop must take the
+# smallest pair record.  Bases and pair counts cannot see a wrong selection:
+# a loop that pops from a list that is no heap still ends with the reduced
+# basis, and on sl4-minimal within its 597 pairs.  So these tests read the
+# heap at each pop.
+
+
+@pytest.fixture
+def checked_pops(monkeypatch):
+    """Runs ``pure.buchberger`` on ``(gens, nvars, kind, block)`` with every
+    ``heappop`` of the GM loop checked; returns the number of pops it made
+    and the basis."""
+
+    def run(raw_args):
+        pops = []
+
+        def heappop(heap):
+            assert heap[0] == min(heap), f"pop {len(pops)} is not the smallest record"
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        def signature_loop(*args):
+            raise AssertionError("the signature loop ran, not the GM loop")
+
+        monkeypatch.setattr(pure, "heappop", heappop)
+        monkeypatch.setattr(pure, "_signature_loop", signature_loop)
+        limits = GBLimits()
+        basis = pure.buchberger(*raw_args, limits.max_pairs, limits.max_degree)
+        return len(pops), basis
+
+    return run
+
+
+def test_sl4_minimal_pops_the_smallest_pair(checked_pops):
+    pops, basis = checked_pops(bench_gb.WORKLOADS["sl4-minimal"][0]())
+    assert pops == 597
+    assert bench_gb.digest(basis) == bench_gb.DIGESTS["sl4-minimal"]
+
+
+def random_quadrics(seed, count, nvars):
+    """``count`` dense random quadrics, with constant and linear terms, in
+    ``nvars`` variables.  With more generators than variables GM runs, and
+    the basis is 1: the quadrics have no common zero."""
+    rng = random.Random(seed)
+    monomials = [
+        tuple(int(k == i) + int(k == j) for k in range(nvars))
+        for i in range(-1, nvars)
+        for j in range(i, nvars)
+    ]
+    return [[(m, rng.randint(-5, 5)) for m in monomials] for _ in range(count)]
+
+
+def test_seeded_quadrics_pop_the_smallest_pair(checked_pops):
+    # grevlex, six quadrics in four variables
+    pops, basis = checked_pops((random_quadrics(11, 6, 4), 4, 1, 0))
+    assert pops > 0 and basis == [[((0, 0, 0, 0), 1)]]
 
 
 def test_raw_terms_refuses_a_fractional_coefficient():

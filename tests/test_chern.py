@@ -90,6 +90,13 @@ def test_spec_validation():
         CompleteIntersectionSpec(2, [1, 1, 1])
     with pytest.raises(ValueError):
         CompleteIntersectionSpec(3, [0])
+    # a degree that is not an integer is refused, not truncated
+    for degrees in ([Fraction(7, 2), 2.9, 3], [Fraction(7, 2)], [2.9], [3, 2.5]):
+        with pytest.raises(ValueError, match="integers"):
+            CompleteIntersectionSpec(8, degrees)
+    # integer degrees, whatever their type, are kept as ints
+    spec = CompleteIntersectionSpec(8, [Fraction(3), 3.0, 1])
+    assert spec.degrees == (3, 3, 1) and all(type(d) is int for d in spec.degrees)
 
 
 def test_mul_div_inverse_on_random_units():

@@ -192,6 +192,22 @@ def test_domain_error_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--n", "2", "--h0", "1,,0,-1", "--shifts", "0,,-1"],
+        ["orbit", "--n", "2", "--h0", "1,0,-1", "--shifts", "0,,-1"],
+        ["critical", "--n", "2", "--h", "1,-1,0,", "--h0", "2,-1,-1"],
+        ["euler", "--ambient", "8", "--degrees", "3,,3,1,"],
+        ["euler", "--ambient", "8", "--degrees", "7/2,3,1"],
+    ],
+)
+def test_an_empty_or_fractional_list_entry_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["gb"])  # missing --ideal

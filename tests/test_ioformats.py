@@ -179,3 +179,15 @@ def test_parse_rational_list():
     assert [str(v) for v in vals] == ["1", "-1/2", "3"]
     with pytest.raises(PolyError):
         parse_rational_list("1, zebra")
+
+
+@pytest.mark.parametrize("text", ["1,,0,-1", "0,,-1", "1,-1,0,", ",1", "3, ,3", ","])
+def test_parse_rational_list_refuses_an_empty_entry(text):
+    with pytest.raises(PolyError, match="empty entry"):
+        parse_rational_list(text)
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t"])
+def test_parse_rational_list_of_empty_text_is_empty(text):
+    # an empty --degrees is the empty list of hypersurfaces, P^N itself
+    assert parse_rational_list(text) == []

@@ -1,7 +1,7 @@
-"""The pure engine's packed monomial keys and packed exponent vectors: keys
-ordered as ``make_key``, packs decoded exactly and ordered by divisibility,
-both additive below total degree 2^31 and refused, never merged, at or above
-it."""
+"""The pure engine's monomial encoding, ``_encode``'s packed keys and packed
+exponent vectors: keys ordered as ``make_key``, packs decoded exactly and
+ordered by divisibility, both additive below total degree 2^31 and refused,
+never merged, at or above it."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +11,11 @@ from orbitcompat import ResourceLimitExceeded
 from orbitcompat._kernel import pure
 
 TOP = 2**31 - 1  # the largest total degree a packed key holds
+
+
+def pack(e):
+    """The packed exponent vector of ``e``, which no order changes."""
+    return pure._encode(e, 1, 0)[1]
 
 
 @st.composite
@@ -47,7 +52,7 @@ def order_and_pair(draw):
 @given(order_and_pair())
 def test_packed_keys_order_as_make_key(case):
     _, kind, block, a, b = case
-    pa, pb = pure.packed_key(a, kind, block), pure.packed_key(b, kind, block)
+    pa, pb = pure._encode(a, kind, block)[0], pure._encode(b, kind, block)[0]
     ka, kb = pure.make_key(a, kind, block), pure.make_key(b, kind, block)
     assert (pa < pb) == (ka < kb)
     assert (pa > pb) == (ka > kb)
@@ -63,9 +68,9 @@ def test_packed_keys_add(data):
     c = data.draw(exponent(n))
     a = tuple(data.draw(st.integers(0, x)) for x in c)
     b = tuple(x - y for x, y in zip(c, a))
-    key = lambda e: pure.packed_key(e, kind, block)
-    assert key(c) == key(a) + key(b)
-    assert pure._pack(c) == pure._pack(a) + pure._pack(b)
+    (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, kind, block) for e in (c, a, b))
+    assert kc == ka + kb
+    assert pc == pa + pb
 
 
 SIZES = st.sampled_from([1, 3, 16, 26])
@@ -75,7 +80,7 @@ SIZES = st.sampled_from([1, 3, 16, 26])
 @given(SIZES, st.data())
 def test_unpack_inverts_pack(n, data):
     a = data.draw(exponent(n))
-    assert pure._unpack(pure._pack(a), n) == a
+    assert pure._unpack(pack(a), n) == a
 
 
 @st.composite
@@ -104,15 +109,17 @@ def test_pack_difference_decides_divisibility(case):
     n, a, b = case
     _, guard, _ = pure._layout(n)
     divides = all(x <= y for x, y in zip(a, b))
-    assert (not (pure._pack(b) - pure._pack(a)) & guard) == divides
+    assert (not (pack(b) - pack(a)) & guard) == divides
 
 
 @settings(max_examples=100, deadline=None)
 @given(SIZES, st.data())
 def test_a_pack_of_degree_2_31_raises(n, data):
     total = data.draw(st.one_of(st.just(2**31), st.integers(2**31, 2**33)))
+    kind = data.draw(st.sampled_from([0, 1, 2]))
+    block = data.draw(st.integers(0, n)) if kind == 2 else 0
     with pytest.raises(ResourceLimitExceeded):
-        pure._pack(data.draw(exponent(n, total)))
+        pure._encode(data.draw(exponent(n, total)), kind, block)
 
 
 # lex with x > y, and the basis x - y^(2^30)

@@ -26,7 +26,7 @@ LIMITS = GBLimits()
 
 
 def key(e):
-    return pure.packed_key(e, KIND, BLOCK)
+    return pure._encode(e, KIND, BLOCK)[0]
 
 
 def divides(a, b):
@@ -73,7 +73,7 @@ def random_poly(rng, terms, degree, coeff):
 
 
 def term(e, c):
-    return key(e), pure._pack(e), c
+    return *pure._encode(e, KIND, BLOCK), c
 
 
 def decoded(tail):
