@@ -21,21 +21,31 @@ Workloads:
                  generators in 24 variables, about a minute a run (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
+  sl4-naive      the naive closure of the first ``sl4-closures`` fibre of
+                 ``perfbench``: diag(3,1,-1,-3) (charvalues shifts -3,-1,1)
+                 under H = diag(3,1,-1,-3) at c = 0, 16 variables; the
+                 heaviest homogeneous run here, so the one that times the
+                 pair loops' top reduction
 
-Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
-monomials of its leading terms (the number of solutions with multiplicity),
-the sl4-minimal and sl5-minimal closures against the Segre P^3 x P^3
-and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective dimension
-2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8, and the sl5-fibre
-closure against Kostant's: h-vector the q-factorial [5]_q!, so
-(1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120, projective dimension 19.
-The closed forms are ``segre`` and ``kostant_fibre`` of
+Each run times ``pure.buchberger``, which returns a minimal basis, and
+``pure.interreduce``, which tail-reduces it, in two columns, the best of
+the repeats.  The checks read the leading terms of the minimal basis, which
+are the reduced basis's.  Each basis of katsura-5/6 and cyclic-5 is checked
+by counting the standard monomials of its leading terms (the number of
+solutions with multiplicity), the sl4-minimal and sl5-minimal closures
+against the Segre P^3 x P^3 and P^4 x P^4: h-vector (C(n,k)^2), degree
+C(2n,n), projective dimension 2n, so (1,9,9,1), 20, 6 and
+(1,16,36,16,1), 70, 8, the sl5-fibre closure against Kostant's: h-vector
+the q-factorial [5]_q!, so (1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120,
+projective dimension 19, and the sl4-naive closure against its component
+at infinity, projective dimension 12 and degree 4.  The closed forms are
+``segre``, ``kostant_fibre`` and ``infinity_component`` of
 ``perfbench/oracles.py``.  A mismatch exits with status 1.
 
-The last column is the first 12 hex digits of the sha256 of the basis as
-the engine returns it, so two runs give bit-identical bases iff their
-columns agree.  Each workload's digest is checked against ``DIGESTS``, and
-a mismatch exits with status 1 too.
+The last column is the first 12 hex digits of the sha256 of the reduced
+basis as the engine returns it, so two runs give bit-identical bases iff
+their columns agree.  Each workload's digest is checked against
+``DIGESTS``, and a mismatch exits with status 1 too.
 
 The library is imported from ``src/`` next to this directory, and the
 oracles from ``perfbench/``, so the script runs from a checkout without
@@ -46,7 +56,6 @@ Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 
 import argparse
 import hashlib
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,6 +66,7 @@ sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT / "perfbench"))
 
 import oracles  # noqa: E402
+from workloads import FIBRES_SL4  # noqa: E402
 
 from orbitcompat import (  # noqa: E402
     DiagSpec,
@@ -83,20 +93,18 @@ def raw_terms(polys):
     return raw
 
 
-def orbit_fibre_raw():
-    spec = DiagSpec([1, 0, -1])
-    orbit = orbit_ideal_charvalues(spec, [0, -1])
-    fib = fibre_ideal(orbit, DiagSpec([1, -1, 0]), 0)
-    hom = homogenise_naive(fib, "t")
-    return raw_terms(hom.generators), len(hom.ctx), 1, 0
+def fibre(eigenvalues, shifts, H, c):
+    orbit = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
+    return fibre_ideal(orbit, DiagSpec(H), c)
+
+
+# the 4-critical-value sl(3) fibre of orbit-fibre and orbit-saturate
+SL3_FIBRE = ([1, 0, -1], [0, -1], [1, -1, 0], 0)
 
 
 def orbit_saturate_raw():
     # the saturation workload: naive homogenisation + (1 - w*t), eliminate w
-    spec = DiagSpec([1, 0, -1])
-    orbit = orbit_ideal_charvalues(spec, [0, -1])
-    fib = fibre_ideal(orbit, DiagSpec([1, -1, 0]), 0)
-    hom = homogenise_naive(fib, "t")
+    hom = homogenise_naive(fibre(*SL3_FIBRE), "t")
     names = ("w",) + hom.ctx.names
     ctx = VarContext(names)
     gens = [g.map_context(ctx) for g in hom.generators]
@@ -109,9 +117,12 @@ def minimal_orbit_raw(eigenvalues):
     return raw_terms(orbit.presentation.generators), len(orbit.presentation.ctx), 1, 0
 
 
-def fibre_raw(eigenvalues, shifts, H, c):
-    orbit = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
-    fib = fibre_ideal(orbit, DiagSpec(H), c)
+def fibre_raw(eigenvalues, shifts, H, c, naive=False):
+    """The grevlex run of a fibre's saturated closure, or with ``naive`` of
+    its naive closure."""
+    fib = fibre(eigenvalues, shifts, H, c)
+    if naive:
+        fib = homogenise_naive(fib, "t")
     return raw_terms(fib.generators), len(fib.ctx), 1, 0
 
 
@@ -155,7 +166,7 @@ def cyclic(n):
 
 
 WORKLOADS = {
-    "orbit-fibre": (orbit_fibre_raw, False),
+    "orbit-fibre": (lambda: fibre_raw(*SL3_FIBRE, naive=True), False),
     # kept as the only elimination-order timing: no pipeline route or
     # perfbench workload runs `eliminate`
     "orbit-saturate": (orbit_saturate_raw, False),
@@ -163,6 +174,7 @@ WORKLOADS = {
     "katsura-5": (lambda: katsura(5), False),
     "cyclic-5": (lambda: cyclic(5), False),
     "katsura-6": (lambda: katsura(6), False),
+    "sl4-naive": (lambda: fibre_raw(*FIBRES_SL4[0][:4], naive=True), False),
     "sl5-minimal": (lambda: minimal_orbit_raw([1, 1, 1, 1, -4]), True),
     "sl5-fibre": (lambda: fibre_raw([2, 1, 0, -1, -2], [-2, -1, 0, 1], [2, 1, 0, -1, -2], 1), True),
 }
@@ -174,13 +186,17 @@ def digest(basis):
 
 
 def bench(raw_args, repeat):
-    times = []
-    basis = None
+    """``(best time of the minimal basis, best time of its tail reduction,
+    minimal basis, reduced basis)`` over ``repeat`` runs."""
+    loop_times, reduce_times = [], []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        basis = pure.buchberger(*raw_args, 2_000_000, 200)
-        times.append(time.perf_counter() - t0)
-    return min(times), statistics.mean(times), basis
+        minimal = pure.buchberger(*raw_args, 2_000_000, 200)
+        t1 = time.perf_counter()
+        reduced = pure.interreduce(minimal, *raw_args[1:], 200)
+        loop_times.append(t1 - t0)
+        reduce_times.append(time.perf_counter() - t1)
+    return min(loop_times), min(reduce_times), minimal, reduced
 
 
 def standard_monomials(basis, nvars):
@@ -196,9 +212,15 @@ def closure_hilbert(basis, nvars):
     return oracles.Hilbert(h.numerator, h.proj_dim, h.degree)
 
 
-# what each checked workload's basis must give: the standard monomial count
-# of a zero-dimensional system (2^n for katsura-n, 70 for cyclic-5), or the
-# Hilbert data of a closure
+def dimension_and_degree(basis, nvars):
+    # a homogeneous basis: its own leading terms give the Hilbert data
+    h = hilbert_of_leading_terms([terms[0][0] for terms in basis], nvars)
+    return oracles.Hilbert(None, h.proj_dim, h.degree)
+
+
+# what each checked workload's minimal basis must give: the standard
+# monomial count of a zero-dimensional system (2^n for katsura-n, 70 for
+# cyclic-5), or the Hilbert data of a closure
 EXPECTED = {
     "katsura-5": (standard_monomials, 32),
     "katsura-6": (standard_monomials, 64),
@@ -206,10 +228,11 @@ EXPECTED = {
     "sl4-minimal": (closure_hilbert, oracles.segre(3)),
     "sl5-minimal": (closure_hilbert, oracles.segre(4)),
     "sl5-fibre": (closure_hilbert, oracles.kostant_fibre(4)),
+    "sl4-naive": (dimension_and_degree, oracles.infinity_component(3)),
 }
 
-# every workload's basis digest: a reduced basis is unique, and the engine
-# returns it primitive and sorted, so a digest changes only when the
+# every workload's reduced basis digest: a reduced basis is unique, and the
+# engine returns it primitive and sorted, so a digest changes only when the
 # engine's output format does
 DIGESTS = {
     "orbit-fibre": "917ab68b9e04",
@@ -218,6 +241,7 @@ DIGESTS = {
     "katsura-5": "02e920507443",
     "cyclic-5": "2a7184a69e35",
     "katsura-6": "b6e59c868fb9",
+    "sl4-naive": "6dd319b81b13",
     "sl5-minimal": "2d1a7128ddca",
     "sl5-fibre": "02d0f55fb221",
 }
@@ -229,21 +253,21 @@ def main(argv=None):
     ap.add_argument("--skip-slow", action="store_true", help="leave out the workloads flagged slow")
     args = ap.parse_args(argv)
 
-    print(f"{'workload':<16} {'best':>9} {'mean':>9}  basis  sha256")
+    print(f"{'workload':<16} {'minimal':>9} {'reduce':>9}  basis  sha256")
     print("-" * 58)
     wrong = []
     for name, (make, slow) in WORKLOADS.items():
         if slow and args.skip_slow:
             continue
         raw_args = make()
-        best, mean, basis = bench(raw_args, args.repeat)
-        got = digest(basis)
-        print(f"{name:<16} {best:>8.3f}s {mean:>8.3f}s  {len(basis):>5}  {got}")
+        loop_s, reduce_s, minimal, reduced = bench(raw_args, args.repeat)
+        got = digest(reduced)
+        print(f"{name:<16} {loop_s:>8.3f}s {reduce_s:>8.3f}s  {len(reduced):>5}  {got}")
         if got != DIGESTS[name]:
             wrong.append(f"{name}: sha256 {got}, expected {DIGESTS[name]}")
         if name in EXPECTED:
             measure, want = EXPECTED[name]
-            got = measure(basis, raw_args[1])
+            got = measure(minimal, raw_args[1])
             if got != want:
                 wrong.append(f"{name}: {measure.__name__} {got}, expected {want}")
     for line in wrong:

@@ -8,5 +8,6 @@ from . import pure
 
 BACKEND = "pure"
 buchberger_raw = pure.buchberger
+interreduce_raw = pure.interreduce
 normal_form_raw = pure.normal_form
 key_basis = pure.key_basis

@@ -20,6 +20,9 @@ exponent with per-variable weights, the weight of a variable being
 significant field first.  While a monomial's total degree is below 2^31
 every field of its key fits its digit, so keys order monomials as
 ``make_key`` does and are injective; being a dot product they are additive.
+A grevlex key's digits are the pack's fields with the exponents negated,
+so ``_encode`` reads it off the pack as twice the degree field minus the
+pack, the same int without the dot product.
 
 The pack is the packed exponent vector (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998): ``nvars +
@@ -64,20 +67,32 @@ dividing out small factors leaves later leaders coprime to the reducers'
 leading coefficients, so more steps scale the whole remainder.
 
 ``buchberger`` interreduces its inputs, runs one of two pair loops, and
-interreduces the minimal basis the loop returns into the reduced one
-(Becker and Weispfenning, "Groebner Bases", 1993, section 5.4).  A pass of
+returns the minimal basis the loop ends with.  ``interreduce`` tail-reduces
+a minimal basis into the reduced one (Becker and Weispfenning, "Groebner
+Bases", 1993, section 5.4), so a caller that needs only leading monomials,
+as Hilbert data does, never pays for it; ``buchberger``'s output keeps its
+engine polynomials, so ``interreduce`` does not key them again.  A pass of
 ``_interreduce`` reduces each polynomial against the results before it and
 the polynomials after it, so after a pass that moved no leading monomial
 every result is irreducible by the final leading monomials: another pass
 runs only if one moved, and on a minimal basis none does.  Every polynomial
 the engine makes goes through ``_capped``, which raises the running degree
-bound to its total degree and refuses it past ``max_degree``.  The loops
-share the S-polynomial (``_spoly``) and ``_reduce``.  The signature loop
-runs when at most ``nvars`` inputs remain, the Gebauer-Moeller (GM) loop
-otherwise.  A regular sequence has at most ``nvars`` elements, and on a
-homogeneous one the signature loop reduces no pair to zero; on the six
-``sl4-closures`` fibre runs it reduced 9 pairs to zero where GM reduced 53,
-in about half the time.  With more generators GM's reductions to zero are
+bound to its total degree and refuses it past ``max_degree``.
+
+When the interreduced inputs are homogeneous under grevlex, the pair loops
+top-reduce: ``_reduce`` stops at the first irreducible leading term, which
+is all a pair loop reads, and every tail keeps the degree of its leading
+term.  Every other run reduces fully: under lex an unreduced tail can
+outgrow the degree cap that its reduced form meets, and katsura-6, an
+affine grevlex run, took twice as long with top reduction, its long
+unreduced tails slowing both the loop and ``interreduce``.
+
+The loops share the S-polynomial (``_spoly``) and ``_reduce``.  The
+signature loop runs when at most ``nvars`` inputs remain, the
+Gebauer-Moeller (GM) loop otherwise.  A regular sequence has at most
+``nvars`` elements, and on a homogeneous one the signature loop reduces no
+pair to zero; on the six ``sl4-closures`` fibre runs it reduced 9 pairs to
+zero where GM reduced 53, in about half the time.  With more generators GM's reductions to zero are
 cheap and its bookkeeping is lighter: on the 16 quadrics of the sl(4)
 minimal orbit, in 15 variables, the signature loop took five times as long.
 Both loops count against ``max_pairs`` the S-pairs they reduce, not the
@@ -199,8 +214,13 @@ def _encode(exp, kind, block):
     degree = sum(exp)
     _degree_guard(degree)
     nvars = len(exp)
-    key = sum(map(mul, exp, _weights(nvars, kind, block)))
-    return key, int.from_bytes(_layout(nvars)[0].pack(*exp, degree), "little")
+    struct, _, shift = _layout(nvars)
+    pack = int.from_bytes(struct.pack(*exp, degree), "little")
+    if kind == 1:
+        # the grevlex key's digits are the pack's fields, the exponents
+        # negated: the degree over -e_(n-1), ..., -e_0
+        return (degree << (shift + 1)) - pack, pack
+    return sum(map(mul, exp, _weights(nvars, kind, block))), pack
 
 
 def _unpack(pack, nvars):
@@ -259,7 +279,7 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=()):
+def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=(), top_only=False):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
@@ -279,6 +299,9 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=()):
     falls below its threshold: terms leave the remainder in descending key
     order, so it reduces exactly the terms whose keys lie below.  The list
     is consumed.
+
+    With ``top_only`` the reduction stops at the first irreducible leading
+    term and the tail after it is returned as it stands, reducible or not.
 
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled; steps, and
@@ -319,6 +342,8 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=()):
         else:
             # irreducible: it stays in h, at the remainder's scale
             h[k0] = c0
+            if top_only:
+                break
             continue
         terms = iter(g)
         gk, gp, gc = next(terms)
@@ -347,7 +372,8 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=()):
                     insort(order, sk)
             else:
                 del h[sk]
-    # every key is taken, so h holds exactly the irreducible terms
+    # h holds exactly the irreducible terms, and with top_only every term
+    # after the first of them
     tail = [(k, packs[k], h[k]) for k in sorted(h, reverse=True)]
     if not track_multiplier:
         return _primitive(tail), 1
@@ -375,24 +401,57 @@ def _divide_content(h, c0, mult, track_multiplier):
 
 
 def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
-    """Reduced Groebner basis of ``gens`` (list of [(exp, int)] term lists).
+    """Minimal Groebner basis of ``gens`` (list of [(exp, int)] term lists).
 
     Every exponent has length ``nvars``, which sizes the packs.  Returns a
     list of primitive integer polynomials as [(exp, int)] lists, each sorted
-    descending in the order, the basis sorted ascending by leading monomial.
-    Raises ResourceLimitExceeded past the caps, ``max_degree`` bounding the
-    total degree of every polynomial it makes, and before making a monomial
-    of total degree 2^31 or more.
+    descending in the order, the basis sorted ascending by leading monomial:
+    the leading monomials of the reduced basis, which ``interreduce`` makes
+    from it.  The list is a ``_Stripped``, which keeps the engine
+    polynomials for ``interreduce``.  Raises ResourceLimitExceeded past the
+    caps, ``max_degree`` bounding the total degree of every polynomial it
+    makes, and before making a monomial of total degree 2^31 or more.
     """
+    shift = _layout(nvars)[2]
     polys = key_basis(gens, kind, block)
     # the degree bound of every _reduce call: the largest total degree of
     # any polynomial made so far
-    top = _top(chain.from_iterable(polys), _layout(nvars)[2])
+    top = _top(chain.from_iterable(polys), shift)
     polys, top = _interreduce(polys, nvars, top, max_degree)
+    # grevlex is graded, so a polynomial's first and last terms have its
+    # largest and smallest degree
+    top_only = kind == 1 and all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= nvars else _gm_loop
-    divisors, top = loop(polys, nvars, kind, block, max_pairs, max_degree, top)
-    return [_strip_keys(p, nvars) for p in _interreduce(divisors, nvars, top, max_degree)[0]]
+    divisors = loop(polys, nvars, kind, block, max_pairs, max_degree, top, top_only)
+    out = _Stripped(_strip_keys(p, nvars) for p in divisors)
+    out.polys = divisors
+    return out
+
+
+class _Stripped(list):
+    """``buchberger``'s output: the [(exp, int)] lists of a basis, keeping
+    in ``polys`` the engine polynomials they were stripped from, so that
+    ``interreduce`` need not key them again."""
+
+    __slots__ = ("polys",)
+
+
+def interreduce(basis_pairs, nvars, kind, block, max_degree=_DEGREE_BOUND):
+    """The reduced Groebner basis from a minimal one, ``buchberger``'s output.
+
+    Takes and returns the [(exp, int)] lists of ``buchberger``, for the same
+    order: primitive, sorted and free of zeros, so they need only their
+    keys, which ``buchberger``'s own output carries.  Raises
+    ResourceLimitExceeded if a polynomial it makes has total degree above
+    ``max_degree``; under grevlex none has a larger degree than the input,
+    since no term has a larger degree than its leading term.
+    """
+    polys = getattr(basis_pairs, "polys", None)
+    if polys is None:
+        polys = [[(*_encode(e, kind, block), c) for e, c in p] for p in basis_pairs]
+    top = _top(chain.from_iterable(polys), _layout(nvars)[2])
+    return [_strip_keys(p, nvars) for p in _interreduce(list(polys), nvars, top, max_degree)[0]]
 
 
 def _interreduce(polys, nvars, top, max_degree):
@@ -427,12 +486,12 @@ def _capped(r, shift, top, max_degree):
     return max(top, degree)
 
 
-def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
+def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by Gebauer-Moeller.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
-    bound.  Returns the basis sorted by leading key, and the degree bound
-    of every polynomial made.
+    bound; ``top_only`` is ``_reduce``'s.  Returns the basis sorted by
+    leading key.
     """
     struct, guard, shift = _layout(nvars)
     pack_fields = struct.pack
@@ -492,7 +551,8 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
-        r, _ = _reduce(_spoly(f, key, lcm, i1, i2, top, shift), divisors, nvars, top)
+        spol = _spoly(f, key, lcm, i1, i2, top, shift)
+        r, _ = _reduce(spol, divisors, nvars, top, top_only=top_only)
         if not r:
             continue
         top = _capped(r, shift, top, max_degree)
@@ -503,7 +563,7 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top):
 
     # G is already minimal: update drops every member whose leading monomial
     # the new one divides, and a new polynomial is reduced against G first
-    return divisors, top
+    return divisors
 
 
 def _spoly(f, key, lcm, i1, i2, top, shift):
@@ -531,14 +591,14 @@ def _spoly(f, key, lcm, i1, i2, top, shift):
     )
 
 
-def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
+def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by signatures.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
-    bound.  Returns the basis sorted by leading key, and the degree bound
-    of every polynomial made.  A polynomial's signature is ``t*e_i``, kept
-    as ``(key, i, pack)`` of ``t*lm(f[i])``: the Schreyer order compares
-    ``(key, i)``, and ``t*e_i`` divides ``s*e_i`` iff the packs do.
+    bound; ``top_only`` is ``_reduce``'s.  Returns the basis sorted by
+    leading key.  A polynomial's signature is ``t*e_i``, kept as ``(key, i,
+    pack)`` of ``t*lm(f[i])``: the Schreyer order compares ``(key, i)``,
+    and ``t*e_i`` divides ``s*e_i`` iff the packs do.
     """
     _, guard, shift = _layout(nvars)
     exps = [_unpack(p[0][1], nvars) for p in f]
@@ -603,7 +663,8 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
             ((sk - s[0] + p[0][0] + (s[1] < i), p) for s, p in zip(sigs, f)),
             key=itemgetter(0),
         )
-        r, _ = _reduce(_spoly(f, key, lcm, g, o, top, shift), [], nvars, top, waiting=waiting)
+        spol = _spoly(f, key, lcm, g, o, top, shift)
+        r, _ = _reduce(spol, [], nvars, top, waiting=waiting, top_only=top_only)
         if not r:
             note(i, sp)
             continue
@@ -627,7 +688,7 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top):
     for p in sorted(f, key=_lead_key):
         if all((p[0][1] - q[0][1]) & guard for q in divisors):
             divisors.append(p)
-    return divisors, top
+    return divisors
 
 
 def key_basis(basis_pairs, kind, block):

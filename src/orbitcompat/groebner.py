@@ -50,7 +50,10 @@ class GBLimits:
 
     ``max_pairs`` bounds the S-pairs reduced, and ``max_degree`` the total
     degree of every generator and of every polynomial the engine makes,
-    under any monomial order.  Raises ValueError on a negative cap.
+    under any monomial order.  A basis already stored on the presentation,
+    attached by ``homogenise_ideal`` or kept from an earlier run, does no
+    work, so it hits neither cap; the generators' degrees are still checked.
+    Raises ValueError on a negative cap.
     """
 
     max_pairs: int = 500_000
@@ -78,8 +81,9 @@ class IdealPresentation:
 
     ctx: VarContext
     generators: tuple[MultiPoly, ...]
-    # the reduced basis of the ideal when the constructor already knows it
-    # (homogenise_ideal); buchberger returns it for its order
+    # the reduced basis of the ideal once known: attached by
+    # homogenise_ideal or kept from the first buchberger run; buchberger
+    # returns it for its order
     _reduced: ReducedGB | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, ctx: VarContext, generators):
@@ -97,22 +101,67 @@ class IdealPresentation:
         return not self.generators
 
 
-@dataclass(frozen=True)
 class ReducedGB:
     """The unique reduced Groebner basis of an ideal for an order.
 
     Every element is monic and no term of any element is divisible by the
     leading term of another.  ``basis`` is sorted ascending by leading
-    monomial, so equal ideals compare equal structurally.  Each element is
-    stored leading term first: its first term is its leading term under
-    ``order``, as the kernel returns it and as ``homogenise_poly`` keeps it.
+    monomial, so equal ideals compare equal structurally: equality, hashing
+    and ``repr`` read it.  Each element is stored leading term first: its
+    first term is its leading term under ``order``, as the kernel returns it
+    and as ``homogenise_poly`` keeps it.
+
+    ``buchberger`` under grevlex hands over the kernel's minimal basis,
+    whose leading monomials are the reduced basis's, in the same order.
+    ``leading_monomials``, ``contains_one`` and ``is_homogeneous`` read it,
+    and ``basis`` is tail-reduced from it by ``_kernel.interreduce_raw`` on
+    first use and kept.  Under grevlex no tail term has a higher degree than
+    its leading term, so reading ``basis`` never hits a degree cap.  The
+    attributes are read-only.
     """
 
-    ctx: VarContext
-    order: MonomialOrder
-    basis: tuple[MultiPoly, ...]
-    # the basis keyed for the kernel's normal form, built on first use
-    _keyed: list | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("ctx", "order", "_basis", "_minimal", "_keyed")
+
+    def __init__(self, ctx: VarContext, order: MonomialOrder, basis):
+        _set = object.__setattr__
+        _set(self, "ctx", ctx)
+        _set(self, "order", order)
+        _set(self, "_basis", tuple(basis))
+        # the kernel's minimal basis, [(exp, int)] lists, when built from one
+        _set(self, "_minimal", None)
+        # the basis keyed for the kernel's normal form, built on first use
+        _set(self, "_keyed", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ReducedGB is read-only: cannot set {name!r}")
+
+    def __reduce__(self):
+        return ReducedGB, (self.ctx, self.order, self.basis)
+
+    @classmethod
+    def _from_minimal(cls, ctx: VarContext, order: MonomialOrder, minimal: list) -> ReducedGB:
+        G = cls(ctx, order, ())
+        object.__setattr__(G, "_basis", None)
+        object.__setattr__(G, "_minimal", minimal)
+        return G
+
+    @property
+    def basis(self) -> tuple[MultiPoly, ...]:
+        if self._basis is None:
+            raw = _kernel.interreduce_raw(self._minimal, len(self.ctx), *self.order.code)
+            object.__setattr__(self, "_basis", _monic(self.ctx, raw))
+        return self._basis
+
+    def __eq__(self, other):
+        if not isinstance(other, ReducedGB):
+            return NotImplemented
+        return (self.ctx, self.order, self.basis) == (other.ctx, other.order, other.basis)
+
+    def __hash__(self):
+        return hash((self.ctx, self.order, self.basis))
+
+    def __repr__(self):
+        return f"ReducedGB(ctx={self.ctx!r}, order={self.order!r}, basis={self.basis!r})"
 
     def _kernel_basis(self) -> list:
         if self._keyed is None:
@@ -122,12 +171,23 @@ class ReducedGB:
         return self._keyed
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(next(iter(g.terms)) for g in self.basis)
+        if self._minimal is not None:
+            return tuple(terms[0][0] for terms in self._minimal)
+        return tuple(next(iter(g.terms)) for g in self._basis)
 
     def contains_one(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].degree() == 0
+        leads = self.leading_monomials()
+        return len(leads) == 1 and not any(leads[0])
 
     def is_homogeneous(self) -> bool:
+        # a grevlex element's first and last terms have its largest and
+        # smallest degree.  A homogeneous ideal can have an inhomogeneous
+        # minimal basis, {x, y^2 + x} of <x, y^2> for one, so that case
+        # asks the reduced basis
+        if self._minimal is not None and all(
+            sum(terms[0][0]) == sum(terms[-1][0]) for terms in self._minimal
+        ):
+            return True
         return all(g.is_homogeneous() for g in self.basis)
 
 
@@ -139,6 +199,17 @@ def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in f.terms.items()]
 
 
+def _monic(ctx: VarContext, raw: list) -> tuple[MultiPoly, ...]:
+    """The kernel's polynomials as monic ``MultiPoly``s.
+
+    They are primitive with positive leading coefficient and sorted
+    leading-term-first, so dividing by the first coefficient is monic.
+    """
+    return tuple(
+        MultiPoly(ctx, {m: Fraction(c, terms[0][1]) for m, c in terms}) for terms in raw
+    )
+
+
 def buchberger(
     I: IdealPresentation,
     order: MonomialOrder = GREVLEX,
@@ -147,8 +218,12 @@ def buchberger(
     """Compute the reduced Groebner basis of the presented ideal.
 
     Deterministic: the reduced basis is unique for (ideal, order), so the
-    result does not depend on generator order or pair selection.  Raises
-    ResourceLimitExceeded when a generator's degree exceeds
+    result does not depend on generator order or pair selection.  The first
+    basis computed for a presentation is kept on it, and a later call for
+    the same order returns it.  Under grevlex the tails are reduced only
+    when the basis is read (see ``ReducedGB``); under other orders here,
+    since a reduced tail can have a higher degree than the minimal basis.
+    Raises ResourceLimitExceeded when a generator's degree exceeds
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
     """
@@ -160,16 +235,16 @@ def buchberger(
     if I._reduced is not None and I._reduced.order == order:
         return I._reduced
     raw = [_clear_denominators(g)[1] for g in I.generators]
-    out = _kernel.buchberger_raw(
-        raw, len(I.ctx), *order.code, limits.max_pairs, limits.max_degree
-    )
-    # kernel polynomials are primitive with positive leading coefficient and
-    # sorted leading-term-first, so dividing by the first coefficient is monic
-    basis = tuple(
-        MultiPoly(I.ctx, {m: Fraction(c, terms[0][1]) for m, c in terms})
-        for terms in out
-    )
-    return ReducedGB(I.ctx, order, basis)
+    nvars = len(I.ctx)
+    minimal = _kernel.buchberger_raw(raw, nvars, *order.code, limits.max_pairs, limits.max_degree)
+    if order.kind == "grevlex":
+        G = ReducedGB._from_minimal(I.ctx, order, minimal)
+    else:
+        reduced = _kernel.interreduce_raw(minimal, nvars, *order.code, limits.max_degree)
+        G = ReducedGB(I.ctx, order, _monic(I.ctx, reduced))
+    if I._reduced is None:
+        object.__setattr__(I, "_reduced", G)
+    return G
 
 
 def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:

@@ -112,7 +112,12 @@ def hilbert_of_leading_terms(lead_monomials, nvars: int) -> HilbertData:
 
 def hilbert(G: ReducedGB) -> HilbertData:
     """Dimension and degree data of Proj of the quotient by a homogeneous
-    ideal, read off the leading-term ideal of its reduced basis."""
+    ideal, read off the leading-term ideal of its reduced basis.
+
+    Only leading monomials are read, so a basis ``buchberger`` made under
+    grevlex gives them from the kernel's minimal basis and is not
+    tail-reduced.  Raises PolyError on an inhomogeneous or unit ideal.
+    """
     if not G.is_homogeneous():
         raise PolyError("hilbert requires a homogeneous basis")
     return hilbert_of_leading_terms(G.leading_monomials(), len(G.ctx))

@@ -3,6 +3,7 @@ homogenisations, checked against independent oracles wherever a value is
 derived rather than trivial."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -88,11 +89,18 @@ def test_basis_is_reduced_and_monic(fibration_110):
 
 def test_leading_monomials_are_the_first_terms(fibration_110, fibration_321):
     # each element is stored leading term first, by the kernel under every
-    # order kind and by homogenise_ideal in the basis it attaches
+    # order kind and by homogenise_ideal in the basis it attaches.  Under
+    # grevlex they are read off the kernel's minimal basis, before any tail
+    # is reduced, and must be the reduced basis's
     bases = []
     for d in (fibration_110, fibration_321):
-        bases += [buchberger(d["I"], order) for order in (LEX, GREVLEX, elimination(2))]
+        bases += [buchberger(d["I"], order) for order in (LEX, elimination(2))]
         bases.append(homogenise_ideal(d["I"], "t")._reduced)
+        for name in ("I", "J", "I_hom", "J_hom"):
+            G = buchberger(fresh(d[name]))
+            G.leading_monomials()
+            assert G._basis is None, "the leading monomials were read off the reduced basis"
+            bases.append(G)
     for G in bases:
         assert G.leading_monomials() == tuple(G.order.leading(g.terms) for g in G.basis)
 
@@ -200,15 +208,75 @@ def test_normal_form_idempotent_and_linear(fibration_110):
 
 
 def test_directly_built_basis_reduces_alike(fibration_110):
-    # buchberger hands its kernel term lists to the basis; a basis built
-    # from the polynomials alone converts them itself on first use
-    G = buchberger(fibration_110["I_hom"])
-    H = ReducedGB(G.ctx, G.order, G.basis)
-    assert H == G and repr(H) == repr(G) and hash(H) == hash(G)
+    # buchberger hands over the kernel's minimal basis and tail-reduces it
+    # on first use; a basis built directly from the reduced polynomials
+    # must equal it, hash and print alike, and give the same normal forms
+    I = fibration_110["I_hom"]
+    reduced = buchberger(fresh(I)).basis
+    for compare in (hash, repr, str, lambda G: G):
+        G = buchberger(fresh(I))
+        assert G._basis is None, "the basis was reduced before it was read"
+        H = ReducedGB(G.ctx, G.order, reduced)
+        assert compare(G) == compare(H)
+    assert G == H and G.basis == reduced
     ctx = G.ctx
     for text in ("x1^3*t", "x2*y3 - z1^2 + 3", "t^4 + y1*z2"):
         f = parse_poly(text, ctx)
         assert normal_form(f, H) == normal_form(f, G)
+
+
+def test_a_basis_is_read_only_and_pickles(fibration_110):
+    G = buchberger(fresh(fibration_110["I_hom"]))
+    with pytest.raises(AttributeError):
+        G.order = LEX
+    back = pickle.loads(pickle.dumps(G))
+    assert back == G and back.leading_monomials() == G.leading_monomials()
+
+
+def test_hilbert_data_needs_no_tail_reduction(fibration_110, monkeypatch):
+    # hilbert reads the minimal basis of the homogeneous I_hom; reading the
+    # basis, a normal form or an equality tail-reduces it, once per basis
+    I = fibration_110["I_hom"]
+    interreduce = groebner._kernel.interreduce_raw
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("hilbert tail-reduced the basis")
+
+    def counted(*args):
+        calls.append(args)
+        return interreduce(*args)
+
+    f = parse_poly("x1^2*t + y2", I.ctx)
+    for read, reductions in (
+        (lambda G: G.basis, 1),
+        (lambda G: normal_form(f, G), 1),
+        (lambda G: ideal_equal(fresh(I), fresh(I)), 2),
+    ):
+        monkeypatch.setattr(groebner._kernel, "interreduce_raw", refuse)
+        G = buchberger(fresh(I))
+        assert hilbert(G).degree == 9
+        monkeypatch.setattr(groebner._kernel, "interreduce_raw", counted)
+        calls.clear()
+        read(G)
+        assert len(calls) == reductions
+
+
+def test_every_computed_basis_is_kept(monkeypatch):
+    I = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
+    runs = []
+    raw = groebner._kernel.buchberger_raw
+
+    def counted(*args):
+        runs.append(args[2:4])
+        return raw(*args)
+
+    monkeypatch.setattr(groebner._kernel, "buchberger_raw", counted)
+    G = buchberger(I)
+    assert buchberger(I) is G and I._reduced is G
+    # the first basis keeps the slot; other orders run the kernel each time
+    assert buchberger(I, LEX) == buchberger(I, LEX) and I._reduced is G
+    assert runs == [(1, 0), (0, 0), (0, 0)]
 
 
 # -- containment and equality ----------------------------------------------------

@@ -83,6 +83,18 @@ def test_rejects_inhomogeneous_basis():
         hilbert(GB(ctx, "x^2 - y"))
 
 
+def test_homogeneous_ideal_with_an_inhomogeneous_minimal_basis():
+    # <x, x + y^2> = <x, y^2> is homogeneous, though one of its generators
+    # is not, and so is {x, y^2 + x}, one of its minimal bases
+    ctx = VarContext(["x", "y"])
+    X, Y2 = (1, 0), (0, 2)
+    lazy = ReducedGB._from_minimal(ctx, GREVLEX, [[(X, 1)], [(Y2, 1), (X, 1)]])
+    for G in (GB(ctx, "x", "x + y^2"), lazy):
+        h = hilbert(G)
+        assert (h.numerator, h.krull_dim, h.degree) == ((1, 1), 0, 2)
+        assert [str(g) for g in G.basis] == ["x", "y^2"]
+
+
 def test_unit_ideal_has_no_hilbert_data():
     ctx = VarContext(["x", "y"])
     G = GB(ctx, "x", "x - 1")  # the unit ideal; its basis {1} is homogeneous

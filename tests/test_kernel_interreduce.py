@@ -1,7 +1,7 @@
 """The pure engine's interreduction, counted by its ``_reduce`` calls.
 
-``pure.buchberger`` interreduces its inputs before the pair loop and the
-minimal basis after it.  A pass runs again only when a result got a new
+``pure.buchberger`` interreduces its inputs before the pair loop, and
+``pure.interreduce`` the minimal basis it returns.  A pass runs again only when a result got a new
 leading monomial, so a pass that changes only tails, or drops a zero, is
 the last; the counts below pin that rule and the bases are the ones the
 engine gave before it.
@@ -62,6 +62,10 @@ def test_interreduction_passes_again_only_for_a_new_leading_monomial(
         return out
 
     monkeypatch.setattr(pure, "_reduce", spy)
-    assert pure.buchberger(gens, 2, *code, LIMITS.max_pairs, LIMITS.max_degree) == basis
+    minimal = pure.buchberger(gens, 2, *code, LIMITS.max_pairs, LIMITS.max_degree)
+    assert pure.interreduce(minimal, 2, *code, LIMITS.max_degree) == basis
     assert len(results) == calls
     assert (not all(results)) == vanishes
+    # a plain copy of the term lists, without the engine polynomials kept
+    # on buchberger's output, is keyed again and reduces alike
+    assert pure.interreduce(list(minimal), 2, *code, LIMITS.max_degree) == basis

@@ -3,6 +3,8 @@ exponent vectors: keys ordered as ``make_key``, packs decoded exactly and
 ordered by divisibility, both additive below total degree 2^31 and refused,
 never merged, at or above it."""
 
+from operator import mul
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,16 @@ def test_packed_keys_add(data):
     (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, kind, block) for e in (c, a, b))
     assert kc == ka + kb
     assert pc == pa + pb
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grevlex_keys_read_off_the_pack_are_the_weighted_sums(data):
+    # _encode reads a grevlex key off the pack; the weights of make_key's
+    # unit vectors are the reference for every order
+    n = data.draw(st.sampled_from([1, 3, 16, 26]))
+    e = data.draw(exponent(n))
+    assert pure._encode(e, 1, 0)[0] == sum(map(mul, e, pure._weights(n, 1, 0)))
 
 
 SIZES = st.sampled_from([1, 3, 16, 26])

@@ -102,7 +102,8 @@ def cases(seed, count):
     while len(found) < count:
         gens = [random_poly(rng, rng.randint(2, 4), 3, 7) for _ in range(3)]
         raw = [list(g.items()) for g in gens]
-        basis = [dict(b) for b in pure.buchberger(raw, 3, KIND, BLOCK, LIMITS.max_pairs, LIMITS.max_degree)]
+        minimal = pure.buchberger(raw, 3, KIND, BLOCK, LIMITS.max_pairs, LIMITS.max_degree)
+        basis = [dict(b) for b in pure.interreduce(minimal, 3, KIND, BLOCK)]
         if not basis or any(max(g, key=key) == (0, 0, 0) for g in basis):
             continue
         common = rng.getrandbits(pure._CONTENT_BITS - 4) | 1 << (pure._CONTENT_BITS - 5)
@@ -215,6 +216,21 @@ def test_content_passes_bound_a_tracked_remainder():
     tail = decoded(tail)
     assert tail == {(0, 0, n): c * mult}
     assert 0 < mult.bit_length() <= 2 * pure._CONTENT_BITS < n
+
+
+def test_top_only_reduction_leaves_the_tail_as_it_stands():
+    # modulo x - z, x*y steps to y*z and then y^2 leads, irreducible; top-only
+    # reduction stops there and keeps x*z, which full reduction takes to z^2
+    x2, xy, y2, xz, yz, z2 = (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)
+    g = engine_poly({(1, 0, 0): 1, (0, 0, 1): -1})
+    f = engine_poly({xy: 1, y2: 1, xz: 1})
+    for top_only, want in ((True, {y2: 1, xz: 1, yz: 1}), (False, {y2: 1, yz: 1, z2: 1})):
+        tail, _ = pure._reduce(f, [g], 3, 1, top_only=top_only)
+        assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
+        assert decoded(tail) == want
+    # a reducible leader is still reduced: x^2 steps to x*z, then to z^2
+    tail, _ = pure._reduce(engine_poly({x2: 1}), [g], 3, 1, top_only=True)
+    assert decoded(tail) == {z2: 1}
 
 
 def test_a_head_with_the_same_variables_need_not_divide():
