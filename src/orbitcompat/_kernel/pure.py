@@ -70,8 +70,10 @@ leading coefficients, so more steps scale the whole remainder.
 returns the minimal basis the loop ends with.  ``interreduce`` tail-reduces
 a minimal basis into the reduced one (Becker and Weispfenning, "Groebner
 Bases", 1993, section 5.4), so a caller that needs only leading monomials,
-as Hilbert data does, never pays for it; ``buchberger``'s output keeps its
-engine polynomials, so ``interreduce`` does not key them again.  A pass of
+as Hilbert data does, never pays for it.  Both return their [(exp, int)]
+lists with the engine polynomials they came from, so ``interreduce`` does
+not key a minimal basis again, and its output serves ``normal_form`` as
+``key_basis`` would key it.  A pass of
 ``_interreduce`` reduces each polynomial against the results before it and
 the polynomials after it, so after a pass that moved no leading monomial
 every result is irreducible by the final leading monomials: another pass
@@ -126,7 +128,8 @@ leading term is that of a multiple with the same signature (singular
 top-reducible) adds nothing and is dropped.  The loop keeps every
 polynomial it makes and returns those with minimal leading monomials.
 
-``normal_form`` reduces against a basis keyed once by ``key_basis``.
+``normal_form`` reduces against a basis keyed once, by ``key_basis`` or
+as ``interreduce`` returns it.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
@@ -424,25 +427,32 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= nvars else _gm_loop
     divisors = loop(polys, nvars, kind, block, max_pairs, max_degree, top, top_only)
-    out = _Stripped(_strip_keys(p, nvars) for p in divisors)
-    out.polys = divisors
-    return out
+    return _Stripped.of(divisors, nvars)
 
 
 class _Stripped(list):
-    """``buchberger``'s output: the [(exp, int)] lists of a basis, keeping
-    in ``polys`` the engine polynomials they were stripped from, so that
-    ``interreduce`` need not key them again."""
+    """The [(exp, int)] lists of a basis, keeping in ``polys`` the engine
+    polynomials they were stripped from.  ``buchberger`` and ``interreduce``
+    return one, so that ``interreduce`` need not key a minimal basis again,
+    nor a caller the reduced basis it passes to ``normal_form``: ``polys``
+    is what ``key_basis`` makes of the lists."""
 
     __slots__ = ("polys",)
+
+    @classmethod
+    def of(cls, polys, nvars):
+        out = cls(_strip_keys(p, nvars) for p in polys)
+        out.polys = polys
+        return out
 
 
 def interreduce(basis_pairs, nvars, kind, block, max_degree=_DEGREE_BOUND):
     """The reduced Groebner basis from a minimal one, ``buchberger``'s output.
 
-    Takes and returns the [(exp, int)] lists of ``buchberger``, for the same
-    order: primitive, sorted and free of zeros, so they need only their
-    keys, which ``buchberger``'s own output carries.  Raises
+    Takes the [(exp, int)] lists of a minimal basis for the same order:
+    primitive, sorted and free of zeros, so they need only their keys,
+    which ``buchberger``'s own output carries.  Returns a ``_Stripped``,
+    whose ``polys`` are keyed for ``normal_form``.  Raises
     ResourceLimitExceeded if a polynomial it makes has total degree above
     ``max_degree``; under grevlex none has a larger degree than the input,
     since no term has a larger degree than its leading term.
@@ -451,7 +461,7 @@ def interreduce(basis_pairs, nvars, kind, block, max_degree=_DEGREE_BOUND):
     if polys is None:
         polys = [[(*_encode(e, kind, block), c) for e, c in p] for p in basis_pairs]
     top = _top(chain.from_iterable(polys), _layout(nvars)[2])
-    return [_strip_keys(p, nvars) for p in _interreduce(list(polys), nvars, top, max_degree)[0]]
+    return _Stripped.of(_interreduce(list(polys), nvars, top, max_degree)[0], nvars)
 
 
 def _interreduce(polys, nvars, top, max_degree):
@@ -695,7 +705,8 @@ def key_basis(basis_pairs, kind, block):
     """A basis of [(exp, int)] term lists keyed for ``normal_form``.
 
     Key a basis once and pass the result to every ``normal_form`` call
-    against it under the same order.  Raises ResourceLimitExceeded on a
+    against it under the same order; ``interreduce``'s output carries it
+    already, as ``polys``.  Raises ResourceLimitExceeded on a
     monomial of total degree 2^31 or more.
     """
     keyed = (_attach_keys(b, kind, block) for b in basis_pairs)

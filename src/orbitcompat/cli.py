@@ -152,7 +152,11 @@ def cmd_homogenise(args) -> int:
     if args.mode == "naive":
         out = homogenise_naive(ideal, args.tvar)
     else:
-        out = homogenise_ideal(ideal, args.tvar, _limits())
+        limits = _limits()
+        out = homogenise_ideal(ideal, args.tvar, limits)
+        # print the reduced basis of I^h, which the result carries, not the
+        # minimal one it is presented by
+        out = IdealPresentation(out.ctx, buchberger(out, limits=limits).basis)
     meta = dict(meta)
     meta["homogenisation"] = args.mode
     _emit_ideal(args, out, meta)

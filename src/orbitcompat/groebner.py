@@ -51,8 +51,11 @@ class GBLimits:
     ``max_pairs`` bounds the S-pairs reduced, and ``max_degree`` the total
     degree of every generator and of every polynomial the engine makes,
     under any monomial order.  A basis already stored on the presentation,
-    attached by ``homogenise_ideal`` or kept from an earlier run, does no
-    work, so it hits neither cap; the generators' degrees are still checked.
+    attached by ``homogenise_ideal`` or kept from an earlier run, runs no
+    pair loop, so it hits neither cap; the generators' degrees are still
+    checked.  Reading such a basis's ``basis`` runs the kernel's tail
+    reduction, which under grevlex makes no polynomial of a higher degree
+    than the minimal basis has, so it never passes a degree cap.
     Raises ValueError on a negative cap.
     """
 
@@ -81,9 +84,10 @@ class IdealPresentation:
 
     ctx: VarContext
     generators: tuple[MultiPoly, ...]
-    # the reduced basis of the ideal once known: attached by
+    # the Groebner basis of the ideal once known: attached by
     # homogenise_ideal or kept from the first buchberger run; buchberger
-    # returns it for its order
+    # returns it for its order.  Under grevlex it holds the kernel's minimal
+    # basis and tail-reduces it when its basis is first read
     _reduced: ReducedGB | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, ctx: VarContext, generators):
@@ -107,9 +111,9 @@ class ReducedGB:
     Every element is monic and no term of any element is divisible by the
     leading term of another.  ``basis`` is sorted ascending by leading
     monomial, so equal ideals compare equal structurally: equality, hashing
-    and ``repr`` read it.  Each element is stored leading term first: its
-    first term is its leading term under ``order``, as the kernel returns it
-    and as ``homogenise_poly`` keeps it.
+    and ``repr`` read it.  Each element's terms are stored in descending
+    order under ``order``, as the kernel returns them, so its first term is
+    its leading term.
 
     ``buchberger`` under grevlex hands over the kernel's minimal basis,
     whose leading monomials are the reduced basis's, in the same order.
@@ -117,6 +121,8 @@ class ReducedGB:
     and ``basis`` is tail-reduced from it by ``_kernel.interreduce_raw`` on
     first use and kept.  Under grevlex no tail term has a higher degree than
     its leading term, so reading ``basis`` never hits a degree cap.  The
+    kernel's reduced basis comes with its engine polynomials, which are
+    kept as the keyed basis ``normal_form`` reduces against.  The
     attributes are read-only.
     """
 
@@ -129,7 +135,8 @@ class ReducedGB:
         _set(self, "_basis", tuple(basis))
         # the kernel's minimal basis, [(exp, int)] lists, when built from one
         _set(self, "_minimal", None)
-        # the basis keyed for the kernel's normal form, built on first use
+        # the basis keyed for the kernel's normal form: the kernel's own when
+        # it reduced the basis, else built on first use
         _set(self, "_keyed", None)
 
     def __setattr__(self, name, value):
@@ -145,11 +152,16 @@ class ReducedGB:
         object.__setattr__(G, "_minimal", minimal)
         return G
 
+    def _take(self, reduced: list) -> None:
+        """Keep ``_kernel.interreduce_raw``'s output as the basis, and the
+        engine polynomials it carries as the keyed basis."""
+        object.__setattr__(self, "_basis", _monic(self.ctx, reduced))
+        object.__setattr__(self, "_keyed", reduced.polys)
+
     @property
     def basis(self) -> tuple[MultiPoly, ...]:
         if self._basis is None:
-            raw = _kernel.interreduce_raw(self._minimal, len(self.ctx), *self.order.code)
-            object.__setattr__(self, "_basis", _monic(self.ctx, raw))
+            self._take(_kernel.interreduce_raw(self._minimal, len(self.ctx), *self.order.code))
         return self._basis
 
     def __eq__(self, other):
@@ -241,7 +253,8 @@ def buchberger(
         G = ReducedGB._from_minimal(I.ctx, order, minimal)
     else:
         reduced = _kernel.interreduce_raw(minimal, nvars, *order.code, limits.max_degree)
-        G = ReducedGB(I.ctx, order, _monic(I.ctx, reduced))
+        G = ReducedGB(I.ctx, order, ())
+        G._take(reduced)
     if I._reduced is None:
         object.__setattr__(I, "_reduced", G)
     return G
@@ -363,19 +376,31 @@ def homogenise_ideal(
 ) -> IdealPresentation:
     """The homogenisation I^h of the ideal itself.  Presentation-independent.
 
-    Homogenising the reduced basis of I under a graded order, element by
-    element, generates I^h (Cox, Little, O'Shea, *Ideals, Varieties, and
-    Algorithms*, section 8.4, Theorem 4).  With tvar appended last, each
-    element keeps its grevlex leading monomial and no term of one becomes
-    divisible by another's, so the generators returned are the reduced
-    grevlex basis of I^h, in its order, and the result carries that basis
-    so that ``buchberger(result)`` returns it without a second run.  I^h
-    equals the saturation of the generator-wise homogenisation by tvar.
+    Homogenising any grevlex Groebner basis of I, element by element, gives
+    a grevlex Groebner basis of I^h (Cox, Little, O'Shea, *Ideals,
+    Varieties, and Algorithms*, section 8.4, Theorem 4).  The generators
+    returned homogenise the kernel's minimal basis of I, so no tail
+    reduction runs here; with tvar appended last each element keeps its
+    grevlex leading monomial, so they form a minimal grevlex basis of I^h,
+    in its order.  The result carries that basis: ``buchberger(result)``
+    returns it without a second pair loop, ``hilbert`` reads it as it is,
+    and its ``basis``, tail-reduced on first read, is the reduced basis of
+    I^h, the homogenised reduced basis of I.  I^h equals the saturation of
+    the generator-wise homogenisation by tvar.
     """
     ctx = I.ctx.extend(tvar)
     G = buchberger(I, GREVLEX, limits)
-    out = IdealPresentation(ctx, [homogenise_poly(g, tvar) for g in G.basis])
-    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, out.generators))
+    minimal = G._minimal
+    if minimal is None:
+        # a basis stored reduced, as unpickling leaves it
+        minimal = [_clear_denominators(g)[1] for g in G.basis]
+    # a grevlex leading term has its element's largest degree
+    hom = []
+    for terms in minimal:
+        d = sum(terms[0][0])
+        hom.append([(e + (d - sum(e),), c) for e, c in terms])
+    out = IdealPresentation(ctx, _monic(ctx, hom))
+    object.__setattr__(out, "_reduced", ReducedGB._from_minimal(ctx, GREVLEX, hom))
     return out
 
 

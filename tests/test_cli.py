@@ -5,6 +5,10 @@ import json
 import pytest
 
 from orbitcompat.cli import main
+from orbitcompat.groebner import buchberger
+from orbitcompat.ioformats import read_ideal
+from orbitcompat.parsing import poly_to_string
+from orbitcompat.polyring import homogenise_poly
 
 
 def run(capsys, *argv):
@@ -278,3 +282,17 @@ def test_pipeline_reads_its_own_json_ideal_files(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["hilbert"]["proj_dim"] == 5 and doc["hilbert"]["degree"] == 6
+
+
+def test_saturated_homogenise_prints_the_reduced_basis(capsys, tmp_path):
+    """On the sl(4) fibre at H = diag(1,-1,0,0), c = 2 the minimal grevlex
+    basis is not reduced; the printed generators are the reduced basis of
+    I^h, the homogenised reduced basis of the fibre."""
+    orbit, fibre, sat = (tmp_path / f"{name}.ideal" for name in ("orbit", "fibre", "sat"))
+    assert run(capsys, "orbit", "--n", "3", "--h0", "3,1,-1,-3", "--style", "charvalues", "--shifts=-3,-1,1", "-o", str(orbit))[0] == 0
+    assert run(capsys, "fibre", "--orbit", str(orbit), "--h", "1,-1,0,0", "--value", "2", "-o", str(fibre))[0] == 0
+    assert run(capsys, "homogenise", "--ideal", str(fibre), "--mode", "saturated", "-o", str(sat))[0] == 0
+    with fibre.open() as fh:
+        I, _ = read_ideal(fh)
+    reduced = [homogenise_poly(g, "t") for g in buchberger(I).basis]
+    assert sat.read_text().splitlines()[2:] == [poly_to_string(g) for g in reduced]

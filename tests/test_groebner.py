@@ -262,6 +262,30 @@ def test_hilbert_data_needs_no_tail_reduction(fibration_110, monkeypatch):
         assert len(calls) == reductions
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda d: buchberger(fresh(d["I_hom"])), id="lazy-grevlex"),
+        pytest.param(lambda d: buchberger(homogenise_ideal(fresh(d["J"]))), id="attached"),
+        pytest.param(lambda d: buchberger(fresh(d["I"]), LEX), id="eager-lex"),
+    ],
+)
+def test_normal_form_reuses_the_kernels_keyed_basis(fibration_110, monkeypatch, build):
+    # the kernel's reduced basis comes keyed, so once the basis is read a
+    # normal form keys nothing again
+    G = build(fibration_110)
+    cleared = [groebner._clear_denominators(g)[1] for g in G.basis]
+    assert G._keyed == groebner._kernel.key_basis(cleared, *G.order.code)
+    f = parse_poly("x2*y3 - z1^2 + 3", G.ctx) * parse_poly("x1 + y2*z2", G.ctx)
+    want = normal_form(f, ReducedGB(G.ctx, G.order, G.basis))
+
+    def refuse(*args):
+        raise AssertionError("normal_form keyed the basis again")
+
+    monkeypatch.setattr(groebner._kernel, "key_basis", refuse)
+    assert normal_form(f, G) == want
+
+
 def test_every_computed_basis_is_kept(monkeypatch):
     I = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
     runs = []
@@ -456,15 +480,46 @@ def test_homogenise_ideal_equals_saturation_by_elimination(fibration_110):
 def test_homogenise_ideal_returns_its_reduced_basis(
     fibration_110, fibration_321, monkeypatch
 ):
+    # the generators homogenise the minimal basis of I; buchberger on them
+    # returns the reduced basis of I^h, the homogenised reduced basis of I
+    # (CLO 8.4 Thm 4).  On the c = 2 fibre the two bases differ
     def refuse(*args, **kwargs):
         raise AssertionError("homogenise_ideal must not eliminate")
 
     monkeypatch.setattr(groebner, "saturate", refuse)
     monkeypatch.setattr(groebner, "eliminate", refuse)
-    for d in (fibration_110, fibration_321):
-        for name in ("I", "J"):
-            out = homogenise_ideal(d[name], "t")
-            assert buchberger(out).basis == out.generators
+    affine = [d[name] for d in (fibration_110, fibration_321) for name in ("I", "J")]
+    for I in affine + [sl4_fibre_c2()]:
+        out = homogenise_ideal(I, "t")
+        reduced = tuple(homogenise_poly(g, "t") for g in buchberger(fresh(I)).basis)
+        assert buchberger(out).basis == reduced
+        assert [leading(g) for g in out.generators] == [leading(g) for g in reduced]
+    assert out.generators != reduced
+
+
+def test_saturated_hilbert_data_needs_no_tail_reduction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the saturated closure was tail-reduced")
+
+    monkeypatch.setattr(groebner._kernel, "interreduce_raw", refuse)
+    h = hilbert(buchberger(homogenise_ideal(sl4_fibre())))
+    assert (h.proj_dim, h.degree) == (11, 24)
+
+
+def test_homogenise_ideal_reads_a_basis_stored_reduced():
+    # unpickling keeps the presentation's basis but not its minimal one, so
+    # homogenise_ideal homogenises the reduced basis, itself reduced
+    I = sl4_fibre_c2()
+    buchberger(I)
+    back = pickle.loads(pickle.dumps(I))
+    assert back._reduced._minimal is None
+    out = homogenise_ideal(back, "t")
+    assert out.generators == buchberger(out).basis
+    assert out.generators == homogenise_ideal(fresh(I), "t")._reduced.basis
+
+
+def leading(g):
+    return next(iter(g.terms))
 
 
 def fresh(I):
@@ -475,6 +530,12 @@ def fresh(I):
 def sl4_fibre():
     orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
     return fibre_ideal(orbit, DiagSpec([3, 1, -1, -3]), 0)
+
+
+def sl4_fibre_c2():
+    """A fibre whose minimal and reduced grevlex bases differ."""
+    orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
+    return fibre_ideal(orbit, DiagSpec([1, -1, 0, 0]), 2)
 
 
 def test_attached_basis_is_the_fresh_reduced_basis(fibration_110, fibration_321):

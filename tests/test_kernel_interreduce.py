@@ -9,8 +9,9 @@ engine gave before it.
 
 import pytest
 
-from orbitcompat import GBLimits
+from orbitcompat import DiagSpec, GBLimits, fibre_ideal, orbit_ideal_charvalues
 from orbitcompat._kernel import pure
+from orbitcompat.groebner import _clear_denominators
 
 LIMITS = GBLimits()
 GREVLEX, LEX = (1, 0), (0, 0)
@@ -67,5 +68,24 @@ def test_interreduction_passes_again_only_for_a_new_leading_monomial(
     assert len(results) == calls
     assert (not all(results)) == vanishes
     # a plain copy of the term lists, without the engine polynomials kept
-    # on buchberger's output, is keyed again and reduces alike
-    assert pure.interreduce(list(minimal), 2, *code, LIMITS.max_degree) == basis
+    # on buchberger's output, is keyed again and reduces alike, and either
+    # way the output carries the basis keyed as key_basis keys it
+    plain = pure.interreduce(list(minimal), 2, *code, LIMITS.max_degree)
+    assert plain == basis
+    kept = pure.interreduce(minimal, 2, *code, LIMITS.max_degree)
+    assert kept.polys == plain.polys == pure.key_basis(basis, *code)
+
+
+def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
+    # the sl(4) fibre at H = diag(1,-1,0,0), c = 2, whose minimal grevlex
+    # basis is not reduced
+    orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
+    fib = fibre_ideal(orbit, DiagSpec([1, -1, 0, 0]), 2)
+    gens = [_clear_denominators(g)[1] for g in fib.generators]
+    nvars = len(fib.ctx)
+    minimal = pure.buchberger(gens, nvars, *GREVLEX, LIMITS.max_pairs, LIMITS.max_degree)
+    kept = pure.interreduce(minimal, nvars, *GREVLEX)
+    plain = pure.interreduce([list(p) for p in minimal], nvars, *GREVLEX)
+    assert kept != minimal
+    assert kept == plain and kept.polys == plain.polys
+    assert kept.polys == pure.key_basis(kept, *GREVLEX)
