@@ -42,6 +42,12 @@ at infinity, projective dimension 12 and degree 4.  The closed forms are
 ``segre``, ``kostant_fibre`` and ``infinity_component`` of
 ``perfbench/oracles.py``.  A mismatch exits with status 1.
 
+The ``bits`` column is the width of the packed monomial fields the run
+ended at.  The engine starts every run at 16 bits and reruns it at 32 only
+when a degree reaches 2^15, and every run here is capped at degree
+``MAX_DEGREE``, far below, so a workload at 32 bits has widened for no
+cause and exits with status 1.
+
 The last column is the first 12 hex digits of the sha256 of the reduced
 basis as the engine returns it, so two runs give bit-identical bases iff
 their columns agree.  Each workload's digest is checked against
@@ -180,6 +186,10 @@ WORKLOADS = {
 }
 
 
+# the degree cap of every run, far below 2^15
+MAX_DEGREE = 200
+
+
 def digest(basis):
     """The first 12 hex digits of the sha256 of ``basis``'s repr."""
     return hashlib.sha256(repr(basis).encode()).hexdigest()[:12]
@@ -191,12 +201,18 @@ def bench(raw_args, repeat):
     loop_times, reduce_times = [], []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        minimal = pure.buchberger(*raw_args, 2_000_000, 200)
+        minimal = pure.buchberger(*raw_args, 2_000_000, MAX_DEGREE)
         t1 = time.perf_counter()
-        reduced = pure.interreduce(minimal, *raw_args[1:], 200)
+        reduced = pure.interreduce(minimal, *raw_args[1:], MAX_DEGREE)
         loop_times.append(t1 - t0)
         reduce_times.append(time.perf_counter() - t1)
     return min(loop_times), min(reduce_times), minimal, reduced
+
+
+def width(basis):
+    """The field width, 16 or 32 bits, of the engine polynomials that
+    ``pure.buchberger`` or ``pure.interreduce`` returned ``basis`` with."""
+    return basis.polys.layout[3].bit_length()
 
 
 def standard_monomials(basis, nvars):
@@ -253,8 +269,8 @@ def main(argv=None):
     ap.add_argument("--skip-slow", action="store_true", help="leave out the workloads flagged slow")
     args = ap.parse_args(argv)
 
-    print(f"{'workload':<16} {'minimal':>9} {'reduce':>9}  basis  sha256")
-    print("-" * 58)
+    print(f"{'workload':<16} {'minimal':>9} {'reduce':>9}  basis  bits  sha256")
+    print("-" * 64)
     wrong = []
     for name, (make, slow) in WORKLOADS.items():
         if slow and args.skip_slow:
@@ -262,7 +278,10 @@ def main(argv=None):
         raw_args = make()
         loop_s, reduce_s, minimal, reduced = bench(raw_args, args.repeat)
         got = digest(reduced)
-        print(f"{name:<16} {loop_s:>8.3f}s {reduce_s:>8.3f}s  {len(reduced):>5}  {got}")
+        bits = max(width(minimal), width(reduced))
+        print(f"{name:<16} {loop_s:>8.3f}s {reduce_s:>8.3f}s  {len(reduced):>5}  {bits:>4}  {got}")
+        if bits != 16:
+            wrong.append(f"{name}: ran at {bits} bits, capped at degree {MAX_DEGREE}")
         if got != DIGESTS[name]:
             wrong.append(f"{name}: sha256 {got}, expected {DIGESTS[name]}")
         if name in EXPECTED:

@@ -16,28 +16,44 @@ grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
 ints, its key and its pack, with one degree sum and one degree check.  Each
 key formula is linear in the exponent, so the key is the dot product of the
 exponent with per-variable weights, the weight of a variable being
-``make_key`` of its unit vector read as signed 32-bit digits, most
-significant field first.  While a monomial's total degree is below 2^31
-every field of its key fits its digit, so keys order monomials as
-``make_key`` does and are injective; being a dot product they are additive.
+``make_key`` of its unit vector read as signed digits of the layout's field
+width, most significant field first.  While a monomial's total degree is
+below the layout's bound, half the field range, every field of its key fits
+its digit, so keys order monomials as ``make_key`` does and are injective;
+being a dot product they are additive.
 A grevlex key's digits are the pack's fields with the exponents negated,
 so ``_encode`` reads it off the pack as twice the degree field minus the
 pack, the same int without the dot product.
 
 The pack is the packed exponent vector (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998): ``nvars +
-1`` unsigned 32-bit fields, exponent ``i`` in field ``i`` and the total
-degree in the top one.  A product's pack is the sum of the packs, the total
-degree is the pack shifted down by ``_layout``'s shift, and ``a`` divides
-``b`` iff ``(pack(b) - pack(a)) & guard == 0``, the guard holding bit 31 of
-every exponent field: with every exponent below 2^31 a nonnegative
-difference leaves the guard bits clear, and the lowest negative field of a
-difference sets its own.  Exponent tuples are made only at input, at
-output, for a new polynomial's leading monomial and for the candidate lcms
-of ``update``.  ``_encode`` refuses a monomial of total degree 2^31 or
-more, and each reduction step checks that the monomials it makes stay below
-it, raising ``ResourceLimitExceeded`` rather than merging two monomials
-under one key.
+1`` unsigned fields, exponent ``i`` in field ``i`` and the total degree in
+the top one.  A product's pack is the sum of the packs, the total degree is
+the pack shifted down by ``_layout``'s shift, and ``a`` divides ``b`` iff
+``(pack(b) - pack(a)) & guard == 0``, the guard holding the top bit of
+every exponent field: with every exponent below the layout's bound a
+nonnegative difference leaves the guard bits clear, and the lowest negative
+field of a difference sets its own.  Exponent tuples are made only at
+input, at output, for a new polynomial's leading monomial and for the
+candidate lcms of ``update``.  ``_encode`` refuses a monomial of total
+degree at or above the bound, and each reduction step checks that the
+monomials it makes stay below it, through ``_degree_guard``, rather than
+merging two monomials under one key.
+
+A layout (``_layout``) is the record ``(struct, guard, shift, bound)`` of
+one field width.  Every entry point runs in 16-bit fields, bound 2^15, as
+Singular keeps exponents at the narrowest width the degrees allow: keys and
+packs take half the CPython digits of 32-bit ones (10 against 20 in the 17
+variables of an sl(4) closure), so each remainder term's add and hashes
+cost less.  When a degree reaches 2^15, ``_degree_guard`` raises
+``_Widen`` and the entry point runs the whole call again in 32-bit fields
+(``_widening``), where the guard raises ``ResourceLimitExceeded`` at 2^31,
+the public bound.  Keys order monomials, and packs decide divisibility, as
+``make_key`` and the exponents do at either width, so the rerun gives the
+result bit for bit.  Engine polynomials carry their layout (``_Polys``),
+and those of one layout are keyed again, never mixed, in another: a
+``normal_form`` that reaches 2^15 against a 16-bit basis keys that basis
+again at 32 bits for its rerun.
 
 A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
@@ -51,7 +67,9 @@ so the input need not be sorted or merged: an S-polynomial goes in as the
 two shifted, scaled tails (the leading terms cancel).  A leader list, every
 key seen and not yet taken in ascending order, gives the leading term by a
 pop from its end; a key enters it once, by ``bisect.insort``, when a step
-first creates it.  The head search is one subtraction and one AND per
+first creates it.  A step's term does one ``h.get``; only a key new to the
+dict looks in the pack map, where a key that cancelled earlier is found,
+still in the leader list.  The head search is one subtraction and one AND per
 reducer.  A step subtracts the reducer term by term, shifting each key and
 each pack by one integer addition, so the interpreted work of a step grows
 with the reducer's length, not the remainder's.  A step scales the
@@ -133,13 +151,13 @@ as ``interreduce`` returns it.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
-``groebner.GBLimits``; the 2^31 degree bound is the packs' own.
+``groebner.GBLimits``; the 2^31 degree bound is that of 32-bit packs.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd
@@ -153,11 +171,12 @@ from ..errors import ResourceLimitExceeded
 # smaller ints is no cheaper, so dividing their content out saves nothing
 _CONTENT_BITS = 60
 
-# packed keys hold make_key's fields as signed digits of this many bits, and
-# packs the exponents as unsigned fields of as many; a field stays within
-# half its width while the total degree is below the bound
-_FIELD_BITS = 32
-_DEGREE_BOUND = 1 << (_FIELD_BITS - 1)
+# the public bound on total degree, that of 32-bit fields
+_DEGREE_BOUND = 1 << 31
+
+
+class _Widen(Exception):
+    """A degree reached the bound of 16-bit fields: the run goes again at 32."""
 
 
 # the order kinds by name, as ``make_key`` and the engine number them
@@ -174,67 +193,93 @@ def make_key(exp, kind, block):
 
 
 @lru_cache(maxsize=64)
-def _weights(nvars, kind, block):
-    """Packed keys of the unit vectors: ``make_key``'s fields as digits."""
+def _weights(L, kind, block):
+    """Packed keys of the unit vectors: ``make_key``'s fields as digits of
+    the layout ``L``'s width."""
+    bits = L[3].bit_length()
+    nvars = L[2] // bits
     weights = []
     for i in range(nvars):
         unit = (0,) * i + (1,) + (0,) * (nvars - i - 1)
         w = 0
         for field in make_key(unit, kind, block):
-            w = (w << _FIELD_BITS) + field
+            w = (w << bits) + field
         weights.append(w)
     return tuple(weights)
 
 
-def _degree_guard(degree):
-    if degree >= _DEGREE_BOUND:
+def _degree_guard(degree, L):
+    """Refuse a total degree that the layout ``L`` cannot hold: at 16 bits
+    by raising ``_Widen``, so that the entry point reruns at 32, and at 32
+    bits by raising ResourceLimitExceeded."""
+    bound = L[3]
+    if degree >= bound:
+        if bound < _DEGREE_BOUND:
+            raise _Widen
         raise ResourceLimitExceeded(
-            f"total degree {degree} reaches 2^{_FIELD_BITS - 1}, the bound of packed monomial keys"
+            f"total degree {degree} reaches 2^31, the bound of packed monomial keys"
         )
 
 
-@lru_cache(maxsize=64)
-def _layout(nvars):
-    """``(struct, guard, shift)`` for packs of ``nvars`` exponents.
+# unbounded, so that each layout is one object: engine polynomials are
+# matched to a layout by identity
+@cache
+def _layout(nvars, bits):
+    """``(struct, guard, shift, bound)`` for packs of ``nvars`` exponents in
+    ``bits``-wide fields, 16 or 32.
 
-    ``struct`` reads and writes the ``nvars + 1`` unsigned 32-bit fields,
-    least significant first; ``guard`` has bit 31 of every exponent field
-    set; a pack shifted right by ``shift`` is its total degree.  The degree
-    field needs no guard bit, since divisibility of the exponents implies
-    its own, and the candidate lcms in ``update`` may take it past 2^31.
+    ``struct`` reads and writes the ``nvars + 1`` unsigned fields ("H" or
+    "I"), least significant first; ``guard`` has the top bit of every
+    exponent field set; a pack shifted right by ``shift`` is its total
+    degree; ``bound``, 2^(bits - 1), is the first total degree the layout
+    cannot hold.  The degree field needs no guard bit, since divisibility of
+    the exponents implies its own, and the candidate lcms in ``update`` may
+    take it past ``bound``: below twice the bound, so it still fits.
     """
-    guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(nvars))
-    return Struct(f"<{nvars + 1}I"), guard, _FIELD_BITS * nvars
+    guard = sum(1 << (bits * i + bits - 1) for i in range(nvars))
+    code = "H" if bits == 16 else "I"
+    return Struct(f"<{nvars + 1}{code}"), guard, bits * nvars, 1 << (bits - 1)
 
 
-def _encode(exp, kind, block):
-    """``(key, pack)`` of ``exp``: the int sort key, ordered as ``make_key``,
-    and the packed exponent vector, ordered by divisibility through
-    ``_layout``'s guard; both additive.
+def _widening(run, nvars, bits, *args):
+    """``run(layout, *args)`` at ``bits``, 16 or 32, and again at 32 bits if
+    a 16-bit run raises ``_Widen``."""
+    if bits == 16:
+        try:
+            return run(_layout(nvars, 16), *args)
+        except _Widen:
+            pass
+    return run(_layout(nvars, 32), *args)
 
-    Raises ResourceLimitExceeded when ``exp`` has total degree 2^31 or more.
+
+def _encode(exp, kind, block, L):
+    """``(key, pack)`` of ``exp`` in the layout ``L``: the int sort key,
+    ordered as ``make_key``, and the packed exponent vector, ordered by
+    divisibility through the layout's guard; both additive.
+
+    Refuses, through ``_degree_guard``, an ``exp`` of total degree at or
+    above the layout's bound.
     """
     degree = sum(exp)
-    _degree_guard(degree)
-    nvars = len(exp)
-    struct, _, shift = _layout(nvars)
+    _degree_guard(degree, L)
+    struct, _, shift, _ = L
     pack = int.from_bytes(struct.pack(*exp, degree), "little")
     if kind == 1:
         # the grevlex key's digits are the pack's fields, the exponents
         # negated: the degree over -e_(n-1), ..., -e_0
         return (degree << (shift + 1)) - pack, pack
-    return sum(map(mul, exp, _weights(nvars, kind, block))), pack
+    return sum(map(mul, exp, _weights(L, kind, block))), pack
 
 
-def _unpack(pack, nvars):
-    """The exponent tuple of a pack of ``nvars`` exponents."""
-    struct = _layout(nvars)[0]
-    return struct.unpack(pack.to_bytes(struct.size, "little"))[:nvars]
+def _unpack(pack, L):
+    """The exponent tuple of a pack in the layout ``L``."""
+    struct = L[0]
+    return struct.unpack(pack.to_bytes(struct.size, "little"))[:-1]
 
 
-def _attach_keys(pairs, kind, block):
-    """[(exp, int)] -> engine poly, normalised primitive."""
-    terms = [(*_encode(e, kind, block), c) for e, c in pairs if c]
+def _attach_keys(pairs, kind, block, L):
+    """[(exp, int)] -> engine poly in the layout ``L``, normalised primitive."""
+    terms = [(*_encode(e, kind, block, L), c) for e, c in pairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
     return _primitive(terms)
 
@@ -249,16 +294,26 @@ def _lead_key(poly):
     return poly[0][0]
 
 
-def _strip_keys(poly, nvars):
-    """Engine poly -> [(exp, int)].
+def _strip_keys(poly, L):
+    """Engine poly in the layout ``L`` -> [(exp, int)].
 
     The packs are written to one bytes object and read back by one
     ``iter_unpack``; each exponent tuple drops the pack's degree field.
     """
-    struct = _layout(nvars)[0]
+    struct = L[0]
     size = struct.size
     data = b"".join([p.to_bytes(size, "little") for _, p, _ in poly])
-    return [(e[:nvars], t[2]) for e, t in zip(struct.iter_unpack(data), poly)]
+    return [(e[:-1], t[2]) for e, t in zip(struct.iter_unpack(data), poly)]
+
+
+class _Polys(list):
+    """Engine polynomials, with the layout their keys and packs are in."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, polys, layout):
+        super().__init__(polys)
+        self.layout = layout
 
 
 def _content(terms):
@@ -282,19 +337,20 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=(), top_only=False):
+def _reduce(f, basis, L, top, track_multiplier=False, waiting=(), top_only=False):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
     are summed and zero sums dropped.  ``basis`` holds engine polynomials
-    over ``nvars`` variables, and ``top`` is at least the total degree of
-    each of their terms.  Returns ``(tail, mult)`` with ``mult * f =
-    (combination of basis) + tail``, the tail sorted descending and no tail
-    monomial divisible by any basis leading monomial.  When
+    in the layout ``L``, as ``f``'s terms are, and ``top`` is at least the
+    total degree of each of their terms.  Returns ``(tail, mult)`` with
+    ``mult * f = (combination of basis) + tail``, the tail sorted descending
+    and no tail monomial divisible by any basis leading monomial.  When
     ``track_multiplier`` is false the tail is normalised primitive and mult
     is meaningless (callers that only need the remainder up to a scalar).
-    Raises ResourceLimitExceeded before a step could make a monomial of
-    total degree 2^31 or more, judged by ``top``, not by the reducer.
+    Refuses, through ``_degree_guard``, a step that could make a monomial
+    of total degree at or above the layout's bound, judged by ``top``, not
+    by the reducer.
 
     ``waiting`` holds further reducers as ``(threshold, polynomial)`` pairs
     sorted ascending by threshold.  A reducer is appended to ``basis``
@@ -311,7 +367,7 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=(), top_only=F
     so the result, are those of taking ``max`` of the terms not yet found
     irreducible each time.
     """
-    _, guard, shift = _layout(nvars)
+    _, guard, shift, _ = L
     # the whole remainder, irreducible terms included, as key -> coeff;
     # packs maps every key ever seen to its pack
     h = {}
@@ -352,7 +408,7 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=(), top_only=F
         gk, gp, gc = next(terms)
         dpack = p0 - gp
         # the monomials this step makes have degree at most top + |dpack|
-        _degree_guard(top + (dpack >> shift))
+        _degree_guard(top + (dpack >> shift), L)
         if c0.bit_length() > limit:
             c0, mult = _divide_content(h, c0, mult, track_multiplier)
             limit = max(2 * c0.bit_length(), _CONTENT_BITS)
@@ -367,14 +423,20 @@ def _reduce(f, basis, nvars, top, track_multiplier=False, waiting=(), top_only=F
         dkey = k0 - gk
         for k, p, c in terms:
             sk = k + dkey
-            sc = h.get(sk, 0) - b * c
-            if sc:
-                h[sk] = sc
+            hc = h.get(sk)
+            if hc is None:
+                h[sk] = -b * c
+                # a key cancelled earlier is still in packs and the leader
+                # list, and must not enter it twice
                 if sk not in packs:
                     packs[sk] = p + dpack
                     insort(order, sk)
             else:
-                del h[sk]
+                hc -= b * c
+                if hc:
+                    h[sk] = hc
+                else:
+                    del h[sk]
     # h holds exactly the irreducible terms, and with top_only every term
     # after the first of them
     tail = [(k, packs[k], h[k]) for k in sorted(h, reverse=True)]
@@ -415,34 +477,40 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     caps, ``max_degree`` bounding the total degree of every polynomial it
     makes, and before making a monomial of total degree 2^31 or more.
     """
-    shift = _layout(nvars)[2]
-    polys = key_basis(gens, kind, block)
+    return _widening(_buchberger, nvars, 16, gens, nvars, kind, block, max_pairs, max_degree)
+
+
+def _buchberger(L, gens, nvars, kind, block, max_pairs, max_degree):
+    """``buchberger`` in the layout ``L``."""
+    shift = L[2]
+    polys = _key_basis(L, gens, kind, block)
     # the degree bound of every _reduce call: the largest total degree of
     # any polynomial made so far
     top = _top(chain.from_iterable(polys), shift)
-    polys, top = _interreduce(polys, nvars, top, max_degree)
+    polys, top = _interreduce(polys, L, top, max_degree)
     # grevlex is graded, so a polynomial's first and last terms have its
     # largest and smallest degree
     top_only = kind == 1 and all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= nvars else _gm_loop
-    divisors = loop(polys, nvars, kind, block, max_pairs, max_degree, top, top_only)
-    return _Stripped.of(divisors, nvars)
+    divisors = loop(polys, L, kind, block, max_pairs, max_degree, top, top_only)
+    return _Stripped.of(divisors, L)
 
 
 class _Stripped(list):
     """The [(exp, int)] lists of a basis, keeping in ``polys`` the engine
-    polynomials they were stripped from.  ``buchberger`` and ``interreduce``
-    return one, so that ``interreduce`` need not key a minimal basis again,
-    nor a caller the reduced basis it passes to ``normal_form``: ``polys``
-    is what ``key_basis`` makes of the lists."""
+    polynomials they were stripped from, with their layout.  ``buchberger``
+    and ``interreduce`` return one, so that ``interreduce`` need not key a
+    minimal basis again, nor a caller the reduced basis it passes to
+    ``normal_form``: ``polys`` is what ``key_basis`` makes of the lists,
+    at the width the run ended at."""
 
     __slots__ = ("polys",)
 
     @classmethod
-    def of(cls, polys, nvars):
-        out = cls(_strip_keys(p, nvars) for p in polys)
-        out.polys = polys
+    def of(cls, polys, L):
+        out = cls(_strip_keys(p, L) for p in polys)
+        out.polys = _Polys(polys, L)
         return out
 
 
@@ -451,31 +519,38 @@ def interreduce(basis_pairs, nvars, kind, block, max_degree=_DEGREE_BOUND):
 
     Takes the [(exp, int)] lists of a minimal basis for the same order:
     primitive, sorted and free of zeros, so they need only their keys,
-    which ``buchberger``'s own output carries.  Returns a ``_Stripped``,
-    whose ``polys`` are keyed for ``normal_form``.  Raises
-    ResourceLimitExceeded if a polynomial it makes has total degree above
-    ``max_degree``; under grevlex none has a larger degree than the input,
-    since no term has a larger degree than its leading term.
+    which ``buchberger``'s own output carries, and runs at their width.
+    Returns a ``_Stripped``, whose ``polys`` are keyed for ``normal_form``.
+    Raises ResourceLimitExceeded if a polynomial it makes has total degree
+    above ``max_degree``; under grevlex none has a larger degree than the
+    input, since no term has a larger degree than its leading term.
     """
     polys = getattr(basis_pairs, "polys", None)
-    if polys is None:
-        polys = [[(*_encode(e, kind, block), c) for e, c in p] for p in basis_pairs]
-    top = _top(chain.from_iterable(polys), _layout(nvars)[2])
-    return _Stripped.of(_interreduce(list(polys), nvars, top, max_degree)[0], nvars)
+    bits = 16 if polys is None else polys.layout[3].bit_length()
+    return _widening(_reduced_basis, nvars, bits, basis_pairs, kind, block, max_degree)
 
 
-def _interreduce(polys, nvars, top, max_degree):
+def _reduced_basis(L, basis_pairs, kind, block, max_degree):
+    """``interreduce`` in the layout ``L``."""
+    polys = getattr(basis_pairs, "polys", None)
+    if polys is None or polys.layout is not L:
+        polys = [[(*_encode(e, kind, block, L), c) for e, c in p] for p in basis_pairs]
+    top = _top(chain.from_iterable(polys), L[2])
+    return _Stripped.of(_interreduce(list(polys), L, top, max_degree)[0], L)
+
+
+def _interreduce(polys, L, top, max_degree):
     """``polys`` interreduced, sorted by leading key, and their degree bound;
     ``top`` bounds the degree of ``polys``.  Zeros are dropped.
     """
-    shift = _layout(nvars)[2]
+    shift = L[2]
     while True:
         polys.sort(key=_lead_key)
         done = []
         moved = False
         for i, p in enumerate(polys):
             others = done + polys[i + 1 :]
-            r = _reduce(p, others, nvars, top)[0] if others else p
+            r = _reduce(p, others, L, top)[0] if others else p
             if r:
                 top = _capped(r, shift, top, max_degree)
                 moved = moved or r[0][0] != p[0][0]
@@ -496,18 +571,18 @@ def _capped(r, shift, top, max_degree):
     return max(top, degree)
 
 
-def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
+def _gm_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by Gebauer-Moeller.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
     bound; ``top_only`` is ``_reduce``'s.  Returns the basis sorted by
     leading key.
     """
-    struct, guard, shift = _layout(nvars)
+    struct, guard, shift, _ = L
     pack_fields = struct.pack
     # f holds every polynomial ever created, exps their leading exponents;
     # G and pairs hold indices into them
-    exps = [_unpack(p[0][1], nvars) for p in f]
+    exps = [_unpack(p[0][1], L) for p in f]
 
     def update(G, B, ih):
         # Gebauer-Moeller pair pruning, [Becker-Weispfenning] p. 230, on
@@ -526,8 +601,8 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
         # of several new pairs with equal lcm the chain test keeps the last
         # candidate, so the candidates go in ascending index order
         C = [(tuple(map(max, mh, exps[ig])), ig) for ig in G]
-        # the lcms' packs; their degree may pass 2^31, which the degree
-        # field holds and a kept pair's _encode refuses
+        # the lcms' packs; their degree may pass the layout's bound, which
+        # the degree field holds and a kept pair's _encode refuses
         lcms = [int.from_bytes(pack_fields(*m, sum(m)), "little") for m, _ in C]
         D = []  # packs of the new pairs' lcms kept, coprime ones included
         for n, (m, ig) in enumerate(C):
@@ -539,7 +614,7 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
                 or any(not (pm - q) & guard for q in D)
             ):
                 D.append(pm)
-                B.append((*_encode(m, kind, block), ih, ig))
+                B.append((*_encode(m, kind, block, L), ih, ig))
         heapify(B)
         # ih is the largest index yet, so G stays ascending
         G = [ig for ig in G if (f[ig][0][1] - ph) & guard]
@@ -561,13 +636,13 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
-        spol = _spoly(f, key, lcm, i1, i2, top, shift)
-        r, _ = _reduce(spol, divisors, nvars, top, top_only=top_only)
+        spol = _spoly(f, key, lcm, i1, i2, top, L)
+        r, _ = _reduce(spol, divisors, L, top, top_only=top_only)
         if not r:
             continue
         top = _capped(r, shift, top, max_degree)
         f.append(r)
-        exps.append(_unpack(r[0][1], nvars))
+        exps.append(_unpack(r[0][1], L))
         G, CP = update(G, CP, len(f) - 1)
         divisors = sorted((f[ig] for ig in G), key=_lead_key)
 
@@ -576,20 +651,21 @@ def _gm_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
     return divisors
 
 
-def _spoly(f, key, lcm, i1, i2, top, shift):
+def _spoly(f, key, lcm, i1, i2, top, L):
     """The S-polynomial of ``f[i1]`` and ``f[i2]`` at the lcm of key ``key``
     and pack ``lcm``, ``(c2/d) x^(lcm-e1) f[i1] - (c1/d) x^(lcm-e2) f[i2]``.
 
     It is the two shifted, scaled tails (the leading terms cancel), which
     ``_reduce`` sums; keys and packs are additive, so a cofactor's key and
-    pack are differences.  Raises ResourceLimitExceeded if a step reducing
-    it against a basis of degree bound ``top`` could reach degree 2^31.
+    pack are differences.  Refuses, through ``_degree_guard``, one that a
+    step reducing it against a basis of degree bound ``top`` could take to
+    the layout ``L``'s bound.
     """
     k1, p1, c1 = f[i1][0]
     k2, p2, c2 = f[i2][0]
     dp1 = lcm - p1
     dp2 = lcm - p2
-    _degree_guard(top + (max(dp1, dp2) >> shift))
+    _degree_guard(top + (max(dp1, dp2) >> L[2]), L)
     d = gcd(c1, c2)
     return (
         (k + dk, p + dp, m * c)
@@ -601,7 +677,7 @@ def _spoly(f, key, lcm, i1, i2, top, shift):
     )
 
 
-def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only):
+def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by signatures.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
@@ -610,8 +686,8 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only)
     pack)`` of ``t*lm(f[i])``: the Schreyer order compares ``(key, i)``,
     and ``t*e_i`` divides ``s*e_i`` iff the packs do.
     """
-    _, guard, shift = _layout(nvars)
-    exps = [_unpack(p[0][1], nvars) for p in f]
+    _, guard, shift, _ = L
+    exps = [_unpack(p[0][1], L) for p in f]
     sigs = [(p[0][0], i, p[0][1]) for i, p in enumerate(f)]
     # per index i, the minimal packs of the syzygy signatures known
     syz = [[] for _ in f]
@@ -639,11 +715,11 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only)
             # multiple of the pair's side from the same polynomial, so
             # bounding its degree bounds the pair's signature too
             a, b = (skn + kj, i_n, spn + pj), (skj + kn, i_j, spj + pn)
-            _degree_guard(max(a[2], b[2]) >> shift)
+            _degree_guard(max(a[2], b[2]) >> shift, L)
             if a[:2] != b[:2]:
                 note(*max(a, b)[1:])
             m = tuple(map(max, exps[n], exps[j]))
-            key, lcm = _encode(m, kind, block)
+            key, lcm = _encode(m, kind, block, L)
             a = (skn + key - kn, i_n, n, j, key, lcm, spn + lcm - pn)
             b = (skj + key - kj, i_j, j, n, key, lcm, spj + lcm - pj)
             if a[:2] != b[:2]:
@@ -673,8 +749,8 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only)
             ((sk - s[0] + p[0][0] + (s[1] < i), p) for s, p in zip(sigs, f)),
             key=itemgetter(0),
         )
-        spol = _spoly(f, key, lcm, g, o, top, shift)
-        r, _ = _reduce(spol, [], nvars, top, waiting=waiting, top_only=top_only)
+        spol = _spoly(f, key, lcm, g, o, top, L)
+        r, _ = _reduce(spol, [], L, top, waiting=waiting, top_only=top_only)
         if not r:
             note(i, sp)
             continue
@@ -689,7 +765,7 @@ def _signature_loop(f, nvars, kind, block, max_pairs, max_degree, top, top_only)
         top = _capped(r, shift, top, max_degree)
         f.append(r)
         sigs.append((sk, i, sp))
-        exps.append(_unpack(pr, nvars))
+        exps.append(_unpack(pr, L))
         add_pairs(len(f) - 1)
 
     # keep one polynomial per minimal leading monomial; a divisor's key is
@@ -706,11 +782,18 @@ def key_basis(basis_pairs, kind, block):
 
     Key a basis once and pass the result to every ``normal_form`` call
     against it under the same order; ``interreduce``'s output carries it
-    already, as ``polys``.  Raises ResourceLimitExceeded on a
-    monomial of total degree 2^31 or more.
+    already, as ``polys``.  The result is a ``_Polys`` in 16-bit fields, or
+    32-bit ones if a monomial's degree reaches 2^15.  Raises
+    ResourceLimitExceeded on a monomial of total degree 2^31 or more.
     """
-    keyed = (_attach_keys(b, kind, block) for b in basis_pairs)
-    return [p for p in keyed if p]
+    nvars = next((len(e) for b in basis_pairs for e, _ in b), 0)
+    return _widening(_key_basis, nvars, 16, basis_pairs, kind, block)
+
+
+def _key_basis(L, basis_pairs, kind, block):
+    """``key_basis`` in the layout ``L``."""
+    keyed = (_attach_keys(b, kind, block, L) for b in basis_pairs)
+    return _Polys([p for p in keyed if p], L)
 
 
 def normal_form(fpairs, basis, nvars, kind, block):
@@ -720,11 +803,22 @@ def normal_form(fpairs, basis, nvars, kind, block):
     size the packs, and the basis the output of ``key_basis`` for the same
     order; returns ``(tail, mult)`` with the exact normal form equal to
     tail / mult, tail as an [(exp, int)] list.  The input is not
-    content-normalised: the multiplier accounts for everything.  Raises
-    ResourceLimitExceeded on, or before making, a monomial of total degree
-    2^31 or more.
+    content-normalised: the multiplier accounts for everything.  Runs at
+    the basis's width; if a 16-bit run reaches degree 2^15, the basis is
+    keyed again at 32 bits for the rerun.  Raises ResourceLimitExceeded on,
+    or before making, a monomial of total degree 2^31 or more.
     """
-    terms = ((*_encode(e, kind, block), c) for e, c in fpairs)
-    top = _top(chain.from_iterable(basis), _layout(nvars)[2])
-    tail, mult = _reduce(terms, basis, nvars, top, track_multiplier=True)
-    return _strip_keys(tail, nvars), mult
+    bits = basis.layout[3].bit_length()
+    return _widening(_normal_form, nvars, bits, fpairs, basis, kind, block)
+
+
+def _normal_form(L, fpairs, basis, kind, block):
+    """``normal_form`` in the layout ``L``, keying ``basis`` again if it is
+    in another."""
+    if basis.layout is not L:
+        stripped = [_strip_keys(p, basis.layout) for p in basis]
+        basis = _key_basis(L, stripped, kind, block)
+    terms = ((*_encode(e, kind, block, L), c) for e, c in fpairs)
+    top = _top(chain.from_iterable(basis), L[2])
+    tail, mult = _reduce(terms, basis, L, top, track_multiplier=True)
+    return _strip_keys(tail, L), mult

@@ -9,7 +9,7 @@ integer term lists; this module owns the conversions, the caps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -55,8 +55,11 @@ class GBLimits:
     pair loop, so it hits neither cap; the generators' degrees are still
     checked.  Reading such a basis's ``basis`` runs the kernel's tail
     reduction, which under grevlex makes no polynomial of a higher degree
-    than the minimal basis has, so it never passes a degree cap.
-    Raises ValueError on a negative cap.
+    than the minimal basis has, so it never passes a degree cap.  The
+    kernel packs monomials in 16-bit fields and runs a call again in 32-bit
+    ones when a degree reaches 2^15, so a run past that degree costs a
+    rerun but gives the same basis; total degree 2^31 is the kernel's own
+    bound, past any cap.  Raises ValueError on a negative cap.
     """
 
     max_pairs: int = 500_000
@@ -71,7 +74,6 @@ class GBLimits:
 DEFAULT_LIMITS = GBLimits()
 
 
-@dataclass(frozen=True)
 class IdealPresentation:
     """A finite generator list; the ideal is its span, not canonicalised.
 
@@ -79,16 +81,9 @@ class IdealPresentation:
     order of what remains is preserved, since generator-wise operations
     (naive homogenisation above all) depend on the presentation.  An empty
     list after dropping presents the zero ideal, which elimination can
-    legitimately produce.
+    legitimately produce.  Equality, hashing and ``repr`` read ``ctx`` and
+    ``generators``, and the attributes are read-only.
     """
-
-    ctx: VarContext
-    generators: tuple[MultiPoly, ...]
-    # the Groebner basis of the ideal once known: attached by
-    # homogenise_ideal or kept from the first buchberger run; buchberger
-    # returns it for its order.  Under grevlex it holds the kernel's minimal
-    # basis and tail-reduces it when its basis is first read
-    _reduced: ReducedGB | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, ctx: VarContext, generators):
         gens = []
@@ -97,9 +92,43 @@ class IdealPresentation:
                 raise ContextMismatch("generator context differs from ideal context")
             if not g.is_zero() and g not in gens:
                 gens.append(g)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_reduced", None)
+        _set = object.__setattr__
+        _set(self, "ctx", ctx)
+        # None while homogenise_ideal's result has not built them
+        _set(self, "_generators", tuple(gens))
+        # the Groebner basis of the ideal once known: attached by
+        # homogenise_ideal or kept from the first buchberger run; buchberger
+        # returns it for its order.  Under grevlex it holds the kernel's
+        # minimal basis and tail-reduces it when its basis is first read
+        _set(self, "_reduced", None)
+
+    @property
+    def generators(self) -> tuple[MultiPoly, ...]:
+        if self._generators is None:
+            # homogenise_ideal's result: the monic elements of the minimal
+            # basis it carries, whose leading monomials are distinct
+            gens = _monic(self.ctx, self._reduced._minimal)
+            object.__setattr__(self, "_generators", gens)
+        return self._generators
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IdealPresentation is read-only: cannot set {name!r}")
+
+    def __getstate__(self):
+        # a pickle holds the generators, built first if they are not
+        self.generators
+        return self.__dict__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.generators) == (other.ctx, other.generators)
+
+    def __hash__(self):
+        return hash((self.ctx, self.generators))
+
+    def __repr__(self):
+        return f"IdealPresentation(ctx={self.ctx!r}, generators={self.generators!r})"
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -239,7 +268,12 @@ def buchberger(
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
     """
-    top = max((g.degree() for g in I.generators), default=-1)
+    if I._generators is None:
+        # homogenise_ideal's result, its generators not built: each element
+        # of its homogeneous minimal basis has its leading term's degree
+        top = max((sum(terms[0][0]) for terms in I._reduced._minimal), default=-1)
+    else:
+        top = max((g.degree() for g in I.generators), default=-1)
     if top > limits.max_degree:
         raise ResourceLimitExceeded(
             f"degree cap {limits.max_degree} exceeded by an input of degree {top}"
@@ -385,7 +419,8 @@ def homogenise_ideal(
     in its order.  The result carries that basis: ``buchberger(result)``
     returns it without a second pair loop, ``hilbert`` reads it as it is,
     and its ``basis``, tail-reduced on first read, is the reduced basis of
-    I^h, the homogenised reduced basis of I.  I^h equals the saturation of
+    I^h, the homogenised reduced basis of I.  The generators are built, as
+    monic ``MultiPoly``s, only when first read.  I^h equals the saturation of
     the generator-wise homogenisation by tvar.
     """
     ctx = I.ctx.extend(tvar)
@@ -399,7 +434,8 @@ def homogenise_ideal(
     for terms in minimal:
         d = sum(terms[0][0])
         hom.append([(e + (d - sum(e),), c) for e, c in terms])
-    out = IdealPresentation(ctx, _monic(ctx, hom))
+    out = IdealPresentation(ctx, ())
+    object.__setattr__(out, "_generators", None)
     object.__setattr__(out, "_reduced", ReducedGB._from_minimal(ctx, GREVLEX, hom))
     return out
 

@@ -118,6 +118,17 @@ def test_seeded_quadrics_pop_the_smallest_pair(checked_pops):
     assert pops > 0 and basis == [[((0, 0, 0, 0), 1)]]
 
 
+def test_a_run_widened_to_32_bits_fails_the_script(monkeypatch, capsys):
+    # every run is capped far below degree 2^15, so none may end at 32 bits
+    widening = pure._widening
+    monkeypatch.setattr(
+        pure, "_widening", lambda run, nvars, bits, *args: widening(run, nvars, 32, *args)
+    )
+    monkeypatch.setattr(bench_gb, "WORKLOADS", {"orbit-fibre": bench_gb.WORKLOADS["orbit-fibre"]})
+    assert bench_gb.main(["--repeat", "1"]) == 1
+    assert "orbit-fibre: ran at 32 bits" in capsys.readouterr().err
+
+
 def test_raw_terms_refuses_a_fractional_coefficient():
     # int() would truncate 1/2 to 0 and time a different system
     ctx = VarContext(["x", "y"])

@@ -506,6 +506,29 @@ def test_saturated_hilbert_data_needs_no_tail_reduction(monkeypatch):
     assert (h.proj_dim, h.degree) == (11, 24)
 
 
+def test_saturated_hilbert_data_builds_no_generators(monkeypatch):
+    # the generators, monic MultiPolys, are built only when read
+    def refuse(*args):
+        raise AssertionError("the saturated closure built its generators")
+
+    monkeypatch.setattr(groebner, "_monic", refuse)
+    h = hilbert(buchberger(homogenise_ideal(sl4_fibre())))
+    assert (h.proj_dim, h.degree) == (11, 24)
+
+
+def test_homogenise_ideal_pickles_before_and_after_its_generators_are_read():
+    I = sl4_fibre_c2()
+    unread, read = homogenise_ideal(I, "t"), homogenise_ideal(fresh(I), "t")
+    gens = read.generators
+    for out in (unread, read):
+        back = pickle.loads(pickle.dumps(out))
+        assert back.generators == gens
+        assert back == out and hash(back) == hash(out) and repr(back) == repr(out)
+        # the attached basis comes along, tail-reduced
+        assert back._reduced._minimal is None
+        assert buchberger(back) == buchberger(fresh(read))
+
+
 def test_homogenise_ideal_reads_a_basis_stored_reduced():
     # unpickling keeps the presentation's basis but not its minimal one, so
     # homogenise_ideal homogenises the reduced basis, itself reduced

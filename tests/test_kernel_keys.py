@@ -1,7 +1,9 @@
 """The pure engine's monomial encoding, ``_encode``'s packed keys and packed
-exponent vectors: keys ordered as ``make_key``, packs decoded exactly and
-ordered by divisibility, both additive below total degree 2^31 and refused,
-never merged, at or above it."""
+exponent vectors, in 16-bit and 32-bit layouts: keys ordered as
+``make_key``, packs decoded exactly and ordered by divisibility, both
+additive below the layout's bound, 2^15 or 2^31, and refused, never merged,
+at or above it.  A 16-bit refusal reruns the entry point at 32 bits, so the
+engine's own bound is 2^31, and the bases are those of a 32-bit run."""
 
 from operator import mul
 
@@ -13,33 +15,38 @@ from orbitcompat import ResourceLimitExceeded
 from orbitcompat._kernel import pure
 
 TOP = 2**31 - 1  # the largest total degree a packed key holds
+# the largest total degree each field width holds
+TOPS = {16: 2**15 - 1, 32: TOP}
+WIDTHS = st.sampled_from(sorted(TOPS))
 
 
-def pack(e):
+def pack(e, bits):
     """The packed exponent vector of ``e``, which no order changes."""
-    return pure._encode(e, 1, 0)[1]
+    return pure._encode(e, 1, 0, pure._layout(len(e), bits))[1]
 
 
 @st.composite
-def exponent(draw, n, total=None):
+def exponent(draw, n, total=None, top=TOP):
     """An exponent tuple of length n and total degree ``total``, by default
-    at most TOP: TOP itself, any degree, or a small one."""
+    at most ``top``: ``top`` itself, any degree, or a small one."""
     if total is None:
-        total = draw(st.one_of(st.just(TOP), st.integers(0, TOP), st.integers(0, 8)))
+        total = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 8)))
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
     return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
 
 
 @st.composite
 def order_and_pair(draw):
-    """(n, kind, block, a, b): b is drawn on its own, or moves some of a's
-    degree between two variables so that the total degrees tie."""
+    """(L, kind, block, a, b) for a layout L of a drawn width: b is drawn on
+    its own, or moves some of a's degree between two variables so that the
+    total degrees tie."""
     n = draw(st.sampled_from([1, 3, 16, 26]))
+    bits = draw(WIDTHS)
     kind = draw(st.sampled_from([0, 1, 2]))
     block = draw(st.integers(0, n)) if kind == 2 else 0
-    a = draw(exponent(n))
+    a = draw(exponent(n, top=TOPS[bits]))
     if draw(st.booleans()):
-        b = draw(exponent(n))
+        b = draw(exponent(n, top=TOPS[bits]))
     else:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         moved = draw(st.integers(0, a[i]))
@@ -47,14 +54,14 @@ def order_and_pair(draw):
         b[i] -= moved
         b[j] += moved
         b = tuple(b)
-    return n, kind, block, a, b
+    return pure._layout(n, bits), kind, block, a, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(order_and_pair())
 def test_packed_keys_order_as_make_key(case):
-    _, kind, block, a, b = case
-    pa, pb = pure._encode(a, kind, block)[0], pure._encode(b, kind, block)[0]
+    L, kind, block, a, b = case
+    pa, pb = pure._encode(a, kind, block, L)[0], pure._encode(b, kind, block, L)[0]
     ka, kb = pure.make_key(a, kind, block), pure.make_key(b, kind, block)
     assert (pa < pb) == (ka < kb)
     assert (pa > pb) == (ka > kb)
@@ -65,12 +72,14 @@ def test_packed_keys_order_as_make_key(case):
 @given(st.data())
 def test_packed_keys_add(data):
     n = data.draw(st.sampled_from([1, 3, 16, 26]))
+    bits = data.draw(WIDTHS)
     kind = data.draw(st.sampled_from([0, 1, 2]))
     block = data.draw(st.integers(0, n)) if kind == 2 else 0
-    c = data.draw(exponent(n))
+    c = data.draw(exponent(n, top=TOPS[bits]))
     a = tuple(data.draw(st.integers(0, x)) for x in c)
     b = tuple(x - y for x, y in zip(c, a))
-    (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, kind, block) for e in (c, a, b))
+    L = pure._layout(n, bits)
+    (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, kind, block, L) for e in (c, a, b))
     assert kc == ka + kb
     assert pc == pa + pb
 
@@ -81,47 +90,50 @@ def test_grevlex_keys_read_off_the_pack_are_the_weighted_sums(data):
     # _encode reads a grevlex key off the pack; the weights of make_key's
     # unit vectors are the reference for every order
     n = data.draw(st.sampled_from([1, 3, 16, 26]))
-    e = data.draw(exponent(n))
-    assert pure._encode(e, 1, 0)[0] == sum(map(mul, e, pure._weights(n, 1, 0)))
+    bits = data.draw(WIDTHS)
+    e = data.draw(exponent(n, top=TOPS[bits]))
+    L = pure._layout(n, bits)
+    assert pure._encode(e, 1, 0, L)[0] == sum(map(mul, e, pure._weights(L, 1, 0)))
 
 
 SIZES = st.sampled_from([1, 3, 16, 26])
 
 
 @settings(max_examples=200, deadline=None)
-@given(SIZES, st.data())
-def test_unpack_inverts_pack(n, data):
-    a = data.draw(exponent(n))
-    assert pure._unpack(pack(a), n) == a
+@given(SIZES, WIDTHS, st.data())
+def test_unpack_inverts_pack(n, bits, data):
+    a = data.draw(exponent(n, top=TOPS[bits]))
+    assert pure._unpack(pack(a, bits), pure._layout(n, bits)) == a
 
 
 @st.composite
 def divisor_pair(draw):
-    """(n, a, b): a drawn on its own, a divisor of b, or on b's variables but
-    above b in one of them, as x^2*y against x*y."""
+    """(n, bits, a, b): a drawn on its own, a divisor of b, or on b's
+    variables but above b in one of them, as x^2*y against x*y."""
     n = draw(SIZES)
-    b = draw(exponent(n))
+    bits = draw(WIDTHS)
+    b = draw(exponent(n, top=TOPS[bits]))
     how = draw(st.sampled_from(["any", "divisor", "same variables"]))
     if how == "any":
-        a = draw(exponent(n))
+        a = draw(exponent(n, top=TOPS[bits]))
     elif how == "divisor":
         a = tuple(draw(st.integers(0, x)) for x in b)
     else:
         support = [i for i, x in enumerate(b) if x]
-        assume(support and sum(b) < TOP)
+        assume(support and sum(b) < TOPS[bits])
         a = list(b)
         a[draw(st.sampled_from(support))] += 1
         a = tuple(a)
-    return n, a, b
+    return n, bits, a, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(divisor_pair())
 def test_pack_difference_decides_divisibility(case):
-    n, a, b = case
-    _, guard, _ = pure._layout(n)
+    n, bits, a, b = case
+    guard = pure._layout(n, bits)[1]
     divides = all(x <= y for x, y in zip(a, b))
-    assert (not (pack(b) - pack(a)) & guard) == divides
+    assert (not (pack(b, bits) - pack(a, bits)) & guard) == divides
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,7 +143,17 @@ def test_a_pack_of_degree_2_31_raises(n, data):
     kind = data.draw(st.sampled_from([0, 1, 2]))
     block = data.draw(st.integers(0, n)) if kind == 2 else 0
     with pytest.raises(ResourceLimitExceeded):
-        pure._encode(data.draw(exponent(n, total)), kind, block)
+        pure._encode(data.draw(exponent(n, total)), kind, block, pure._layout(n, 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZES, st.data())
+def test_a_pack_of_degree_2_15_widens_a_16_bit_layout(n, data):
+    total = data.draw(st.one_of(st.just(2**15), st.integers(2**15, 2**33)))
+    kind = data.draw(st.sampled_from([0, 1, 2]))
+    block = data.draw(st.integers(0, n)) if kind == 2 else 0
+    with pytest.raises(pure._Widen):
+        pure._encode(data.draw(exponent(n, total)), kind, block, pure._layout(n, 16))
 
 
 # lex with x > y, and the basis x - y^(2^30)
@@ -181,3 +203,95 @@ def test_the_degree_bound_is_the_whole_basis():
     keyed = pure.key_basis([[((1, 0, 0), 1), ((0, 2**30, 0), -1)], z], *LEX)
     with pytest.raises(ResourceLimitExceeded):
         pure.normal_form(f, keyed, 3, *LEX)
+
+
+# -- 16-bit runs and their reruns at 32 bits ------------------------------------
+
+GREVLEX = (1, 0)
+WIDE = pure._layout(2, 32)
+
+
+@pytest.mark.parametrize(
+    "gens,code,basis",
+    [
+        # lex, x > y: x^2 - 1 reduces by x - y^40000 to y^80000 - 1
+        pytest.param(
+            [[((1, 0), 1), ((0, 40000), -1)], [((2, 0), 1), ((0, 0), -1)]],
+            LEX,
+            [[((0, 80000), 1), ((0, 0), -1)], [((1, 0), 1), ((0, 40000), -1)]],
+            id="lex",
+        ),
+        # grevlex, x > y: the S-polynomial of x^40000 - y^40000 and x*y - 1
+        # is y^40001 - x^39999
+        pytest.param(
+            [[((40000, 0), 1), ((0, 40000), -1)], [((1, 1), 1), ((0, 0), -1)]],
+            GREVLEX,
+            [
+                [((1, 1), 1), ((0, 0), -1)],
+                [((40000, 0), 1), ((0, 40000), -1)],
+                [((0, 40001), 1), ((39999, 0), -1)],
+            ],
+            id="grevlex",
+        ),
+    ],
+)
+def test_bases_past_degree_2_15_are_those_of_32_bit_fields(gens, code, basis):
+    minimal = pure.buchberger(gens, 2, *code, 100, 2**40)
+    reduced = pure.interreduce(minimal, 2, *code)
+    assert reduced == basis
+    assert minimal.polys.layout is reduced.polys.layout is WIDE
+    wide = pure._buchberger(WIDE, gens, 2, *code, 100, 2**40)
+    assert minimal == wide and minimal.polys == wide.polys
+    assert reduced.polys == pure._reduced_basis(WIDE, wide, *code, 2**31).polys
+
+
+def test_interreduce_past_degree_2_15_reruns_at_32_bits():
+    # lex, x > y > z: y^4 steps through y^2*z^20000 to z^40000
+    minimal = [[((0, 2, 0), 1), ((0, 0, 20000), -1)], [((1, 0, 0), 1), ((0, 4, 0), -1)]]
+    reduced = pure.interreduce(minimal, 3, *LEX)
+    assert reduced == [minimal[0], [((1, 0, 0), 1), ((0, 0, 40000), -1)]]
+    assert reduced.polys.layout is pure._layout(3, 32)
+
+
+def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
+    # lex, x > y, modulo x - y^2: x^20000 is held in 16 bits, and its steps
+    # reach y^40000; x^40000 is not
+    basis = [[((1, 0), 1), ((0, 2), -1)]]
+    keyed = pure.key_basis(basis, *LEX)
+    narrow = pure._layout(2, 16)
+    assert keyed.layout is narrow
+    assert pure.normal_form([((20000, 0), 1)], keyed, 2, *LEX) == ([((0, 40000), 1)], 1)
+    f = [((40000, 0), 3), ((0, 1), -1)]
+    assert pure.normal_form(f, keyed, 2, *LEX) == ([((0, 80000), 3), ((0, 1), -1)], 1)
+    # the caller's basis stays as it was keyed
+    assert keyed.layout is narrow and keyed == pure._key_basis(narrow, basis, *LEX)
+
+
+@st.composite
+def small_system(draw):
+    """(gens, f, kind, block): up to three polynomials in three variables,
+    of up to three terms of degree at most three, and a polynomial f."""
+    kind = draw(st.sampled_from([0, 1, 2]))
+    block = draw(st.integers(1, 2)) if kind == 2 else 0
+    exp = st.tuples(*[st.integers(0, 3)] * 3)
+    coeff = st.integers(-5, 5).filter(bool)
+    poly = st.dictionaries(exp, coeff, min_size=1, max_size=3).map(lambda d: list(d.items()))
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    return gens, draw(poly), kind, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_system())
+def test_both_layouts_give_the_same_bases_and_normal_forms(case):
+    gens, f, kind, block = case
+    outcomes = []
+    for bits in (16, 32):
+        L = pure._layout(3, bits)
+        try:
+            minimal = pure._buchberger(L, gens, 3, kind, block, 200, 12)
+            reduced = pure._reduced_basis(L, minimal, kind, block, 12)
+        except ResourceLimitExceeded as e:
+            outcomes.append(str(e))
+            continue
+        outcomes.append((minimal, reduced, pure._normal_form(L, f, reduced.polys, kind, block)))
+    assert outcomes[0] == outcomes[1]

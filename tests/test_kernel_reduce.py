@@ -23,10 +23,11 @@ from orbitcompat._kernel import pure
 CTX = VarContext(["x", "y", "z"])
 KIND, BLOCK = 1, 0  # grevlex
 LIMITS = GBLimits()
+L = pure._layout(3, 16)  # the layout every run starts in
 
 
 def key(e):
-    return pure._encode(e, KIND, BLOCK)[0]
+    return pure._encode(e, KIND, BLOCK, L)[0]
 
 
 def divides(a, b):
@@ -73,11 +74,11 @@ def random_poly(rng, terms, degree, coeff):
 
 
 def term(e, c):
-    return *pure._encode(e, KIND, BLOCK), c
+    return *pure._encode(e, KIND, BLOCK, L), c
 
 
 def decoded(tail):
-    return {pure._unpack(p, 3): c for _, p, c in tail}
+    return {pure._unpack(p, L): c for _, p, c in tail}
 
 
 def engine_poly(f):
@@ -88,7 +89,7 @@ def reduce(terms, basis, track):
     """``pure._reduce`` of engine ``terms`` modulo a basis of {exp: coeff}
     dicts, with the basis's own degree bound."""
     top = max(sum(e) for g in basis for e in g)
-    return pure._reduce(terms, [engine_poly(g) for g in basis], 3, top, track_multiplier=track)
+    return pure._reduce(terms, [engine_poly(g) for g in basis], L, top, track_multiplier=track)
 
 
 def cases(seed, count):
@@ -225,11 +226,11 @@ def test_top_only_reduction_leaves_the_tail_as_it_stands():
     g = engine_poly({(1, 0, 0): 1, (0, 0, 1): -1})
     f = engine_poly({xy: 1, y2: 1, xz: 1})
     for top_only, want in ((True, {y2: 1, xz: 1, yz: 1}), (False, {y2: 1, yz: 1, z2: 1})):
-        tail, _ = pure._reduce(f, [g], 3, 1, top_only=top_only)
+        tail, _ = pure._reduce(f, [g], L, 1, top_only=top_only)
         assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
         assert decoded(tail) == want
     # a reducible leader is still reduced: x^2 steps to x*z, then to z^2
-    tail, _ = pure._reduce(engine_poly({x2: 1}), [g], 3, 1, top_only=True)
+    tail, _ = pure._reduce(engine_poly({x2: 1}), [g], L, 1, top_only=True)
     assert decoded(tail) == {z2: 1}
 
 
@@ -254,3 +255,23 @@ def test_a_cancelled_input_key_created_again_is_reduced():
     for track in (True, False):
         tail, mult = reduce(terms, [g], track)
         assert {e: Fraction(c, mult) for e, c in decoded(tail).items()} == rem
+
+
+def test_a_key_cancelled_and_made_again_enters_the_leader_list_once(monkeypatch):
+    # modulo x^2 - z^2, x*y + z^2 and y^2 - z^2, reducing x^2 + x*y + y^2
+    # makes z^2, cancels it and makes it again, all before z^2 is taken
+    x2, xy, y2, z2 = (2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2)
+    basis = [{x2: 1, z2: -1}, {xy: 1, z2: 1}, {y2: 1, z2: -1}]
+    f = {x2: 1, xy: 1, y2: 1}
+    made = []
+
+    def insort(order, k):
+        assert k not in order, "a key entered the leader list twice"
+        made.append(k)
+        pure_insort(order, k)
+
+    pure_insort = pure.insort
+    monkeypatch.setattr(pure, "insort", insort)
+    tail, mult = reduce(engine_poly(f), basis, True)
+    assert made == [key(z2)]
+    assert decoded(tail) == {z2: mult} and mult == 1
