@@ -19,6 +19,9 @@ Workloads:
                  sl(5) fibre of diag(2,1,0,-1,-2) (charvalues shifts
                  -2,-1,0,1) under H = diag(2,1,0,-1,-2) at c = 1: five
                  generators in 24 variables, about a minute a run (slow)
+  sl5-naive      the naive closure of the same fibre, 25 variables: a
+                 pair loop of under a second, then a tail reduction of
+                 about a minute to a basis of a million terms (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
   sl4-naive      the naive closure of the first ``sl4-closures`` fibre of
@@ -37,8 +40,9 @@ against the Segre P^3 x P^3 and P^4 x P^4: h-vector (C(n,k)^2), degree
 C(2n,n), projective dimension 2n, so (1,9,9,1), 20, 6 and
 (1,16,36,16,1), 70, 8, the sl5-fibre closure against Kostant's: h-vector
 the q-factorial [5]_q!, so (1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120,
-projective dimension 19, and the sl4-naive closure against its component
-at infinity, projective dimension 12 and degree 4.  The closed forms are
+projective dimension 19, and the sl4-naive and sl5-naive closures
+against their components at infinity, projective dimension 12 and degree
+4, and 21 and 5.  The closed forms are
 ``segre``, ``kostant_fibre`` and ``infinity_component`` of
 ``perfbench/oracles.py``.  A mismatch exits with status 1.
 
@@ -106,6 +110,9 @@ def fibre(eigenvalues, shifts, H, c):
 
 # the 4-critical-value sl(3) fibre of orbit-fibre and orbit-saturate
 SL3_FIBRE = ([1, 0, -1], [0, -1], [1, -1, 0], 0)
+
+# the regular sl(5) fibre of sl5-fibre and sl5-naive
+SL5_FIBRE = ([2, 1, 0, -1, -2], [-2, -1, 0, 1], [2, 1, 0, -1, -2], 1)
 
 
 def orbit_saturate_raw():
@@ -182,7 +189,8 @@ WORKLOADS = {
     "katsura-6": (lambda: katsura(6), False),
     "sl4-naive": (lambda: fibre_raw(*FIBRES_SL4[0][:4], naive=True), False),
     "sl5-minimal": (lambda: minimal_orbit_raw([1, 1, 1, 1, -4]), True),
-    "sl5-fibre": (lambda: fibre_raw([2, 1, 0, -1, -2], [-2, -1, 0, 1], [2, 1, 0, -1, -2], 1), True),
+    "sl5-fibre": (lambda: fibre_raw(*SL5_FIBRE), True),
+    "sl5-naive": (lambda: fibre_raw(*SL5_FIBRE, naive=True), True),
 }
 
 
@@ -245,6 +253,7 @@ EXPECTED = {
     "sl5-minimal": (closure_hilbert, oracles.segre(4)),
     "sl5-fibre": (closure_hilbert, oracles.kostant_fibre(4)),
     "sl4-naive": (dimension_and_degree, oracles.infinity_component(3)),
+    "sl5-naive": (dimension_and_degree, oracles.infinity_component(4)),
 }
 
 # every workload's reduced basis digest: a reduced basis is unique, and the
@@ -260,6 +269,7 @@ DIGESTS = {
     "sl4-naive": "6dd319b81b13",
     "sl5-minimal": "2d1a7128ddca",
     "sl5-fibre": "02d0f55fb221",
+    "sl5-naive": "94e09f77fe01",
 }
 
 

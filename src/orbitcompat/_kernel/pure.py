@@ -111,12 +111,13 @@ The loops share the S-polynomial (``_spoly``) and ``_reduce``.  The
 signature loop runs when at most ``nvars`` inputs remain, the
 Gebauer-Moeller (GM) loop otherwise.  A regular sequence has at most
 ``nvars`` elements, and on a homogeneous one the signature loop reduces no
-pair to zero; on the six ``sl4-closures`` fibre runs it reduced 9 pairs to
-zero where GM reduced 53, in about half the time.  With more generators GM's reductions to zero are
-cheap and its bookkeeping is lighter: on the 16 quadrics of the sl(4)
-minimal orbit, in 15 variables, the signature loop took five times as long.
-Both loops count against ``max_pairs`` the S-pairs they reduce, not the
-pairs their criteria discard.
+pair to zero; on the six ``sl4-closures`` fibre runs it reduces none to
+zero where GM reduced 53, in about a quarter of the time.  With more
+generators GM's reductions to zero are cheap and its bookkeeping is
+lighter: on the 16 quadrics of the sl(4) minimal orbit, in 15 variables,
+the signature loop took five times as long.  Both loops count against
+``max_pairs`` the S-pairs they reduce, not the pairs their criteria
+discard.
 
 The GM loop keeps one record per critical pair, ``(key of lcm, pack of lcm,
 i, j)``, made once when ``update`` creates it, and the records in a heap,
@@ -141,10 +142,25 @@ is kept.  Reduction is regular: a multiple
 every polynomial ``g`` enters ``_reduce`` waiting, with the threshold
 ``sv - (sig key - lead key of g)`` for a pair of signature key ``sv``
 (plus one when ``g``'s index is below the pair's, ties going by index), and
-joins the reducers once the leading key falls below it.  A result whose
-leading term is that of a multiple with the same signature (singular
-top-reducible) adds nothing and is dropped.  The loop keeps every
-polynomial it makes and returns those with minimal leading monomials.
+joins the reducers once the leading key falls below it.  The loop keeps
+every nonzero result, even one whose leading term is that of a multiple
+with the same signature (singular top-reducible): under add-last
+rewriting it is the only polynomial that rewrites the multiples of its
+signature, and dropping it lost pairs, so that about one small random
+system in 200 got a wrong basis.  It returns the polynomials with minimal
+leading monomials.
+
+The Koszul syzygy of two polynomials ``g_n`` and ``g_j`` is taken divided
+by ``d``, the gcd of their monomial contents (the largest monomial
+dividing every term, ``_monomial_content``): ``(g_j/d)*sig(n) -
+(g_n/d)*sig(j)`` is a syzygy too, and its signature is that of
+``g_j*sig(n) - g_n*sig(j)`` divided by ``d``, so it discards more pairs.
+Naive closures need it: every charvalues generator has top form det A, so
+after interreduction two naive inputs carry a monomial content, ``t^2*a``
+and ``t*b``, and without the division the naive sl(4) closure reduced 3
+of its 14 pairs to zero and took three times as long.  The content scan
+stops at the first term that leaves the content 1, so it costs little
+where there is none.
 
 ``normal_form`` reduces against a basis keyed once, by ``key_basis`` or
 as ``interreduce`` returns it.
@@ -688,6 +704,7 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
     """
     _, guard, shift, _ = L
     exps = [_unpack(p[0][1], L) for p in f]
+    contents = [_monomial_content(p, L) for p in f]
     sigs = [(p[0][0], i, p[0][1]) for i, p in enumerate(f)]
     # per index i, the minimal packs of the syzygy signatures known
     syz = [[] for _ in f]
@@ -707,14 +724,21 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
     def add_pairs(n):
         kn, pn, _ = f[n][0]
         skn, i_n, spn = sigs[n]
+        cn = contents[n]
         for j in range(n):
             kj, pj, _ = f[j][0]
             skj, i_j, spj = sigs[j]
-            # the Koszul syzygy f[j]*sig(n) - f[n]*sig(j) has the larger
-            # side's signature unless the two sides cancel.  Each side is a
-            # multiple of the pair's side from the same polynomial, so
-            # bounding its degree bounds the pair's signature too
-            a, b = (skn + kj, i_n, spn + pj), (skj + kn, i_j, spj + pn)
+            # the Koszul syzygy (f[j]/d)*sig(n) - (f[n]/d)*sig(j), d the gcd
+            # of the two monomial contents, has the larger side's signature
+            # unless the two sides cancel.  Each side is a multiple of the
+            # pair's side from the same polynomial, so bounding its degree
+            # bounds the pair's signature too
+            dk = dp = 0
+            if cn and contents[j]:
+                d = tuple(map(min, cn, contents[j]))
+                if any(d):
+                    dk, dp = _encode(d, kind, block, L)
+            a, b = (skn + kj - dk, i_n, spn + pj - dp), (skj + kn - dk, i_j, spj + pn - dp)
             _degree_guard(max(a[2], b[2]) >> shift, L)
             if a[:2] != b[:2]:
                 note(*max(a, b)[1:])
@@ -754,18 +778,11 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
         if not r:
             note(i, sp)
             continue
-        kr, pr, _ = r[0]
-        # singular top-reducible: a multiple of some p has r's leading
-        # monomial and signature, so r adds nothing
-        if any(
-            s[1] == i and s[0] - p[0][0] == sk - kr and not (pr - p[0][1]) & guard
-            for s, p in zip(sigs, f)
-        ):
-            continue
         top = _capped(r, shift, top, max_degree)
         f.append(r)
         sigs.append((sk, i, sp))
-        exps.append(_unpack(pr, L))
+        exps.append(_unpack(r[0][1], L))
+        contents.append(_monomial_content(r, L))
         add_pairs(len(f) - 1)
 
     # keep one polynomial per minimal leading monomial; a divisor's key is
@@ -775,6 +792,25 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
         if all((p[0][1] - q[0][1]) & guard for q in divisors):
             divisors.append(p)
     return divisors
+
+
+def _monomial_content(poly, L):
+    """The exponent tuple of the largest monomial dividing every term of the
+    engine polynomial ``poly`` in the layout ``L``, or None if that is 1.
+
+    A term the running content divides costs one subtraction and one AND;
+    the scan stops at the first term that leaves the content 1.
+    """
+    struct, guard, _, _ = L
+    pc = poly[0][1]
+    content = _unpack(pc, L)
+    for _, p, _ in poly:
+        if (p - pc) & guard:
+            content = tuple(map(min, content, _unpack(p, L)))
+            if not any(content):
+                return None
+            pc = int.from_bytes(struct.pack(*content, sum(content)), "little")
+    return content if pc else None
 
 
 def key_basis(basis_pairs, kind, block):

@@ -147,13 +147,18 @@ class CompleteIntersectionSpec:
 
 def chern_series(spec: CompleteIntersectionSpec) -> TruncatedSeries:
     """Total Chern class of the complete intersection, truncated at its
-    dimension."""
+    dimension.
+
+    The coefficients are integers: each division by ``1 + d*a`` is the
+    recurrence ``c[k] -= d*c[k-1]``, k ascending, on the binomials of
+    ``(1 + a)^(N+1)``.
+    """
     n = spec.dim
-    num = TruncatedSeries.binomial_power(n, spec.ambient_dim + 1)
-    den = TruncatedSeries.one(n)
+    c = [comb(spec.ambient_dim + 1, k) for k in range(n + 1)]
     for d in spec.degrees:
-        den = den * TruncatedSeries(n, [1, d])
-    return num / den
+        for k in range(1, n + 1):
+            c[k] -= d * c[k - 1]
+    return TruncatedSeries(n, c)
 
 
 def degree_product(spec: CompleteIntersectionSpec) -> int:
@@ -162,10 +167,5 @@ def degree_product(spec: CompleteIntersectionSpec) -> int:
 
 
 def expected_euler(spec: CompleteIntersectionSpec) -> int:
-    """Top Chern coefficient times the degree; exact and always an integer
-    (a non-integer signals an internal bug, not bad input)."""
-    top = chern_series(spec).coeffs[spec.dim]
-    chi = top * degree_product(spec)
-    if chi.denominator != 1:
-        raise ArithmeticError(f"non-integral Euler characteristic {chi}")
-    return int(chi)
+    """Top Chern coefficient times the degree, an integer."""
+    return int(chern_series(spec).coeffs[spec.dim]) * degree_product(spec)

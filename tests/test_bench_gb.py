@@ -6,8 +6,10 @@ Systems, expected values and basis digests come from the script's own
 ``bench``, so an engine change that breaks the script, or changes a reduced
 basis by a single bit, fails here.  The checks read the minimal basis and
 the digests the reduced one, as the script's do.  katsura-6 (about 0.15 s),
-sl5-minimal (tens of seconds) and sl5-fibre (about a minute) are left to
-the script, whose ``--skip-slow`` leaves out only the last two.
+sl5-minimal (tens of seconds), and sl5-fibre and sl5-naive (about a minute
+each) are left to the script, whose ``--skip-slow`` leaves out only the
+last three; the minimal basis of sl5-naive, which takes about a second,
+is checked here.
 """
 
 import heapq
@@ -51,6 +53,13 @@ def test_cyclic5_finishes_within_102_pairs():
     # reduces 54 pairs; the Gebauer-Moeller loop took 102 here, 123 without
     # its chain test on old pairs and 226 without it on new pairs
     finishes_within("cyclic-5", 102)
+
+
+def test_the_naive_sl5_closure_finishes_within_47_pairs():
+    # five generators in 25 variables run the signature loop, which reduces
+    # 47 pairs and none of them to zero; the check is the component at
+    # infinity, projective dimension 21 and degree 5
+    finishes_within("sl5-naive", 47)
 
 
 def test_sl4_minimal_finishes_within_597_pairs():

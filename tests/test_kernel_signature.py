@@ -90,17 +90,78 @@ def test_the_loops_agree_on_small_dense_systems(monkeypatch, code):
         assert_loops_agree(monkeypatch, gens, nvars, code)
 
 
+def times_random_monomial(rng, poly, nvars):
+    shift = [0] * nvars
+    for _ in range(rng.randint(1, 3)):
+        shift[rng.randrange(nvars)] += 1
+    return [(tuple(map(sum, zip(exp, shift))), c) for exp, c in poly]
+
+
+@pytest.mark.parametrize("code", [GREVLEX, LEX, ELIM])
+def test_the_loops_agree_on_systems_with_monomial_content(monkeypatch, code):
+    # each generator is a multiple of a monomial, so the Koszul syzygies of
+    # the signature loop are divided by the gcd of two monomial contents
+    rng = random.Random(2400 + code[0])
+    for _ in range(100):
+        nvars = rng.randint(2, 4)
+        gens = [
+            times_random_monomial(rng, random_poly(rng, nvars), nvars)
+            for _ in range(rng.randint(2, nvars))
+        ]
+        assert_loops_agree(monkeypatch, gens, nvars, code)
+
+
+# Systems on which the signature loop once returned a wrong basis, because
+# it dropped each result that a multiple of an older polynomial with the
+# same signature top-reduced (singular top-reducible): under the add-last
+# rewrite criterion the dropped result was the only polynomial that could
+# rewrite multiples of its signature, so pairs there were lost.
+SINGULAR_CASES = [
+    (
+        GREVLEX,
+        4,
+        [
+            [((1, 0, 2, 0), -2), ((1, 0, 1, 0), -3), ((1, 1, 0, 2), 1), ((1, 0, 0, 0), -3)],
+            [((0, 4, 1, 1), 1), ((0, 2, 2, 1), 1), ((2, 2, 1, 1), -2), ((0, 1, 2, 2), 1)],
+            [((1, 1, 1, 1), -1), ((0, 2, 0, 2), 3), ((0, 0, 1, 1), 3), ((1, 0, 0, 1), -3)],
+        ],
+    ),
+    (
+        LEX,
+        4,
+        [
+            [((1, 0, 0, 0), -2), ((2, 0, 0, 0), -2), ((0, 0, 0, 0), -2)],
+            [((0, 1, 0, 1), 2), ((0, 0, 2, 1), 3)],
+            [((0, 2, 0, 1), 1), ((0, 1, 1, 0), 1), ((0, 1, 0, 1), -2)],
+            [((0, 3, 0, 0), 1), ((1, 2, 0, 0), 3), ((1, 0, 0, 0), -3)],
+        ],
+    ),
+    (
+        LEX,
+        3,
+        [
+            [((1, 1, 3), 3), ((1, 0, 2), -2), ((1, 0, 3), -3)],
+            [((2, 0, 0), 2), ((3, 1, 0), -1)],
+            [((0, 2, 2), -2), ((0, 0, 1), -3), ((1, 2, 1), -2)],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("code,nvars,gens", SINGULAR_CASES, ids=["grevlex", "lex-dense", "lex-content"])
+def test_singular_top_reducible_results_are_kept(monkeypatch, code, nvars, gens):
+    assert_loops_agree(monkeypatch, gens, nvars, code)
+
+
 def sl4_fibre():
     """The fibre of diag(3,1,-1,-3) under H = diag(3,1,-1,-3) at c = 0."""
     orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
     return fibre_ideal(orbit, DiagSpec([3, 1, -1, -3]), 0)
 
 
-def test_the_saturated_sl4_fibre_reduces_no_pair_to_zero(monkeypatch):
-    # the grevlex run of its saturated closure reduces 5 pairs; the GM loop
-    # reduces 12, 7 of them to zero, and without the rewrite criterion the
-    # signature loop reduces 6
-    fib = sl4_fibre()
+@pytest.fixture
+def zero_reductions(monkeypatch):
+    """Whether each ``_reduce`` call made from now on returned zero."""
     zeros = []
     reduce = pure._reduce
 
@@ -110,12 +171,30 @@ def test_the_saturated_sl4_fibre_reduces_no_pair_to_zero(monkeypatch):
         return out
 
     monkeypatch.setattr(pure, "_reduce", spy)
+    return zeros
+
+
+def test_the_saturated_sl4_fibre_reduces_no_pair_to_zero(zero_reductions):
+    # the grevlex run of its saturated closure reduces 5 pairs; the GM loop
+    # reduces 12, 7 of them to zero, and without the rewrite criterion the
+    # signature loop reduces 6
+    fib = sl4_fibre()
     basis = pure.buchberger(raw(fib.generators), len(fib.ctx), *GREVLEX, 5, LIMITS.max_degree)
-    assert len(zeros) > len(basis) and not any(zeros)
+    assert len(zero_reductions) > len(basis) and not any(zero_reductions)
 
 
-def test_the_naive_sl4_fibre_closure_finishes_within_14_pairs():
-    # the GM loop reduces 20 pairs here, and without the syzygies of its
-    # reductions to zero the signature loop reduces 27
+def test_the_naive_sl4_fibre_closure_reduces_no_pair_to_zero(zero_reductions):
+    # its interreduced inputs are t^2*a and t*b: without dividing their
+    # Koszul syzygy by the gcd t of the monomial contents, 3 pairs reduce
+    # to zero
     hom = homogenise_naive(sl4_fibre(), "t")
-    assert pure.buchberger(raw(hom.generators), len(hom.ctx), *GREVLEX, 14, LIMITS.max_degree)
+    basis = pure.buchberger(raw(hom.generators), len(hom.ctx), *GREVLEX, 11, LIMITS.max_degree)
+    assert len(zero_reductions) > len(basis) and not any(zero_reductions)
+
+
+def test_the_naive_sl4_fibre_closure_finishes_within_11_pairs():
+    # the GM loop reduces 20 pairs here; without the gcd division of the
+    # Koszul syzygies the signature loop reduces 14, and without the
+    # syzygies of its reductions to zero as well, 27
+    hom = homogenise_naive(sl4_fibre(), "t")
+    assert pure.buchberger(raw(hom.generators), len(hom.ctx), *GREVLEX, 11, LIMITS.max_degree)
