@@ -40,11 +40,12 @@ against the Segre P^3 x P^3 and P^4 x P^4: h-vector (C(n,k)^2), degree
 C(2n,n), projective dimension 2n, so (1,9,9,1), 20, 6 and
 (1,16,36,16,1), 70, 8, the sl5-fibre closure against Kostant's: h-vector
 the q-factorial [5]_q!, so (1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120,
-projective dimension 19, and the sl4-naive and sl5-naive closures
-against their components at infinity, projective dimension 12 and degree
-4, and 21 and 5.  The closed forms are
-``segre``, ``kostant_fibre`` and ``infinity_component`` of
-``perfbench/oracles.py``.  A mismatch exits with status 1.
+projective dimension 19, and the sl4-naive and sl5-naive closures by
+their whole Hilbert data: the projective dimension and degree of their
+components at infinity, 12 and 4, and 21 and 5, and the numerators
+pinned in ``NAIVE_SL4`` and ``NAIVE_SL5`` from certified bases.  The
+closed forms are ``segre``, ``kostant_fibre`` and ``infinity_component``
+of ``perfbench/oracles.py``.  A mismatch exits with status 1.
 
 The ``bits`` column is the width of the packed monomial fields the run
 ended at.  The engine starts every run at 16 bits and reruns it at 32 only
@@ -236,10 +237,24 @@ def closure_hilbert(basis, nvars):
     return oracles.Hilbert(h.numerator, h.proj_dim, h.degree)
 
 
-def dimension_and_degree(basis, nvars):
+def hilbert_data(basis, nvars):
     # a homogeneous basis: its own leading terms give the Hilbert data
     h = hilbert_of_leading_terms([terms[0][0] for terms in basis], nvars)
-    return oracles.Hilbert(None, h.proj_dim, h.degree)
+    return oracles.Hilbert(h.numerator, h.proj_dim, h.degree)
+
+
+# The naive closures' full Hilbert data.  ``infinity_component`` gives the
+# projective dimension and degree of their top-dimensional component; the
+# numerators, which see the lower-dimensional components too, are pinned
+# from bases certified by a Gebauer-Moeller (GM) loop run on the minimal
+# basis in which every S-pair its criteria leave reduced to zero: 20 pairs
+# for the 14-element sl(4) basis, 112 for the 46-element sl(5) basis
+NAIVE_SL4 = oracles.infinity_component(3)._replace(
+    numerator=(1, 2, 3, 4, 2, 0, -2, -3, -2, -1)
+)
+NAIVE_SL5 = oracles.infinity_component(4)._replace(
+    numerator=(1, 2, 3, 4, 5, 2, -1, -4, -6, -6, -3, 0, 2, 3, 2, 1)
+)
 
 
 # what each checked workload's minimal basis must give: the standard
@@ -252,8 +267,8 @@ EXPECTED = {
     "sl4-minimal": (closure_hilbert, oracles.segre(3)),
     "sl5-minimal": (closure_hilbert, oracles.segre(4)),
     "sl5-fibre": (closure_hilbert, oracles.kostant_fibre(4)),
-    "sl4-naive": (dimension_and_degree, oracles.infinity_component(3)),
-    "sl5-naive": (dimension_and_degree, oracles.infinity_component(4)),
+    "sl4-naive": (hilbert_data, NAIVE_SL4),
+    "sl5-naive": (hilbert_data, NAIVE_SL5),
 }
 
 # every workload's reduced basis digest: a reduced basis is unique, and the

@@ -1,7 +1,9 @@
 """The Groebner engine behind ``groebner``, on raw integer term lists.
 
-``groebner`` calls the engine through the module attributes below, so a
-caller can wrap or replace them in one place.
+``groebner`` calls the engine through the three module attributes below,
+so a caller can wrap or replace them in one place: ``buchberger_raw`` makes
+a minimal basis, ``interreduce_raw`` tail-reduces it and keys the result,
+and ``normal_form_raw`` reduces against that keyed basis.
 """
 
 from . import pure
@@ -10,4 +12,3 @@ BACKEND = "pure"
 buchberger_raw = pure.buchberger
 interreduce_raw = pure.interreduce
 normal_form_raw = pure.normal_form
-key_basis = pure.key_basis

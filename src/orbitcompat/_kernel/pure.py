@@ -59,7 +59,7 @@ A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
 checked against one degree bound for the whole basis, its largest total
 degree, which ``buchberger`` keeps as a running maximum over the
-polynomials it makes and ``normal_form`` reads off the ``key_basis`` output.
+polynomials it makes and ``normal_form`` reads off the keyed basis.
 
 Reduction (``_reduce``) keeps the whole remainder as one ``{key: coeff}``
 dict with a side map from key to pack.  It sums its input into that dict,
@@ -90,14 +90,14 @@ a minimal basis into the reduced one (Becker and Weispfenning, "Groebner
 Bases", 1993, section 5.4), so a caller that needs only leading monomials,
 as Hilbert data does, never pays for it.  Both return their [(exp, int)]
 lists with the engine polynomials they came from, so ``interreduce`` does
-not key a minimal basis again, and its output serves ``normal_form`` as
-``key_basis`` would key it.  A pass of
-``_interreduce`` reduces each polynomial against the results before it and
-the polynomials after it, so after a pass that moved no leading monomial
-every result is irreducible by the final leading monomials: another pass
-runs only if one moved, and on a minimal basis none does.  Every polynomial
-the engine makes goes through ``_capped``, which raises the running degree
-bound to its total degree and refuses it past ``max_degree``.
+not key a minimal basis again, and its output's engine polynomials are the
+keyed basis ``normal_form`` takes.  A pass of ``_interreduce`` reduces each
+polynomial against the results before it and the polynomials after it, so
+after a pass that moved no leading monomial every result is irreducible by
+the final leading monomials: another pass runs only if one moved, and on a
+minimal basis none does.  Every polynomial the engine makes goes through
+``_capped``, which raises the running degree bound to its total degree and
+refuses it past ``max_degree``.
 
 When the interreduced inputs are homogeneous under grevlex, the pair loops
 top-reduce: ``_reduce`` stops at the first irreducible leading term, which
@@ -162,8 +162,8 @@ of its 14 pairs to zero and took three times as long.  The content scan
 stops at the first term that leaves the content 1, so it costs little
 where there is none.
 
-``normal_form`` reduces against a basis keyed once, by ``key_basis`` or
-as ``interreduce`` returns it.
+``normal_form`` reduces against a basis keyed once, as ``interreduce``
+returns it.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
@@ -518,7 +518,7 @@ class _Stripped(list):
     polynomials they were stripped from, with their layout.  ``buchberger``
     and ``interreduce`` return one, so that ``interreduce`` need not key a
     minimal basis again, nor a caller the reduced basis it passes to
-    ``normal_form``: ``polys`` is what ``key_basis`` makes of the lists,
+    ``normal_form``: ``polys`` is what ``_key_basis`` makes of the lists,
     at the width the run ended at."""
 
     __slots__ = ("polys",)
@@ -813,21 +813,9 @@ def _monomial_content(poly, L):
     return content if pc else None
 
 
-def key_basis(basis_pairs, kind, block):
-    """A basis of [(exp, int)] term lists keyed for ``normal_form``.
-
-    Key a basis once and pass the result to every ``normal_form`` call
-    against it under the same order; ``interreduce``'s output carries it
-    already, as ``polys``.  The result is a ``_Polys`` in 16-bit fields, or
-    32-bit ones if a monomial's degree reaches 2^15.  Raises
-    ResourceLimitExceeded on a monomial of total degree 2^31 or more.
-    """
-    nvars = next((len(e) for b in basis_pairs for e, _ in b), 0)
-    return _widening(_key_basis, nvars, 16, basis_pairs, kind, block)
-
-
 def _key_basis(L, basis_pairs, kind, block):
-    """``key_basis`` in the layout ``L``."""
+    """[(exp, int)] term lists -> a ``_Polys`` in the layout ``L``, each
+    polynomial sorted and normalised primitive, zeros dropped."""
     keyed = (_attach_keys(b, kind, block, L) for b in basis_pairs)
     return _Polys([p for p in keyed if p], L)
 
@@ -836,7 +824,7 @@ def normal_form(fpairs, basis, nvars, kind, block):
     """Exact remainder of f modulo a (Groebner) basis.
 
     The input is an [(exp, int)] term list over ``nvars`` variables, which
-    size the packs, and the basis the output of ``key_basis`` for the same
+    size the packs, and the basis ``interreduce``'s ``polys`` for the same
     order; returns ``(tail, mult)`` with the exact normal form equal to
     tail / mult, tail as an [(exp, int)] list.  The input is not
     content-normalised: the multiplier accounts for everything.  Runs at

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from . import _kernel
 from .errors import ResourceLimitExceeded
@@ -50,12 +50,13 @@ class GBLimits:
 
     ``max_pairs`` bounds the S-pairs reduced, and ``max_degree`` the total
     degree of every generator and of every polynomial the engine makes,
-    under any monomial order.  A basis already stored on the presentation,
-    attached by ``homogenise_ideal`` or kept from an earlier run, runs no
-    pair loop, so it hits neither cap; the generators' degrees are still
-    checked.  Reading such a basis's ``basis`` runs the kernel's tail
-    reduction, which under grevlex makes no polynomial of a higher degree
-    than the minimal basis has, so it never passes a degree cap.  The
+    under any monomial order; under every order but grevlex ``buchberger``
+    also reduces the tails at once, under the same cap.  A basis already
+    stored on the presentation, attached by ``homogenise_ideal`` or kept
+    from an earlier run, runs no pair loop, so it hits neither cap; the
+    generators' degrees are still checked.  A grevlex basis is tail-reduced
+    when its ``basis`` is first read, uncapped: that reduction makes no
+    polynomial of a higher degree than the minimal basis has.  The
     kernel packs monomials in 16-bit fields and runs a call again in 32-bit
     ones when a degree reaches 2^15, so a run past that degree costs a
     rerun but gives the same basis; total degree 2^31 is the kernel's own
@@ -98,8 +99,7 @@ class IdealPresentation:
         _set(self, "_generators", tuple(gens))
         # the Groebner basis of the ideal once known: attached by
         # homogenise_ideal or kept from the first buchberger run; buchberger
-        # returns it for its order.  Under grevlex it holds the kernel's
-        # minimal basis and tail-reduces it when its basis is first read
+        # returns it for its order
         _set(self, "_reduced", None)
 
     @property
@@ -113,11 +113,6 @@ class IdealPresentation:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"IdealPresentation is read-only: cannot set {name!r}")
-
-    def __getstate__(self):
-        # a pickle holds the generators, built first if they are not
-        self.generators
-        return self.__dict__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -144,53 +139,55 @@ class ReducedGB:
     order under ``order``, as the kernel returns them, so its first term is
     its leading term.
 
-    ``buchberger`` under grevlex hands over the kernel's minimal basis,
-    whose leading monomials are the reduced basis's, in the same order.
-    ``leading_monomials``, ``contains_one`` and ``is_homogeneous`` read it,
-    and ``basis`` is tail-reduced from it by ``_kernel.interreduce_raw`` on
-    first use and kept.  Under grevlex no tail term has a higher degree than
-    its leading term, so reading ``basis`` never hits a degree cap.  The
-    kernel's reduced basis comes with its engine polynomials, which are
-    kept as the keyed basis ``normal_form`` reduces against.  The
-    attributes are read-only.
+    It is built from a minimal basis in the kernel's form: primitive
+    ``[(exp, int)]`` lists, sorted as ``_kernel.buchberger_raw`` returns
+    them, whose leading monomials are the reduced basis's in the same
+    order.  ``leading_monomials``, ``contains_one`` and ``is_homogeneous``
+    read it, and a pickle holds it alone.  ``basis`` is tail-reduced from
+    it by ``_kernel.interreduce_raw`` on first use and kept, and the engine
+    polynomials the kernel returns with it are the keyed basis
+    ``normal_form`` reduces against.  ``buchberger`` reduces the tails at
+    once, under its degree cap, under every order but grevlex, where no
+    tail term has a higher degree than its leading term.  The attributes
+    are read-only.
     """
 
-    __slots__ = ("ctx", "order", "_basis", "_minimal", "_keyed")
+    __slots__ = ("ctx", "order", "_minimal", "_basis", "_keyed")
 
-    def __init__(self, ctx: VarContext, order: MonomialOrder, basis):
+    def __init__(self, ctx: VarContext, order: MonomialOrder, minimal):
         _set = object.__setattr__
         _set(self, "ctx", ctx)
         _set(self, "order", order)
-        _set(self, "_basis", tuple(basis))
-        # the kernel's minimal basis, [(exp, int)] lists, when built from one
-        _set(self, "_minimal", None)
-        # the basis keyed for the kernel's normal form: the kernel's own when
-        # it reduced the basis, else built on first use
+        _set(self, "_minimal", minimal)
+        # the reduced basis, and the kernel's engine polynomials of it, once
+        # the tails are reduced
+        _set(self, "_basis", None)
         _set(self, "_keyed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ReducedGB is read-only: cannot set {name!r}")
 
     def __reduce__(self):
-        return ReducedGB, (self.ctx, self.order, self.basis)
+        # a plain list: the engine polynomials a kernel basis keeps are not
+        # pickled
+        return ReducedGB, (self.ctx, self.order, list(self._minimal))
 
-    @classmethod
-    def _from_minimal(cls, ctx: VarContext, order: MonomialOrder, minimal: list) -> ReducedGB:
-        G = cls(ctx, order, ())
-        object.__setattr__(G, "_basis", None)
-        object.__setattr__(G, "_minimal", minimal)
-        return G
-
-    def _take(self, reduced: list) -> None:
-        """Keep ``_kernel.interreduce_raw``'s output as the basis, and the
-        engine polynomials it carries as the keyed basis."""
+    def _reduce_tails(self, max_degree) -> None:
+        """Tail-reduce the minimal basis, refusing a polynomial of total
+        degree above ``max_degree``."""
+        reduced = _kernel.interreduce_raw(
+            self._minimal, len(self.ctx), *self.order.code, max_degree
+        )
         object.__setattr__(self, "_basis", _monic(self.ctx, reduced))
         object.__setattr__(self, "_keyed", reduced.polys)
 
     @property
     def basis(self) -> tuple[MultiPoly, ...]:
         if self._basis is None:
-            self._take(_kernel.interreduce_raw(self._minimal, len(self.ctx), *self.order.code))
+            # uncapped: buchberger reduces a basis under any other order
+            # at once, under its cap, and a grevlex tail has no higher
+            # degree than the minimal basis
+            self._reduce_tails(inf)
         return self._basis
 
     def __eq__(self, other):
@@ -204,17 +201,8 @@ class ReducedGB:
     def __repr__(self):
         return f"ReducedGB(ctx={self.ctx!r}, order={self.order!r}, basis={self.basis!r})"
 
-    def _kernel_basis(self) -> list:
-        if self._keyed is None:
-            raw = [_clear_denominators(g)[1] for g in self.basis]
-            keyed = _kernel.key_basis(raw, *self.order.code)
-            object.__setattr__(self, "_keyed", keyed)
-        return self._keyed
-
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        if self._minimal is not None:
-            return tuple(terms[0][0] for terms in self._minimal)
-        return tuple(next(iter(g.terms)) for g in self._basis)
+        return tuple(terms[0][0] for terms in self._minimal)
 
     def contains_one(self) -> bool:
         leads = self.leading_monomials()
@@ -222,10 +210,10 @@ class ReducedGB:
 
     def is_homogeneous(self) -> bool:
         # a grevlex element's first and last terms have its largest and
-        # smallest degree.  A homogeneous ideal can have an inhomogeneous
-        # minimal basis, {x, y^2 + x} of <x, y^2> for one, so that case
-        # asks the reduced basis
-        if self._minimal is not None and all(
+        # smallest degree; under lex x + y^2 + z's do not.  A homogeneous
+        # ideal can have an inhomogeneous minimal basis, {x, y^2 + x} of
+        # <x, y^2> for one, so that case asks the reduced basis
+        if self.order.kind == "grevlex" and all(
             sum(terms[0][0]) == sum(terms[-1][0]) for terms in self._minimal
         ):
             return True
@@ -283,12 +271,11 @@ def buchberger(
     raw = [_clear_denominators(g)[1] for g in I.generators]
     nvars = len(I.ctx)
     minimal = _kernel.buchberger_raw(raw, nvars, *order.code, limits.max_pairs, limits.max_degree)
-    if order.kind == "grevlex":
-        G = ReducedGB._from_minimal(I.ctx, order, minimal)
-    else:
-        reduced = _kernel.interreduce_raw(minimal, nvars, *order.code, limits.max_degree)
-        G = ReducedGB(I.ctx, order, ())
-        G._take(reduced)
+    G = ReducedGB(I.ctx, order, minimal)
+    if order.kind != "grevlex":
+        # a reduced tail can outgrow the minimal basis's degree: under lex
+        # {x - y^3, y^2 - z^7} reduces to degree 8
+        G._reduce_tails(limits.max_degree)
     if I._reduced is None:
         object.__setattr__(I, "_reduced", G)
     return G
@@ -301,9 +288,7 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     if f.is_zero() or not G.basis:
         return f
     den, fraw = _clear_denominators(f)
-    tail, mult = _kernel.normal_form_raw(
-        fraw, G._kernel_basis(), len(G.ctx), *G.order.code
-    )
+    tail, mult = _kernel.normal_form_raw(fraw, G._keyed, len(G.ctx), *G.order.code)
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})
 
@@ -420,23 +405,19 @@ def homogenise_ideal(
     returns it without a second pair loop, ``hilbert`` reads it as it is,
     and its ``basis``, tail-reduced on first read, is the reduced basis of
     I^h, the homogenised reduced basis of I.  The generators are built, as
-    monic ``MultiPoly``s, only when first read.  I^h equals the saturation of
-    the generator-wise homogenisation by tvar.
+    monic ``MultiPoly``s, only when first read, and a pickle of the result
+    holds the minimal basis alone.  I^h equals the saturation of the
+    generator-wise homogenisation by tvar.
     """
     ctx = I.ctx.extend(tvar)
-    G = buchberger(I, GREVLEX, limits)
-    minimal = G._minimal
-    if minimal is None:
-        # a basis stored reduced, as unpickling leaves it
-        minimal = [_clear_denominators(g)[1] for g in G.basis]
     # a grevlex leading term has its element's largest degree
     hom = []
-    for terms in minimal:
+    for terms in buchberger(I, GREVLEX, limits)._minimal:
         d = sum(terms[0][0])
         hom.append([(e + (d - sum(e),), c) for e, c in terms])
     out = IdealPresentation(ctx, ())
     object.__setattr__(out, "_generators", None)
-    object.__setattr__(out, "_reduced", ReducedGB._from_minimal(ctx, GREVLEX, hom))
+    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, hom))
     return out
 
 

@@ -114,9 +114,9 @@ def hilbert(G: ReducedGB) -> HilbertData:
     """Dimension and degree data of Proj of the quotient by a homogeneous
     ideal, read off the leading-term ideal of its reduced basis.
 
-    Only leading monomials are read, so a basis ``buchberger`` made under
-    grevlex gives them from the kernel's minimal basis and is not
-    tail-reduced.  Raises PolyError on an inhomogeneous or unit ideal.
+    Only leading monomials are read, off the kernel's minimal basis, so a
+    grevlex basis is not tail-reduced.  Raises PolyError on an
+    inhomogeneous or unit ideal.
     """
     if not G.is_homogeneous():
         raise PolyError("hilbert requires a homogeneous basis")

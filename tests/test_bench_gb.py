@@ -57,8 +57,8 @@ def test_cyclic5_finishes_within_102_pairs():
 
 def test_the_naive_sl5_closure_finishes_within_47_pairs():
     # five generators in 25 variables run the signature loop, which reduces
-    # 47 pairs and none of them to zero; the check is the component at
-    # infinity, projective dimension 21 and degree 5
+    # 47 pairs and none of them to zero; the check is the closure's whole
+    # Hilbert data, ``NAIVE_SL5``
     finishes_within("sl5-naive", 47)
 
 

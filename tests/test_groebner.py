@@ -36,6 +36,7 @@ from orbitcompat import (
     parse_poly,
     saturate,
 )
+from orbitcompat._kernel import pure
 from orbitcompat.hilbert import hilbert
 from orbitcompat.ioformats import read_ideal, write_ideal
 
@@ -51,6 +52,16 @@ def ideal(ctx, *texts):
 
 
 # -- buchberger ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [LEX, elimination(1)], ids=["lex", "elim"])
+def test_an_inhomogeneous_basis_under_another_order_is_inhomogeneous(order):
+    # under these orders x + y^2 + z's first and last terms, x and z, have
+    # one degree; only under grevlex do they have its largest and smallest
+    G = buchberger(ideal(XYZ, "x + y^2 + z"), order)
+    assert not G.is_homogeneous()
+    with pytest.raises(PolyError):
+        hilbert(G)
 
 
 def test_principal_ideal_is_its_own_basis():
@@ -161,6 +172,18 @@ def test_degree_cap_bounds_every_polynomial_the_kernel_makes():
     assert G.basis == (P("y^6 - 1", xy), P("x - y^3", xy))
 
 
+def test_degree_cap_bounds_the_reduced_tails_of_a_lex_basis():
+    # the pair loop ends with the lex basis {y*z - z^5, y^3 - y^2*z^4,
+    # x^4*z^6 - z^9 - z} of degree 10, and reducing the tail of y^3 makes
+    # y^3 - z^12; buchberger reduces tails under other orders than grevlex
+    # at once, under the cap
+    I = ideal(XYZ, "y^3 - y^2*z^4", "x^4*y*z^2 - y^2*z - z")
+    with pytest.raises(ResourceLimitExceeded, match="degree cap 11 .* degree 12"):
+        buchberger(I, LEX, GBLimits(max_degree=11))
+    G = buchberger(I, LEX, GBLimits(max_degree=12))
+    assert G.basis == tuple(P(t) for t in ("y*z - z^5", "y^3 - z^12", "x^4*z^6 - z^9 - z"))
+
+
 # -- normal form ----------------------------------------------------------------
 
 
@@ -209,14 +232,16 @@ def test_normal_form_idempotent_and_linear(fibration_110):
 
 def test_directly_built_basis_reduces_alike(fibration_110):
     # buchberger hands over the kernel's minimal basis and tail-reduces it
-    # on first use; a basis built directly from the reduced polynomials
-    # must equal it, hash and print alike, and give the same normal forms
+    # on first use; a basis built from the reduced basis's term lists, a
+    # minimal basis too, must equal it, hash and print alike, and give the
+    # same normal forms
     I = fibration_110["I_hom"]
     reduced = buchberger(fresh(I)).basis
+    lists = [groebner._clear_denominators(g)[1] for g in reduced]
     for compare in (hash, repr, str, lambda G: G):
         G = buchberger(fresh(I))
         assert G._basis is None, "the basis was reduced before it was read"
-        H = ReducedGB(G.ctx, G.order, reduced)
+        H = ReducedGB(G.ctx, G.order, lists)
         assert compare(G) == compare(H)
     assert G == H and G.basis == reduced
     ctx = G.ctx
@@ -271,18 +296,21 @@ def test_hilbert_data_needs_no_tail_reduction(fibration_110, monkeypatch):
     ],
 )
 def test_normal_form_reuses_the_kernels_keyed_basis(fibration_110, monkeypatch, build):
-    # the kernel's reduced basis comes keyed, so once the basis is read a
-    # normal form keys nothing again
+    # the kernel's reduced basis comes keyed, as its term lists would key,
+    # so once the basis is read a normal form keys nothing again; an
+    # unpickled copy, keyed again from plain lists, gives the same normal
+    # form
     G = build(fibration_110)
     cleared = [groebner._clear_denominators(g)[1] for g in G.basis]
-    assert G._keyed == groebner._kernel.key_basis(cleared, *G.order.code)
+    assert G._keyed == pure._key_basis(G._keyed.layout, cleared, *G.order.code)
     f = parse_poly("x2*y3 - z1^2 + 3", G.ctx) * parse_poly("x1 + y2*z2", G.ctx)
-    want = normal_form(f, ReducedGB(G.ctx, G.order, G.basis))
+    want = normal_form(f, pickle.loads(pickle.dumps(G)))
 
     def refuse(*args):
         raise AssertionError("normal_form keyed the basis again")
 
-    monkeypatch.setattr(groebner._kernel, "key_basis", refuse)
+    monkeypatch.setattr(groebner._kernel, "interreduce_raw", refuse)
+    monkeypatch.setattr(pure, "_key_basis", refuse)
     assert normal_form(f, G) == want
 
 
@@ -522,23 +550,53 @@ def test_homogenise_ideal_pickles_before_and_after_its_generators_are_read():
     gens = read.generators
     for out in (unread, read):
         back = pickle.loads(pickle.dumps(out))
+        # the attached minimal basis comes along, and unread generators
+        # stay unbuilt
+        assert back._reduced._minimal == out._reduced._minimal
+        assert (back._generators is None) == (out is unread)
         assert back.generators == gens
         assert back == out and hash(back) == hash(out) and repr(back) == repr(out)
-        # the attached basis comes along, tail-reduced
-        assert back._reduced._minimal is None
         assert buchberger(back) == buchberger(fresh(read))
 
 
-def test_homogenise_ideal_reads_a_basis_stored_reduced():
-    # unpickling keeps the presentation's basis but not its minimal one, so
-    # homogenise_ideal homogenises the reduced basis, itself reduced
+def test_homogenise_ideal_of_an_unpickled_presentation():
+    # unpickling keeps the presentation's minimal basis, which
+    # homogenise_ideal homogenises as it does a fresh presentation's
     I = sl4_fibre_c2()
     buchberger(I)
     back = pickle.loads(pickle.dumps(I))
-    assert back._reduced._minimal is None
-    out = homogenise_ideal(back, "t")
-    assert out.generators == buchberger(out).basis
-    assert out.generators == homogenise_ideal(fresh(I), "t")._reduced.basis
+    out, want = homogenise_ideal(back, "t"), homogenise_ideal(fresh(I), "t")
+    assert out._reduced._minimal == want._reduced._minimal
+    assert out == want and buchberger(out) == buchberger(want)
+
+
+def test_an_unpickled_saturated_closure_gives_hilbert_data_from_its_minimal_basis(
+    monkeypatch,
+):
+    # a pickle holds the minimal basis alone, so neither pickling nor the
+    # Hilbert data of the copy reduces a tail or builds a generator
+    def refuse(*args):
+        raise AssertionError("the closure was tail-reduced or built its generators")
+
+    monkeypatch.setattr(groebner._kernel, "interreduce_raw", refuse)
+    monkeypatch.setattr(groebner, "_monic", refuse)
+    out = homogenise_ideal(sl4_fibre())
+    back = pickle.loads(pickle.dumps(out))
+    assert back._generators is None
+    h = hilbert(buchberger(back))
+    assert (h.proj_dim, h.degree) == (11, 24)
+    assert h == hilbert(buchberger(out))
+
+
+def test_an_unpickled_lex_basis_reduces_alike(fibration_110):
+    G = buchberger(fresh(fibration_110["I"]), LEX)
+    back = pickle.loads(pickle.dumps(G))
+    assert back._minimal == G._minimal and back._basis is None
+    assert back.leading_monomials() == G.leading_monomials()
+    for text in ("x1^3", "x2*y3 - z1^2 + 3", "y1*z2 + x2^2"):
+        f = parse_poly(text, G.ctx)
+        assert normal_form(f, back) == normal_form(f, G)
+    assert back == G
 
 
 def leading(g):

@@ -88,7 +88,7 @@ def test_homogeneous_ideal_with_an_inhomogeneous_minimal_basis():
     # is not, and so is {x, y^2 + x}, one of its minimal bases
     ctx = VarContext(["x", "y"])
     X, Y2 = (1, 0), (0, 2)
-    lazy = ReducedGB._from_minimal(ctx, GREVLEX, [[(X, 1)], [(Y2, 1), (X, 1)]])
+    lazy = ReducedGB(ctx, GREVLEX, [[(X, 1)], [(Y2, 1), (X, 1)]])
     for G in (GB(ctx, "x", "x + y^2"), lazy):
         h = hilbert(G)
         assert (h.numerator, h.krull_dim, h.degree) == ((1, 1), 0, 2)

@@ -69,11 +69,11 @@ def test_interreduction_passes_again_only_for_a_new_leading_monomial(
     assert (not all(results)) == vanishes
     # a plain copy of the term lists, without the engine polynomials kept
     # on buchberger's output, is keyed again and reduces alike, and either
-    # way the output carries the basis keyed as key_basis keys it
+    # way the output carries the basis keyed as _key_basis keys its lists
     plain = pure.interreduce(list(minimal), 2, *code, LIMITS.max_degree)
     assert plain == basis
     kept = pure.interreduce(minimal, 2, *code, LIMITS.max_degree)
-    assert kept.polys == plain.polys == pure.key_basis(basis, *code)
+    assert kept.polys == plain.polys == pure._key_basis(kept.polys.layout, basis, *code)
 
 
 def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
@@ -88,4 +88,4 @@ def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
     plain = pure.interreduce([list(p) for p in minimal], nvars, *GREVLEX)
     assert kept != minimal
     assert kept == plain and kept.polys == plain.polys
-    assert kept.polys == pure.key_basis(kept, *GREVLEX)
+    assert kept.polys == pure._key_basis(kept.polys.layout, kept, *GREVLEX)

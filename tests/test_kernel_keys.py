@@ -161,22 +161,28 @@ LEX = (0, 0)
 BASIS = [[((1, 0), 1), ((0, 2**30), -1)]]
 
 
+def keyed(basis, nvars):
+    """``basis``, a reduced basis, keyed for ``normal_form`` as
+    ``interreduce`` returns it."""
+    return pure.interreduce(basis, nvars, *LEX).polys
+
+
 def test_a_step_to_degree_2_31_raises():
     # x^2 -> x*y^(2^30) -> y^(2^31): the second step would make the monomial
-    keyed = pure.key_basis(BASIS, *LEX)
+    keyed_basis = keyed(BASIS, 2)
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form([((2, 0), 1)], keyed, 2, *LEX)
+        pure.normal_form([((2, 0), 1)], keyed_basis, 2, *LEX)
     # one degree less is still held exactly
-    tail, mult = pure.normal_form([((1, 2**30 - 1), 1)], keyed, 2, *LEX)
+    tail, mult = pure.normal_form([((1, 2**30 - 1), 1)], keyed_basis, 2, *LEX)
     assert (tail, mult) == ([((0, TOP), 1)], 1)
 
 
 def test_an_input_of_degree_2_31_raises():
-    keyed = pure.key_basis(BASIS, *LEX)
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form([((0, 2**31), 1)], keyed, 2, *LEX)
+        pure.normal_form([((0, 2**31), 1)], keyed(BASIS, 2), 2, *LEX)
+    # keying a basis refuses it too
     with pytest.raises(ResourceLimitExceeded):
-        pure.key_basis([[((0, 2**31), 1)]], *LEX)
+        keyed([[((0, 2**31), 1)]], 2)
 
 
 def test_buchberger_refuses_degree_2_31():
@@ -199,10 +205,10 @@ def test_the_degree_bound_is_the_whole_basis():
     # step shifting z by y^(2^30) is judged to reach 2^31
     z = [((0, 0, 1), 1)]
     f = [((0, 2**30, 1), 1)]
-    assert pure.normal_form(f, pure.key_basis([z], *LEX), 3, *LEX) == ([], 1)
-    keyed = pure.key_basis([[((1, 0, 0), 1), ((0, 2**30, 0), -1)], z], *LEX)
+    assert pure.normal_form(f, keyed([z], 3), 3, *LEX) == ([], 1)
+    basis = keyed([[((1, 0, 0), 1), ((0, 2**30, 0), -1)], z], 3)
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form(f, keyed, 3, *LEX)
+        pure.normal_form(f, basis, 3, *LEX)
 
 
 # -- 16-bit runs and their reruns at 32 bits ------------------------------------
@@ -257,14 +263,15 @@ def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
     # lex, x > y, modulo x - y^2: x^20000 is held in 16 bits, and its steps
     # reach y^40000; x^40000 is not
     basis = [[((1, 0), 1), ((0, 2), -1)]]
-    keyed = pure.key_basis(basis, *LEX)
+    keyed_basis = keyed(basis, 2)
     narrow = pure._layout(2, 16)
-    assert keyed.layout is narrow
-    assert pure.normal_form([((20000, 0), 1)], keyed, 2, *LEX) == ([((0, 40000), 1)], 1)
+    assert keyed_basis.layout is narrow
+    assert pure.normal_form([((20000, 0), 1)], keyed_basis, 2, *LEX) == ([((0, 40000), 1)], 1)
     f = [((40000, 0), 3), ((0, 1), -1)]
-    assert pure.normal_form(f, keyed, 2, *LEX) == ([((0, 80000), 3), ((0, 1), -1)], 1)
+    assert pure.normal_form(f, keyed_basis, 2, *LEX) == ([((0, 80000), 3), ((0, 1), -1)], 1)
     # the caller's basis stays as it was keyed
-    assert keyed.layout is narrow and keyed == pure._key_basis(narrow, basis, *LEX)
+    assert keyed_basis.layout is narrow
+    assert keyed_basis == pure._key_basis(narrow, basis, *LEX)
 
 
 @st.composite

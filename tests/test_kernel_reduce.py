@@ -193,7 +193,7 @@ def test_normal_form_is_the_remainder_over_q(monkeypatch):
 def test_normal_form_leaves_its_keyed_basis_unchanged():
     # the reducers are the caller's own lists, shared by every call
     for basis, _, f, rem in cases(577, 3):
-        keyed = pure.key_basis([list(g.items()) for g in basis], KIND, BLOCK)
+        keyed = pure.interreduce([list(g.items()) for g in basis], 3, KIND, BLOCK).polys
         before = [list(g) for g in keyed]
         for _ in range(2):
             tail, mult = pure.normal_form(list(f.items()), keyed, 3, KIND, BLOCK)
