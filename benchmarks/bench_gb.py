@@ -219,9 +219,9 @@ def bench(raw_args, repeat):
 
 
 def width(basis):
-    """The field width, 16 or 32 bits, of the engine polynomials that
-    ``pure.buchberger`` or ``pure.interreduce`` returned ``basis`` with."""
-    return basis.polys.layout[3].bit_length()
+    """The field width, 16 or 32 bits, of the layout of ``basis``, a
+    ``pure.Basis`` as ``pure.buchberger`` or ``pure.interreduce`` returns it."""
+    return basis.layout[3].bit_length()
 
 
 def standard_monomials(basis, nvars):

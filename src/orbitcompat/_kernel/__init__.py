@@ -2,13 +2,16 @@
 
 ``groebner`` calls the engine through the three module attributes below,
 so a caller can wrap or replace them in one place: ``buchberger_raw`` makes
-a minimal basis, ``interreduce_raw`` tail-reduces it and keys the result,
-and ``normal_form_raw`` reduces against that keyed basis.
+a minimal basis, ``interreduce_raw`` tail-reduces it, and
+``normal_form_raw`` reduces against the reduced basis.  Each basis is a
+``Basis``: the ``[(exp, int)]`` lists, with the engine polynomials keyed
+from them once.
 """
 
 from . import pure
 
 BACKEND = "pure"
+Basis = pure.Basis
 buchberger_raw = pure.buchberger
 interreduce_raw = pure.interreduce
 normal_form_raw = pure.normal_form

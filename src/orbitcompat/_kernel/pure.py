@@ -50,10 +50,10 @@ cost less.  When a degree reaches 2^15, ``_degree_guard`` raises
 (``_widening``), where the guard raises ``ResourceLimitExceeded`` at 2^31,
 the public bound.  Keys order monomials, and packs decide divisibility, as
 ``make_key`` and the exponents do at either width, so the rerun gives the
-result bit for bit.  Engine polynomials carry their layout (``_Polys``),
-and those of one layout are keyed again, never mixed, in another: a
-``normal_form`` that reaches 2^15 against a 16-bit basis keys that basis
-again at 32 bits for its rerun.
+result bit for bit.  A ``Basis`` carries its engine polynomials with their
+layout, and is keyed again from its own lists, never mixed, in another: a
+``normal_form`` that reaches 2^15 against a 16-bit basis keys that basis's
+lists at 32 bits for its rerun.
 
 A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
@@ -88,10 +88,9 @@ leading coefficients, so more steps scale the whole remainder.
 returns the minimal basis the loop ends with.  ``interreduce`` tail-reduces
 a minimal basis into the reduced one (Becker and Weispfenning, "Groebner
 Bases", 1993, section 5.4), so a caller that needs only leading monomials,
-as Hilbert data does, never pays for it.  Both return their [(exp, int)]
-lists with the engine polynomials they came from, so ``interreduce`` does
-not key a minimal basis again, and its output's engine polynomials are the
-keyed basis ``normal_form`` takes.  A pass of ``_interreduce`` reduces each
+as Hilbert data does, never pays for it.  Both return a ``Basis``, lists
+keyed once, which ``interreduce`` and ``normal_form`` take without keying
+them again.  A pass of ``_interreduce`` reduces each
 polynomial against the results before it and the polynomials after it, so
 after a pass that moved no leading monomial every result is irreducible by
 the final leading monomials: another pass runs only if one moved, and on a
@@ -162,7 +161,7 @@ of its 14 pairs to zero and took three times as long.  The content scan
 stops at the first term that leaves the content 1, so it costs little
 where there is none.
 
-``normal_form`` reduces against a basis keyed once, as ``interreduce``
+``normal_form`` reduces against a ``Basis`` keyed once, as ``interreduce``
 returns it.
 
 This is the package's only Groebner engine.  It has no caps of its own:
@@ -322,16 +321,6 @@ def _strip_keys(poly, L):
     return [(e[:-1], t[2]) for e, t in zip(struct.iter_unpack(data), poly)]
 
 
-class _Polys(list):
-    """Engine polynomials, with the layout their keys and packs are in."""
-
-    __slots__ = ("layout",)
-
-    def __init__(self, polys, layout):
-        super().__init__(polys)
-        self.layout = layout
-
-
 def _content(terms):
     g = 0
     for _, _, c in terms:
@@ -488,8 +477,8 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     list of primitive integer polynomials as [(exp, int)] lists, each sorted
     descending in the order, the basis sorted ascending by leading monomial:
     the leading monomials of the reduced basis, which ``interreduce`` makes
-    from it.  The list is a ``_Stripped``, which keeps the engine
-    polynomials for ``interreduce``.  Raises ResourceLimitExceeded past the
+    from it.  The list is a ``Basis``, which keeps the engine polynomials
+    for ``interreduce``.  Raises ResourceLimitExceeded past the
     caps, ``max_degree`` bounding the total degree of every polynomial it
     makes, and before making a monomial of total degree 2^31 or more.
     """
@@ -510,49 +499,55 @@ def _buchberger(L, gens, nvars, kind, block, max_pairs, max_degree):
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= nvars else _gm_loop
     divisors = loop(polys, L, kind, block, max_pairs, max_degree, top, top_only)
-    return _Stripped.of(divisors, L)
+    return Basis.of(divisors, L)
 
 
-class _Stripped(list):
-    """The [(exp, int)] lists of a basis, keeping in ``polys`` the engine
-    polynomials they were stripped from, with their layout.  ``buchberger``
-    and ``interreduce`` return one, so that ``interreduce`` need not key a
-    minimal basis again, nor a caller the reduced basis it passes to
-    ``normal_form``: ``polys`` is what ``_key_basis`` makes of the lists,
-    at the width the run ended at."""
+class Basis(list):
+    """A basis's [(exp, int)] lists, each primitive and sorted leading term
+    first, with ``polys``, the engine polynomials keyed from them in the
+    layout ``layout``, or None for both: such a basis is keyed by
+    ``_key_basis`` in each call that takes it.  The kernel's own are keyed
+    at the width their run ended at."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "layout")
+
+    def __init__(self, lists, polys=None, layout=None):
+        super().__init__(lists)
+        self.polys = polys
+        self.layout = layout
 
     @classmethod
     def of(cls, polys, L):
-        out = cls(_strip_keys(p, L) for p in polys)
-        out.polys = _Polys(polys, L)
-        return out
+        """The basis of the engine polynomials ``polys`` in the layout ``L``."""
+        return cls((_strip_keys(p, L) for p in polys), polys, L)
+
+    @property
+    def bits(self):
+        """The field width to run at: the layout's, or 16 if none."""
+        return 16 if self.layout is None else self.layout[3].bit_length()
+
+    def keyed(self, L, kind, block):
+        """``polys`` if they are in the layout ``L``, else the lists keyed in it."""
+        return self.polys if self.layout is L else _key_basis(L, self, kind, block)
 
 
-def interreduce(basis_pairs, nvars, kind, block, max_degree=_DEGREE_BOUND):
+def interreduce(basis, nvars, kind, block, max_degree=_DEGREE_BOUND):
     """The reduced Groebner basis from a minimal one, ``buchberger``'s output.
 
-    Takes the [(exp, int)] lists of a minimal basis for the same order:
-    primitive, sorted and free of zeros, so they need only their keys,
-    which ``buchberger``'s own output carries, and runs at their width.
-    Returns a ``_Stripped``, whose ``polys`` are keyed for ``normal_form``.
+    Takes a ``Basis`` of a minimal basis for the same order, free of zeros,
+    and runs at its width.  Returns a ``Basis`` keyed for ``normal_form``.
     Raises ResourceLimitExceeded if a polynomial it makes has total degree
     above ``max_degree``; under grevlex none has a larger degree than the
     input, since no term has a larger degree than its leading term.
     """
-    polys = getattr(basis_pairs, "polys", None)
-    bits = 16 if polys is None else polys.layout[3].bit_length()
-    return _widening(_reduced_basis, nvars, bits, basis_pairs, kind, block, max_degree)
+    return _widening(_reduced_basis, nvars, basis.bits, basis, kind, block, max_degree)
 
 
-def _reduced_basis(L, basis_pairs, kind, block, max_degree):
+def _reduced_basis(L, basis, kind, block, max_degree):
     """``interreduce`` in the layout ``L``."""
-    polys = getattr(basis_pairs, "polys", None)
-    if polys is None or polys.layout is not L:
-        polys = [[(*_encode(e, kind, block, L), c) for e, c in p] for p in basis_pairs]
+    polys = basis.keyed(L, kind, block)
     top = _top(chain.from_iterable(polys), L[2])
-    return _Stripped.of(_interreduce(list(polys), L, top, max_degree)[0], L)
+    return Basis.of(_interreduce(list(polys), L, top, max_degree)[0], L)
 
 
 def _interreduce(polys, L, top, max_degree):
@@ -814,35 +809,33 @@ def _monomial_content(poly, L):
 
 
 def _key_basis(L, basis_pairs, kind, block):
-    """[(exp, int)] term lists -> a ``_Polys`` in the layout ``L``, each
-    polynomial sorted and normalised primitive, zeros dropped."""
+    """[(exp, int)] term lists -> engine polynomials in the layout ``L``,
+    each sorted and normalised primitive, zeros dropped."""
     keyed = (_attach_keys(b, kind, block, L) for b in basis_pairs)
-    return _Polys([p for p in keyed if p], L)
+    return [p for p in keyed if p]
 
 
 def normal_form(fpairs, basis, nvars, kind, block):
     """Exact remainder of f modulo a (Groebner) basis.
 
     The input is an [(exp, int)] term list over ``nvars`` variables, which
-    size the packs, and the basis ``interreduce``'s ``polys`` for the same
-    order; returns ``(tail, mult)`` with the exact normal form equal to
-    tail / mult, tail as an [(exp, int)] list.  The input is not
-    content-normalised: the multiplier accounts for everything.  Runs at
-    the basis's width; if a 16-bit run reaches degree 2^15, the basis is
-    keyed again at 32 bits for the rerun.  Raises ResourceLimitExceeded on,
-    or before making, a monomial of total degree 2^31 or more.
+    size the packs, and the basis a ``Basis`` for the same order, as
+    ``interreduce`` returns it; returns ``(tail, mult)`` with the exact
+    normal form equal to tail / mult, tail as an [(exp, int)] list.  The
+    input is not content-normalised: the multiplier accounts for
+    everything.  Runs at the basis's width; if a 16-bit run reaches degree
+    2^15, the basis's lists are keyed at 32 bits for the rerun.  Raises
+    ResourceLimitExceeded on, or before making, a monomial of total degree
+    2^31 or more.
     """
-    bits = basis.layout[3].bit_length()
-    return _widening(_normal_form, nvars, bits, fpairs, basis, kind, block)
+    return _widening(_normal_form, nvars, basis.bits, fpairs, basis, kind, block)
 
 
 def _normal_form(L, fpairs, basis, kind, block):
     """``normal_form`` in the layout ``L``, keying ``basis`` again if it is
     in another."""
-    if basis.layout is not L:
-        stripped = [_strip_keys(p, basis.layout) for p in basis]
-        basis = _key_basis(L, stripped, kind, block)
+    polys = basis.keyed(L, kind, block)
     terms = ((*_encode(e, kind, block, L), c) for e, c in fpairs)
-    top = _top(chain.from_iterable(basis), L[2])
-    tail, mult = _reduce(terms, basis, L, top, track_multiplier=True)
+    top = _top(chain.from_iterable(polys), L[2])
+    tail, mult = _reduce(terms, polys, L, top, track_multiplier=True)
     return _strip_keys(tail, L), mult

@@ -200,8 +200,7 @@ def cmd_euler(args) -> int:
     chi = expected_euler(spec)
     d = degree_product(spec)
     if args.format == "json":
-        coeffs = [int(c) if c.denominator == 1 else str(c) for c in series.coeffs]
-        print(json.dumps({"series": coeffs, "chi": chi, "d": d}))
+        print(json.dumps({"series": [int(c) for c in series.coeffs], "chi": chi, "d": d}))
         return 0
     print(f"complete intersection of degrees ({args.degrees or ''}) in P^{spec.ambient_dim}, dimension {spec.dim}")
     print(f"chern series: {series}")

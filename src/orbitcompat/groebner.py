@@ -55,12 +55,12 @@ class GBLimits:
     stored on the presentation, attached by ``homogenise_ideal`` or kept
     from an earlier run, runs no pair loop, so it hits neither cap; the
     generators' degrees are still checked.  A grevlex basis is tail-reduced
-    when its ``basis`` is first read, uncapped: that reduction makes no
-    polynomial of a higher degree than the minimal basis has.  The
-    kernel packs monomials in 16-bit fields and runs a call again in 32-bit
-    ones when a degree reaches 2^15, so a run past that degree costs a
-    rerun but gives the same basis; total degree 2^31 is the kernel's own
-    bound, past any cap.  Raises ValueError on a negative cap.
+    when first compared, hashed, reduced against or read, uncapped: that
+    reduction makes no polynomial of a higher degree than the minimal basis
+    has.  The kernel packs monomials in 16-bit fields and runs a call again
+    in 32-bit ones when a degree reaches 2^15, so a run past that degree
+    costs a rerun but gives the same basis; total degree 2^31 is the
+    kernel's own bound, past any cap.  Raises ValueError on a negative cap.
     """
 
     max_pairs: int = 500_000
@@ -132,37 +132,43 @@ class IdealPresentation:
 class ReducedGB:
     """The unique reduced Groebner basis of an ideal for an order.
 
-    Every element is monic and no term of any element is divisible by the
-    leading term of another.  ``basis`` is sorted ascending by leading
-    monomial, so equal ideals compare equal structurally: equality, hashing
-    and ``repr`` read it.  Each element's terms are stored in descending
-    order under ``order``, as the kernel returns them, so its first term is
-    its leading term.
+    Every element of ``basis`` is monic and no term of any element is
+    divisible by the leading term of another.  ``basis`` is sorted
+    ascending by leading monomial, each element leading term first.
 
     It is built from a minimal basis in the kernel's form: primitive
-    ``[(exp, int)]`` lists, sorted as ``_kernel.buchberger_raw`` returns
-    them, whose leading monomials are the reduced basis's in the same
-    order.  ``leading_monomials``, ``contains_one`` and ``is_homogeneous``
-    read it, and a pickle holds it alone.  ``basis`` is tail-reduced from
-    it by ``_kernel.interreduce_raw`` on first use and kept, and the engine
-    polynomials the kernel returns with it are the keyed basis
-    ``normal_form`` reduces against.  ``buchberger`` reduces the tails at
-    once, under its degree cap, under every order but grevlex, where no
-    tail term has a higher degree than its leading term.  The attributes
-    are read-only.
+    ``[(exp, int)]`` lists, each sorted leading term first, whose leading
+    monomials are the reduced basis's.  Lists that are not a
+    ``_kernel.Basis``, a pickle's among them, are checked for that order.
+    ``leading_monomials``, ``contains_one`` and ``is_homogeneous`` read the
+    minimal basis, and a pickle holds it alone.  ``_kernel.interreduce_raw``
+    tail-reduces it on first use into the kernel's keyed reduced basis,
+    whose integer lists are canonical: equality, hashing and ``normal_form``
+    read them, and ``basis`` is built from them on first read.
+    ``buchberger`` reduces the tails at once, under its degree cap, under
+    every order but grevlex, where no tail term has a higher degree than its
+    leading term.  The attributes are read-only.
     """
 
-    __slots__ = ("ctx", "order", "_minimal", "_basis", "_keyed")
+    __slots__ = ("ctx", "order", "_minimal", "_reduced", "_basis")
 
     def __init__(self, ctx: VarContext, order: MonomialOrder, minimal):
+        if not isinstance(minimal, _kernel.Basis):
+            for i, terms in enumerate(minimal):
+                keys = [order.key(m) for m, _ in terms]
+                if not keys or any(k >= keys[0] for k in keys[1:]):
+                    raise ValueError(
+                        f"minimal basis element {i} does not start with its "
+                        f"{order} leading term: {terms!r}"
+                    )
+            minimal = _kernel.Basis(minimal)
         _set = object.__setattr__
         _set(self, "ctx", ctx)
         _set(self, "order", order)
         _set(self, "_minimal", minimal)
-        # the reduced basis, and the kernel's engine polynomials of it, once
-        # the tails are reduced
+        # the kernel's reduced basis, and its monic MultiPolys, once made
+        _set(self, "_reduced", None)
         _set(self, "_basis", None)
-        _set(self, "_keyed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ReducedGB is read-only: cannot set {name!r}")
@@ -172,31 +178,30 @@ class ReducedGB:
         # pickled
         return ReducedGB, (self.ctx, self.order, list(self._minimal))
 
-    def _reduce_tails(self, max_degree) -> None:
-        """Tail-reduce the minimal basis, refusing a polynomial of total
-        degree above ``max_degree``."""
-        reduced = _kernel.interreduce_raw(
-            self._minimal, len(self.ctx), *self.order.code, max_degree
-        )
-        object.__setattr__(self, "_basis", _monic(self.ctx, reduced))
-        object.__setattr__(self, "_keyed", reduced.polys)
+    def _tails(self, max_degree=inf):
+        """The reduced basis as the kernel returns it, tail-reduced from the
+        minimal basis on first call, refusing a polynomial of total degree
+        above ``max_degree``."""
+        if self._reduced is None:
+            reduced = _kernel.interreduce_raw(
+                self._minimal, len(self.ctx), *self.order.code, max_degree
+            )
+            object.__setattr__(self, "_reduced", reduced)
+        return self._reduced
 
     @property
     def basis(self) -> tuple[MultiPoly, ...]:
         if self._basis is None:
-            # uncapped: buchberger reduces a basis under any other order
-            # at once, under its cap, and a grevlex tail has no higher
-            # degree than the minimal basis
-            self._reduce_tails(inf)
+            object.__setattr__(self, "_basis", _monic(self.ctx, self._tails()))
         return self._basis
 
     def __eq__(self, other):
         if not isinstance(other, ReducedGB):
             return NotImplemented
-        return (self.ctx, self.order, self.basis) == (other.ctx, other.order, other.basis)
+        return (self.ctx, self.order, self._tails()) == (other.ctx, other.order, other._tails())
 
     def __hash__(self):
-        return hash((self.ctx, self.order, self.basis))
+        return hash((self.ctx, self.order, tuple(map(tuple, self._tails()))))
 
     def __repr__(self):
         return f"ReducedGB(ctx={self.ctx!r}, order={self.order!r}, basis={self.basis!r})"
@@ -217,7 +222,7 @@ class ReducedGB:
             sum(terms[0][0]) == sum(terms[-1][0]) for terms in self._minimal
         ):
             return True
-        return all(g.is_homogeneous() for g in self.basis)
+        return all(len({sum(e) for e, _ in terms}) == 1 for terms in self._tails())
 
 
 def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
@@ -275,7 +280,7 @@ def buchberger(
     if order.kind != "grevlex":
         # a reduced tail can outgrow the minimal basis's degree: under lex
         # {x - y^3, y^2 - z^7} reduces to degree 8
-        G._reduce_tails(limits.max_degree)
+        G._tails(limits.max_degree)
     if I._reduced is None:
         object.__setattr__(I, "_reduced", G)
     return G
@@ -285,10 +290,10 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     """Remainder of f on division by G; zero iff f lies in the ideal."""
     if f.ctx != G.ctx:
         raise ContextMismatch("polynomial context differs from basis context")
-    if f.is_zero() or not G.basis:
+    if f.is_zero() or not G._minimal:
         return f
     den, fraw = _clear_denominators(f)
-    tail, mult = _kernel.normal_form_raw(fraw, G._keyed, len(G.ctx), *G.order.code)
+    tail, mult = _kernel.normal_form_raw(fraw, G._tails(), len(G.ctx), *G.order.code)
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})
 
@@ -417,7 +422,8 @@ def homogenise_ideal(
         hom.append([(e + (d - sum(e),), c) for e, c in terms])
     out = IdealPresentation(ctx, ())
     object.__setattr__(out, "_generators", None)
-    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, hom))
+    # sorted by construction: appending t last keeps grevlex order
+    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, _kernel.Basis(hom)))
     return out
 
 

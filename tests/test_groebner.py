@@ -85,6 +85,18 @@ def test_equal_ideals_reduce_to_one_basis(fibration_110):
     assert all(normal_form(g, GI).is_zero() for g in d["J"].generators)
 
 
+def test_equal_ideals_hash_alike(fibration_110):
+    # equality and hashing read the reduced basis's integer lists, which are
+    # canonical: two presentations of one ideal, and a pickled copy, hash
+    # alike, for the affine bases and for their saturated closures
+    d = fibration_110
+    for make in (buchberger, lambda I: buchberger(homogenise_ideal(I, "t"))):
+        G, H = make(fresh(d["I"])), make(fresh(d["J"]))
+        back = pickle.loads(pickle.dumps(G))
+        assert G == H == back
+        assert hash(G) == hash(H) == hash(back)
+
+
 def test_basis_is_reduced_and_monic(fibration_110):
     G = buchberger(fibration_110["I_hom"])
     leads = G.leading_monomials()
@@ -250,6 +262,19 @@ def test_directly_built_basis_reduces_alike(fibration_110):
         assert normal_form(f, H) == normal_form(f, G)
 
 
+def test_a_minimal_basis_must_start_each_element_with_its_leading_term():
+    # lists that are not a kernel Basis are checked: y + x^2 does not start
+    # with its grevlex leading term x^2, and an empty element has none
+    ctx = VarContext(["x", "y"])
+    with pytest.raises(ValueError, match="element 0"):
+        ReducedGB(ctx, GREVLEX, [[((0, 1), 1), ((2, 0), 1)]])
+    with pytest.raises(ValueError, match="element 1"):
+        ReducedGB(ctx, GREVLEX, [[((1, 0), 1)], []])
+    G = ReducedGB(ctx, GREVLEX, [[((2, 0), 1), ((0, 1), 1)]])
+    assert G.leading_monomials() == ((2, 0),)
+    assert [str(g) for g in G.basis] == ["x^2 + y"]
+
+
 def test_a_basis_is_read_only_and_pickles(fibration_110):
     G = buchberger(fresh(fibration_110["I_hom"]))
     with pytest.raises(AttributeError):
@@ -302,7 +327,9 @@ def test_normal_form_reuses_the_kernels_keyed_basis(fibration_110, monkeypatch, 
     # form
     G = build(fibration_110)
     cleared = [groebner._clear_denominators(g)[1] for g in G.basis]
-    assert G._keyed == pure._key_basis(G._keyed.layout, cleared, *G.order.code)
+    reduced = G._tails()
+    assert reduced == cleared
+    assert reduced.polys == pure._key_basis(reduced.layout, cleared, *G.order.code)
     f = parse_poly("x2*y3 - z1^2 + 3", G.ctx) * parse_poly("x1 + y2*z2", G.ctx)
     want = normal_form(f, pickle.loads(pickle.dumps(G)))
 
@@ -597,6 +624,30 @@ def test_an_unpickled_lex_basis_reduces_alike(fibration_110):
         f = parse_poly(text, G.ctx)
         assert normal_form(f, back) == normal_form(f, G)
     assert back == G
+
+
+def test_equality_containment_and_normal_forms_build_no_monic_basis(
+    fibration_110, monkeypatch
+):
+    # ideal_equal, ideal_contains and normal_form read the kernel's reduced
+    # integer lists: once the inputs and their generators are built, none
+    # of them makes a monic MultiPoly basis
+    d = fibration_110
+    S_I, S_J = (homogenise_ideal(fresh(d[name]), "t") for name in ("I", "J"))
+    for S in (S_I, S_J):
+        S.generators  # ideal_contains reads them as its second argument
+    G = buchberger(fresh(d["I_hom"]))
+    f = parse_poly("x1^2*t + y2", G.ctx)
+    want = normal_form(f, buchberger(fresh(d["I_hom"])))
+
+    def refuse(*args):
+        raise AssertionError("a monic basis was built")
+
+    monkeypatch.setattr(groebner, "_monic", refuse)
+    assert ideal_equal(S_I, S_J)
+    assert ideal_contains(S_I, S_J) and ideal_contains(S_J, S_I)
+    assert ideal_contains(S_I, d["I_hom"]) and not ideal_contains(d["I_hom"], S_I)
+    assert normal_form(f, G) == want and G._basis is None
 
 
 def leading(g):

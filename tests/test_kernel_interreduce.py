@@ -67,13 +67,15 @@ def test_interreduction_passes_again_only_for_a_new_leading_monomial(
     assert pure.interreduce(minimal, 2, *code, LIMITS.max_degree) == basis
     assert len(results) == calls
     assert (not all(results)) == vanishes
-    # a plain copy of the term lists, without the engine polynomials kept
-    # on buchberger's output, is keyed again and reduces alike, and either
-    # way the output carries the basis keyed as _key_basis keys its lists
-    plain = pure.interreduce(list(minimal), 2, *code, LIMITS.max_degree)
+    # a Basis of a plain copy of the term lists, without the engine
+    # polynomials kept on buchberger's output, is keyed again and reduces
+    # alike, and either way the output carries the basis keyed as
+    # _key_basis keys its lists
+    plain = pure.interreduce(pure.Basis(minimal), 2, *code, LIMITS.max_degree)
     assert plain == basis
     kept = pure.interreduce(minimal, 2, *code, LIMITS.max_degree)
-    assert kept.polys == plain.polys == pure._key_basis(kept.polys.layout, basis, *code)
+    assert kept.layout is plain.layout
+    assert kept.polys == plain.polys == pure._key_basis(kept.layout, basis, *code)
 
 
 def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
@@ -85,7 +87,7 @@ def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
     nvars = len(fib.ctx)
     minimal = pure.buchberger(gens, nvars, *GREVLEX, LIMITS.max_pairs, LIMITS.max_degree)
     kept = pure.interreduce(minimal, nvars, *GREVLEX)
-    plain = pure.interreduce([list(p) for p in minimal], nvars, *GREVLEX)
+    plain = pure.interreduce(pure.Basis(list(p) for p in minimal), nvars, *GREVLEX)
     assert kept != minimal
-    assert kept == plain and kept.polys == plain.polys
-    assert kept.polys == pure._key_basis(kept.polys.layout, kept, *GREVLEX)
+    assert kept == plain and kept.polys == plain.polys and kept.layout is plain.layout
+    assert kept.polys == pure._key_basis(kept.layout, kept, *GREVLEX)

@@ -164,7 +164,7 @@ BASIS = [[((1, 0), 1), ((0, 2**30), -1)]]
 def keyed(basis, nvars):
     """``basis``, a reduced basis, keyed for ``normal_form`` as
     ``interreduce`` returns it."""
-    return pure.interreduce(basis, nvars, *LEX).polys
+    return pure.interreduce(pure.Basis(basis), nvars, *LEX)
 
 
 def test_a_step_to_degree_2_31_raises():
@@ -245,7 +245,7 @@ def test_bases_past_degree_2_15_are_those_of_32_bit_fields(gens, code, basis):
     minimal = pure.buchberger(gens, 2, *code, 100, 2**40)
     reduced = pure.interreduce(minimal, 2, *code)
     assert reduced == basis
-    assert minimal.polys.layout is reduced.polys.layout is WIDE
+    assert minimal.layout is reduced.layout is WIDE
     wide = pure._buchberger(WIDE, gens, 2, *code, 100, 2**40)
     assert minimal == wide and minimal.polys == wide.polys
     assert reduced.polys == pure._reduced_basis(WIDE, wide, *code, 2**31).polys
@@ -254,9 +254,9 @@ def test_bases_past_degree_2_15_are_those_of_32_bit_fields(gens, code, basis):
 def test_interreduce_past_degree_2_15_reruns_at_32_bits():
     # lex, x > y > z: y^4 steps through y^2*z^20000 to z^40000
     minimal = [[((0, 2, 0), 1), ((0, 0, 20000), -1)], [((1, 0, 0), 1), ((0, 4, 0), -1)]]
-    reduced = pure.interreduce(minimal, 3, *LEX)
+    reduced = pure.interreduce(pure.Basis(minimal), 3, *LEX)
     assert reduced == [minimal[0], [((1, 0, 0), 1), ((0, 0, 40000), -1)]]
-    assert reduced.polys.layout is pure._layout(3, 32)
+    assert reduced.layout is pure._layout(3, 32)
 
 
 def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
@@ -270,8 +270,8 @@ def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
     f = [((40000, 0), 3), ((0, 1), -1)]
     assert pure.normal_form(f, keyed_basis, 2, *LEX) == ([((0, 80000), 3), ((0, 1), -1)], 1)
     # the caller's basis stays as it was keyed
-    assert keyed_basis.layout is narrow
-    assert keyed_basis == pure._key_basis(narrow, basis, *LEX)
+    assert keyed_basis.layout is narrow and keyed_basis == basis
+    assert keyed_basis.polys == pure._key_basis(narrow, basis, *LEX)
 
 
 @st.composite
@@ -300,5 +300,5 @@ def test_both_layouts_give_the_same_bases_and_normal_forms(case):
         except ResourceLimitExceeded as e:
             outcomes.append(str(e))
             continue
-        outcomes.append((minimal, reduced, pure._normal_form(L, f, reduced.polys, kind, block)))
+        outcomes.append((minimal, reduced, pure._normal_form(L, f, reduced, kind, block)))
     assert outcomes[0] == outcomes[1]

@@ -193,12 +193,13 @@ def test_normal_form_is_the_remainder_over_q(monkeypatch):
 def test_normal_form_leaves_its_keyed_basis_unchanged():
     # the reducers are the caller's own lists, shared by every call
     for basis, _, f, rem in cases(577, 3):
-        keyed = pure.interreduce([list(g.items()) for g in basis], 3, KIND, BLOCK).polys
-        before = [list(g) for g in keyed]
+        lists = pure.Basis([list(g.items()) for g in basis])
+        keyed = pure.interreduce(lists, 3, KIND, BLOCK)
+        before = [list(g) for g in keyed.polys], [list(g) for g in keyed]
         for _ in range(2):
             tail, mult = pure.normal_form(list(f.items()), keyed, 3, KIND, BLOCK)
             assert {e: Fraction(c, mult) for e, c in tail} == rem
-            assert keyed == before
+            assert (keyed.polys, keyed) == before
 
 
 def test_content_passes_bound_a_tracked_remainder():
