@@ -212,7 +212,7 @@ def bench(raw_args, repeat):
         t0 = time.perf_counter()
         minimal = pure.buchberger(*raw_args, 2_000_000, MAX_DEGREE)
         t1 = time.perf_counter()
-        reduced = pure.interreduce(minimal, *raw_args[1:], MAX_DEGREE)
+        reduced = pure.interreduce(minimal, MAX_DEGREE)
         loop_times.append(t1 - t0)
         reduce_times.append(time.perf_counter() - t1)
     return min(loop_times), min(reduce_times), minimal, reduced

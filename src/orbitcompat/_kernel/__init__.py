@@ -5,7 +5,9 @@ so a caller can wrap or replace them in one place: ``buchberger_raw`` makes
 a minimal basis, ``interreduce_raw`` tail-reduces it, and
 ``normal_form_raw`` reduces against the reduced basis.  Each basis is a
 ``Basis``: the ``[(exp, int)]`` lists, with the engine polynomials keyed
-from them once.
+from them once and their layout, which fixes the variables and the order,
+so only ``buchberger_raw`` takes an order; ``Basis.of_lists`` makes one
+from plain lists.
 """
 
 from . import pure

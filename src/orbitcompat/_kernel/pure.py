@@ -15,9 +15,9 @@ grevlex on the rest); ``KINDS`` maps the kind names to these numbers.
 ``MonomialOrder.key`` calls it too.  ``_encode`` makes a monomial's two
 ints, its key and its pack, with one degree sum and one degree check.  Each
 key formula is linear in the exponent, so the key is the dot product of the
-exponent with per-variable weights, the weight of a variable being
-``make_key`` of its unit vector read as signed digits of the layout's field
-width, most significant field first.  While a monomial's total degree is
+exponent with the layout's per-variable weights, the weight of a variable
+being ``make_key`` of its unit vector read as signed digits of the layout's
+field width, most significant field first.  While a monomial's total degree is
 below the layout's bound, half the field range, every field of its key fits
 its digit, so keys order monomials as ``make_key`` does and are injective;
 being a dot product they are additive.
@@ -40,20 +40,22 @@ degree at or above the bound, and each reduction step checks that the
 monomials it makes stay below it, through ``_degree_guard``, rather than
 merging two monomials under one key.
 
-A layout (``_layout``) is the record ``(struct, guard, shift, bound)`` of
-one field width.  Every entry point runs in 16-bit fields, bound 2^15, as
-Singular keeps exponents at the narrowest width the degrees allow: keys and
-packs take half the CPython digits of 32-bit ones (10 against 20 in the 17
-variables of an sl(4) closure), so each remainder term's add and hashes
-cost less.  When a degree reaches 2^15, ``_degree_guard`` raises
-``_Widen`` and the entry point runs the whole call again in 32-bit fields
-(``_widening``), where the guard raises ``ResourceLimitExceeded`` at 2^31,
-the public bound.  Keys order monomials, and packs decide divisibility, as
-``make_key`` and the exponents do at either width, so the rerun gives the
-result bit for bit.  A ``Basis`` carries its engine polynomials with their
-layout, and is keyed again from its own lists, never mixed, in another: a
-``normal_form`` that reaches 2^15 against a 16-bit basis keys that basis's
-lists at 32 bits for its rerun.
+A layout (``_layout``) is the whole keying context: the field width, the
+variable count and the order.  Every entry point runs in 16-bit fields,
+bound 2^15, as Singular keeps exponents at the narrowest width the degrees
+allow: keys and packs take half the CPython digits of 32-bit ones (10
+against 20 in the 17 variables of an sl(4) closure), so each remainder
+term's add and hashes cost less.  When a degree reaches 2^15, ``_degree_guard`` raises
+``_Widen`` and the entry point runs the whole call again in the layout's
+32-bit twin (``_widening``), where the guard raises
+``ResourceLimitExceeded`` at 2^31, the public bound.  Keys order
+monomials, and packs decide divisibility, as ``make_key`` and the
+exponents do at either width, so the rerun gives the result bit for bit.
+A ``Basis`` carries its layout, so ``interreduce`` and ``normal_form``
+read the order off it, and is keyed again from its own lists, never mixed,
+in another (layouts match by identity): a ``normal_form`` that reaches
+2^15 against a 16-bit basis keys that basis's lists at 32 bits for its
+rerun, and no polynomial keyed under one order is reused under another.
 
 A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
@@ -172,7 +174,7 @@ This is the package's only Groebner engine.  It has no caps of its own:
 from __future__ import annotations
 
 from bisect import insort
-from functools import cache, lru_cache
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd
@@ -207,22 +209,6 @@ def make_key(exp, kind, block):
     return make_key(exp[:block], 1, 0) + make_key(exp[block:], 1, 0)
 
 
-@lru_cache(maxsize=64)
-def _weights(L, kind, block):
-    """Packed keys of the unit vectors: ``make_key``'s fields as digits of
-    the layout ``L``'s width."""
-    bits = L[3].bit_length()
-    nvars = L[2] // bits
-    weights = []
-    for i in range(nvars):
-        unit = (0,) * i + (1,) + (0,) * (nvars - i - 1)
-        w = 0
-        for field in make_key(unit, kind, block):
-            w = (w << bits) + field
-        weights.append(w)
-    return tuple(weights)
-
-
 def _degree_guard(degree, L):
     """Refuse a total degree that the layout ``L`` cannot hold: at 16 bits
     by raising ``_Widen``, so that the entry point reruns at 32, and at 32
@@ -239,9 +225,10 @@ def _degree_guard(degree, L):
 # unbounded, so that each layout is one object: engine polynomials are
 # matched to a layout by identity
 @cache
-def _layout(nvars, bits):
-    """``(struct, guard, shift, bound)`` for packs of ``nvars`` exponents in
-    ``bits``-wide fields, 16 or 32.
+def _layout(nvars, bits, kind, block):
+    """``(struct, guard, shift, bound, nvars, kind, block, weights)`` for
+    packs of ``nvars`` exponents in ``bits``-wide fields, 16 or 32, and keys
+    in the order ``(kind, block)``.
 
     ``struct`` reads and writes the ``nvars + 1`` unsigned fields ("H" or
     "I"), least significant first; ``guard`` has the top bit of every
@@ -250,24 +237,29 @@ def _layout(nvars, bits):
     cannot hold.  The degree field needs no guard bit, since divisibility of
     the exponents implies its own, and the candidate lcms in ``update`` may
     take it past ``bound``: below twice the bound, so it still fits.
+    ``weights`` are the packed keys of the unit vectors, ``make_key``'s
+    fields as signed digits of the field width.
     """
     guard = sum(1 << (bits * i + bits - 1) for i in range(nvars))
-    code = "H" if bits == 16 else "I"
-    return Struct(f"<{nvars + 1}{code}"), guard, bits * nvars, 1 << (bits - 1)
+    units = [(0,) * i + (1,) + (0,) * (nvars - i - 1) for i in range(nvars)]
+    weights = tuple(
+        sum(f << bits * k for k, f in enumerate(reversed(make_key(u, kind, block)))) for u in units
+    )
+    struct = Struct(f"<{nvars + 1}{'H' if bits == 16 else 'I'}")
+    return struct, guard, bits * nvars, 1 << (bits - 1), nvars, kind, block, weights
 
 
-def _widening(run, nvars, bits, *args):
-    """``run(layout, *args)`` at ``bits``, 16 or 32, and again at 32 bits if
-    a 16-bit run raises ``_Widen``."""
-    if bits == 16:
-        try:
-            return run(_layout(nvars, 16), *args)
-        except _Widen:
-            pass
-    return run(_layout(nvars, 32), *args)
+def _widening(run, L, *args):
+    """``run(L, *args)``, and again in ``L``'s 32-bit twin if a 16-bit run
+    raises ``_Widen``."""
+    try:
+        return run(L, *args)
+    except _Widen:
+        pass
+    return run(_layout(L[4], 32, L[5], L[6]), *args)
 
 
-def _encode(exp, kind, block, L):
+def _encode(exp, L):
     """``(key, pack)`` of ``exp`` in the layout ``L``: the int sort key,
     ordered as ``make_key``, and the packed exponent vector, ordered by
     divisibility through the layout's guard; both additive.
@@ -277,13 +269,12 @@ def _encode(exp, kind, block, L):
     """
     degree = sum(exp)
     _degree_guard(degree, L)
-    struct, _, shift, _ = L
-    pack = int.from_bytes(struct.pack(*exp, degree), "little")
-    if kind == 1:
+    pack = int.from_bytes(L[0].pack(*exp, degree), "little")
+    if L[5] == 1:
         # the grevlex key's digits are the pack's fields, the exponents
         # negated: the degree over -e_(n-1), ..., -e_0
-        return (degree << (shift + 1)) - pack, pack
-    return sum(map(mul, exp, _weights(L, kind, block))), pack
+        return (degree << (L[2] + 1)) - pack, pack
+    return sum(map(mul, exp, L[7])), pack
 
 
 def _unpack(pack, L):
@@ -292,9 +283,9 @@ def _unpack(pack, L):
     return struct.unpack(pack.to_bytes(struct.size, "little"))[:-1]
 
 
-def _attach_keys(pairs, kind, block, L):
+def _attach_keys(pairs, L):
     """[(exp, int)] -> engine poly in the layout ``L``, normalised primitive."""
-    terms = [(*_encode(e, kind, block, L), c) for e, c in pairs if c]
+    terms = [(*_encode(e, L), c) for e, c in pairs if c]
     terms.sort(key=lambda t: t[0], reverse=True)
     return _primitive(terms)
 
@@ -372,7 +363,7 @@ def _reduce(f, basis, L, top, track_multiplier=False, waiting=(), top_only=False
     so the result, are those of taking ``max`` of the terms not yet found
     irreducible each time.
     """
-    _, guard, shift, _ = L
+    guard, shift = L[1], L[2]
     # the whole remainder, irreducible terms included, as key -> coeff;
     # packs maps every key ever seen to its pack
     h = {}
@@ -482,36 +473,35 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     caps, ``max_degree`` bounding the total degree of every polynomial it
     makes, and before making a monomial of total degree 2^31 or more.
     """
-    return _widening(_buchberger, nvars, 16, gens, nvars, kind, block, max_pairs, max_degree)
+    return _widening(_buchberger, _layout(nvars, 16, kind, block), gens, max_pairs, max_degree)
 
 
-def _buchberger(L, gens, nvars, kind, block, max_pairs, max_degree):
+def _buchberger(L, gens, max_pairs, max_degree):
     """``buchberger`` in the layout ``L``."""
     shift = L[2]
-    polys = _key_basis(L, gens, kind, block)
+    polys = _key_basis(L, gens)
     # the degree bound of every _reduce call: the largest total degree of
     # any polynomial made so far
     top = _top(chain.from_iterable(polys), shift)
     polys, top = _interreduce(polys, L, top, max_degree)
     # grevlex is graded, so a polynomial's first and last terms have its
     # largest and smallest degree
-    top_only = kind == 1 and all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
+    top_only = L[5] == 1 and all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
     # a regular sequence has at most nvars elements; see the module docstring
-    loop = _signature_loop if len(polys) <= nvars else _gm_loop
-    divisors = loop(polys, L, kind, block, max_pairs, max_degree, top, top_only)
+    loop = _signature_loop if len(polys) <= L[4] else _gm_loop
+    divisors = loop(polys, L, max_pairs, max_degree, top, top_only)
     return Basis.of(divisors, L)
 
 
 class Basis(list):
     """A basis's [(exp, int)] lists, each primitive and sorted leading term
-    first, with ``polys``, the engine polynomials keyed from them in the
-    layout ``layout``, or None for both: such a basis is keyed by
-    ``_key_basis`` in each call that takes it.  The kernel's own are keyed
-    at the width their run ended at."""
+    first, with their ``layout`` and ``polys``, the engine polynomials keyed
+    from them in it, or None: such a basis is keyed in each call that takes
+    it.  The kernel's own are keyed at the width their run ended at."""
 
     __slots__ = ("polys", "layout")
 
-    def __init__(self, lists, polys=None, layout=None):
+    def __init__(self, lists, polys, layout):
         super().__init__(lists)
         self.polys = polys
         self.layout = layout
@@ -521,31 +511,36 @@ class Basis(list):
         """The basis of the engine polynomials ``polys`` in the layout ``L``."""
         return cls((_strip_keys(p, L) for p in polys), polys, L)
 
+    @classmethod
+    def of_lists(cls, lists, nvars, kind, block):
+        """The unkeyed basis of ``lists`` in the 16-bit layout of the order."""
+        return cls(lists, None, _layout(nvars, 16, kind, block))
+
     @property
-    def bits(self):
-        """The field width to run at: the layout's, or 16 if none."""
-        return 16 if self.layout is None else self.layout[3].bit_length()
+    def keying(self):
+        """``(nvars, kind, block)``, the variables and order of the layout."""
+        return self.layout[4:7]
 
-    def keyed(self, L, kind, block):
+    def keyed(self, L):
         """``polys`` if they are in the layout ``L``, else the lists keyed in it."""
-        return self.polys if self.layout is L else _key_basis(L, self, kind, block)
+        return self.polys if self.layout is L and self.polys else _key_basis(L, self)
 
 
-def interreduce(basis, nvars, kind, block, max_degree=_DEGREE_BOUND):
+def interreduce(basis, max_degree=_DEGREE_BOUND):
     """The reduced Groebner basis from a minimal one, ``buchberger``'s output.
 
-    Takes a ``Basis`` of a minimal basis for the same order, free of zeros,
-    and runs at its width.  Returns a ``Basis`` keyed for ``normal_form``.
-    Raises ResourceLimitExceeded if a polynomial it makes has total degree
-    above ``max_degree``; under grevlex none has a larger degree than the
-    input, since no term has a larger degree than its leading term.
+    Takes a ``Basis`` of a minimal basis, free of zeros, and runs in its
+    layout.  Returns a ``Basis`` keyed for ``normal_form``.  Raises
+    ResourceLimitExceeded if a polynomial it makes has total degree above
+    ``max_degree``; under grevlex none has a larger degree than the input,
+    since no term has a larger degree than its leading term.
     """
-    return _widening(_reduced_basis, nvars, basis.bits, basis, kind, block, max_degree)
+    return _widening(_reduced_basis, basis.layout, basis, max_degree)
 
 
-def _reduced_basis(L, basis, kind, block, max_degree):
+def _reduced_basis(L, basis, max_degree):
     """``interreduce`` in the layout ``L``."""
-    polys = basis.keyed(L, kind, block)
+    polys = basis.keyed(L)
     top = _top(chain.from_iterable(polys), L[2])
     return Basis.of(_interreduce(list(polys), L, top, max_degree)[0], L)
 
@@ -582,15 +577,15 @@ def _capped(r, shift, top, max_degree):
     return max(top, degree)
 
 
-def _gm_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
+def _gm_loop(f, L, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by Gebauer-Moeller.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
     bound; ``top_only`` is ``_reduce``'s.  Returns the basis sorted by
     leading key.
     """
-    struct, guard, shift, _ = L
-    pack_fields = struct.pack
+    guard, shift = L[1], L[2]
+    pack_fields = L[0].pack
     # f holds every polynomial ever created, exps their leading exponents;
     # G and pairs hold indices into them
     exps = [_unpack(p[0][1], L) for p in f]
@@ -625,7 +620,7 @@ def _gm_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
                 or any(not (pm - q) & guard for q in D)
             ):
                 D.append(pm)
-                B.append((*_encode(m, kind, block, L), ih, ig))
+                B.append((*_encode(m, L), ih, ig))
         heapify(B)
         # ih is the largest index yet, so G stays ascending
         G = [ig for ig in G if (f[ig][0][1] - ph) & guard]
@@ -688,7 +683,7 @@ def _spoly(f, key, lcm, i1, i2, top, L):
     )
 
 
-def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
+def _signature_loop(f, L, max_pairs, max_degree, top, top_only):
     """A minimal Groebner basis of the polynomials ``f`` by signatures.
 
     ``f`` is interreduced and sorted by leading key, and ``top`` its degree
@@ -697,7 +692,7 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
     pack)`` of ``t*lm(f[i])``: the Schreyer order compares ``(key, i)``,
     and ``t*e_i`` divides ``s*e_i`` iff the packs do.
     """
-    _, guard, shift, _ = L
+    guard, shift = L[1], L[2]
     exps = [_unpack(p[0][1], L) for p in f]
     contents = [_monomial_content(p, L) for p in f]
     sigs = [(p[0][0], i, p[0][1]) for i, p in enumerate(f)]
@@ -732,13 +727,13 @@ def _signature_loop(f, L, kind, block, max_pairs, max_degree, top, top_only):
             if cn and contents[j]:
                 d = tuple(map(min, cn, contents[j]))
                 if any(d):
-                    dk, dp = _encode(d, kind, block, L)
+                    dk, dp = _encode(d, L)
             a, b = (skn + kj - dk, i_n, spn + pj - dp), (skj + kn - dk, i_j, spj + pn - dp)
             _degree_guard(max(a[2], b[2]) >> shift, L)
             if a[:2] != b[:2]:
                 note(*max(a, b)[1:])
             m = tuple(map(max, exps[n], exps[j]))
-            key, lcm = _encode(m, kind, block, L)
+            key, lcm = _encode(m, L)
             a = (skn + key - kn, i_n, n, j, key, lcm, spn + lcm - pn)
             b = (skj + key - kj, i_j, j, n, key, lcm, spj + lcm - pj)
             if a[:2] != b[:2]:
@@ -796,7 +791,7 @@ def _monomial_content(poly, L):
     A term the running content divides costs one subtraction and one AND;
     the scan stops at the first term that leaves the content 1.
     """
-    struct, guard, _, _ = L
+    struct, guard = L[0], L[1]
     pc = poly[0][1]
     content = _unpack(pc, L)
     for _, p, _ in poly:
@@ -808,34 +803,33 @@ def _monomial_content(poly, L):
     return content if pc else None
 
 
-def _key_basis(L, basis_pairs, kind, block):
+def _key_basis(L, basis_pairs):
     """[(exp, int)] term lists -> engine polynomials in the layout ``L``,
     each sorted and normalised primitive, zeros dropped."""
-    keyed = (_attach_keys(b, kind, block, L) for b in basis_pairs)
+    keyed = (_attach_keys(b, L) for b in basis_pairs)
     return [p for p in keyed if p]
 
 
-def normal_form(fpairs, basis, nvars, kind, block):
+def normal_form(fpairs, basis):
     """Exact remainder of f modulo a (Groebner) basis.
 
-    The input is an [(exp, int)] term list over ``nvars`` variables, which
-    size the packs, and the basis a ``Basis`` for the same order, as
-    ``interreduce`` returns it; returns ``(tail, mult)`` with the exact
-    normal form equal to tail / mult, tail as an [(exp, int)] list.  The
-    input is not content-normalised: the multiplier accounts for
-    everything.  Runs at the basis's width; if a 16-bit run reaches degree
-    2^15, the basis's lists are keyed at 32 bits for the rerun.  Raises
-    ResourceLimitExceeded on, or before making, a monomial of total degree
-    2^31 or more.
+    The input is an [(exp, int)] term list over the basis's variables, and
+    the basis a ``Basis``, as ``interreduce`` returns it, whose layout fixes
+    the order; returns ``(tail, mult)`` with the exact normal form equal to
+    tail / mult, tail as an [(exp, int)] list.  The input is not
+    content-normalised: the multiplier accounts for everything.  Runs in
+    the basis's layout; if a 16-bit run reaches degree 2^15, the basis's
+    lists are keyed at 32 bits for the rerun.  Raises ResourceLimitExceeded
+    on, or before making, a monomial of total degree 2^31 or more.
     """
-    return _widening(_normal_form, nvars, basis.bits, fpairs, basis, kind, block)
+    return _widening(_normal_form, basis.layout, fpairs, basis)
 
 
-def _normal_form(L, fpairs, basis, kind, block):
+def _normal_form(L, fpairs, basis):
     """``normal_form`` in the layout ``L``, keying ``basis`` again if it is
     in another."""
-    polys = basis.keyed(L, kind, block)
-    terms = ((*_encode(e, kind, block, L), c) for e, c in fpairs)
+    polys = basis.keyed(L)
+    terms = ((*_encode(e, L), c) for e, c in fpairs)
     top = _top(chain.from_iterable(polys), L[2])
     tail, mult = _reduce(terms, polys, L, top, track_multiplier=True)
     return _strip_keys(tail, L), mult

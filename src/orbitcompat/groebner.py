@@ -139,21 +139,30 @@ class ReducedGB:
     It is built from a minimal basis in the kernel's form: primitive
     ``[(exp, int)]`` lists, each sorted leading term first, whose leading
     monomials are the reduced basis's.  Lists that are not a
-    ``_kernel.Basis``, a pickle's among them, are checked for that order.
-    ``leading_monomials``, ``contains_one`` and ``is_homogeneous`` read the
-    minimal basis, and a pickle holds it alone.  ``_kernel.interreduce_raw``
-    tail-reduces it on first use into the kernel's keyed reduced basis,
-    whose integer lists are canonical: equality, hashing and ``normal_form``
-    read them, and ``basis`` is built from them on first read.
-    ``buchberger`` reduces the tails at once, under its degree cap, under
-    every order but grevlex, where no tail term has a higher degree than its
-    leading term.  The attributes are read-only.
+    ``_kernel.Basis``, a pickle's among them, are checked for that order,
+    and a ``_kernel.Basis`` must be keyed for it and the context's variable
+    count; ValueError otherwise.  ``leading_monomials``, ``contains_one``
+    and ``is_homogeneous`` read the minimal basis, and a pickle holds it
+    alone.  ``_kernel.interreduce_raw`` tail-reduces it on first use into
+    the kernel's keyed reduced basis, whose integer lists are canonical:
+    equality, hashing and ``normal_form`` read them, and ``basis`` is built
+    from them on first read.  ``buchberger`` reduces the tails at once,
+    under its degree cap, under every order but grevlex, where no tail term
+    has a higher degree than its leading term.  The attributes are
+    read-only.
     """
 
     __slots__ = ("ctx", "order", "_minimal", "_reduced", "_basis")
 
     def __init__(self, ctx: VarContext, order: MonomialOrder, minimal):
-        if not isinstance(minimal, _kernel.Basis):
+        keying = (len(ctx), *order.code)
+        if isinstance(minimal, _kernel.Basis):
+            if minimal.keying != keying:
+                raise ValueError(
+                    f"kernel basis keyed for (nvars, kind, block) {minimal.keying}, "
+                    f"not {keying}: {len(ctx)} variables under {order}"
+                )
+        else:
             for i, terms in enumerate(minimal):
                 keys = [order.key(m) for m, _ in terms]
                 if not keys or any(k >= keys[0] for k in keys[1:]):
@@ -161,7 +170,7 @@ class ReducedGB:
                         f"minimal basis element {i} does not start with its "
                         f"{order} leading term: {terms!r}"
                     )
-            minimal = _kernel.Basis(minimal)
+            minimal = _kernel.Basis.of_lists(minimal, *keying)
         _set = object.__setattr__
         _set(self, "ctx", ctx)
         _set(self, "order", order)
@@ -183,9 +192,7 @@ class ReducedGB:
         minimal basis on first call, refusing a polynomial of total degree
         above ``max_degree``."""
         if self._reduced is None:
-            reduced = _kernel.interreduce_raw(
-                self._minimal, len(self.ctx), *self.order.code, max_degree
-            )
+            reduced = _kernel.interreduce_raw(self._minimal, max_degree)
             object.__setattr__(self, "_reduced", reduced)
         return self._reduced
 
@@ -293,7 +300,7 @@ def normal_form(f: MultiPoly, G: ReducedGB) -> MultiPoly:
     if f.is_zero() or not G._minimal:
         return f
     den, fraw = _clear_denominators(f)
-    tail, mult = _kernel.normal_form_raw(fraw, G._tails(), len(G.ctx), *G.order.code)
+    tail, mult = _kernel.normal_form_raw(fraw, G._tails())
     scale = mult * den
     return MultiPoly(G.ctx, {m: Fraction(c, scale) for m, c in tail})
 
@@ -376,9 +383,8 @@ def saturate(
     one = MultiPoly.constant(big_ctx, 1)
     wf = MultiPoly.variable(big_ctx, w) * f.map_context(big_ctx)
     gens = [g.map_context(big_ctx) for g in I.generators] + [one - wf]
-    big = IdealPresentation(big_ctx, gens)
-    out = eliminate(big, {w}, limits)
-    return IdealPresentation(I.ctx, [g.map_context(I.ctx) for g in out.generators])
+    # eliminate's context, I.ctx's names in their order, equals I.ctx
+    return eliminate(IdealPresentation(big_ctx, gens), {w}, limits)
 
 
 def homogenise_naive(
@@ -423,7 +429,8 @@ def homogenise_ideal(
     out = IdealPresentation(ctx, ())
     object.__setattr__(out, "_generators", None)
     # sorted by construction: appending t last keeps grevlex order
-    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, _kernel.Basis(hom)))
+    minimal = _kernel.Basis.of_lists(hom, len(ctx), *GREVLEX.code)
+    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, minimal))
     return out
 
 

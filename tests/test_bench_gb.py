@@ -97,7 +97,7 @@ def checked_pops(monkeypatch):
         monkeypatch.setattr(pure, "_signature_loop", signature_loop)
         limits = GBLimits()
         minimal = pure.buchberger(*raw_args, limits.max_pairs, limits.max_degree)
-        return len(pops), pure.interreduce(minimal, *raw_args[1:])
+        return len(pops), pure.interreduce(minimal)
 
     return run
 
@@ -130,9 +130,11 @@ def test_seeded_quadrics_pop_the_smallest_pair(checked_pops):
 def test_a_run_widened_to_32_bits_fails_the_script(monkeypatch, capsys):
     # every run is capped far below degree 2^15, so none may end at 32 bits
     widening = pure._widening
-    monkeypatch.setattr(
-        pure, "_widening", lambda run, nvars, bits, *args: widening(run, nvars, 32, *args)
-    )
+
+    def wide(run, L, *args):
+        return widening(run, pure._layout(L[4], 32, L[5], L[6]), *args)
+
+    monkeypatch.setattr(pure, "_widening", wide)
     monkeypatch.setattr(bench_gb, "WORKLOADS", {"orbit-fibre": bench_gb.WORKLOADS["orbit-fibre"]})
     assert bench_gb.main(["--repeat", "1"]) == 1
     assert "orbit-fibre: ran at 32 bits" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -50,6 +51,25 @@ def test_chern_series_cubic_cubic_hyperplane():
 def test_chern_series_quadric_cubic_hyperplane():
     got = chern_series(CompleteIntersectionSpec(8, [2, 3, 1]))
     assert list(got.coeffs) == [1, 3, 7, 3, 13, -27]
+
+
+def test_chern_series_agrees_with_series_division():
+    # the second algorithm: (1 + a)^(N+1) divided by each 1 + d*a in
+    # TruncatedSeries arithmetic, on every spec with N <= 10, at most four
+    # hypersurfaces and degrees 1 to 4
+    specs = [
+        CompleteIntersectionSpec(N, degrees)
+        for N in range(11)
+        for k in range(min(N, 4) + 1)
+        for degrees in combinations_with_replacement(range(1, 5), k)
+    ]
+    assert len(specs) == 546
+    for spec in specs:
+        n = spec.dim
+        want = TruncatedSeries.binomial_power(n, spec.ambient_dim + 1)
+        for d in spec.degrees:
+            want = want / S([1, d], n)
+        assert chern_series(spec) == want, spec
 
 
 def test_chern_series_of_projective_space():

@@ -64,18 +64,18 @@ def test_interreduction_passes_again_only_for_a_new_leading_monomial(
 
     monkeypatch.setattr(pure, "_reduce", spy)
     minimal = pure.buchberger(gens, 2, *code, LIMITS.max_pairs, LIMITS.max_degree)
-    assert pure.interreduce(minimal, 2, *code, LIMITS.max_degree) == basis
+    assert pure.interreduce(minimal, LIMITS.max_degree) == basis
     assert len(results) == calls
     assert (not all(results)) == vanishes
     # a Basis of a plain copy of the term lists, without the engine
     # polynomials kept on buchberger's output, is keyed again and reduces
     # alike, and either way the output carries the basis keyed as
     # _key_basis keys its lists
-    plain = pure.interreduce(pure.Basis(minimal), 2, *code, LIMITS.max_degree)
+    plain = pure.interreduce(pure.Basis.of_lists(minimal, 2, *code), LIMITS.max_degree)
     assert plain == basis
-    kept = pure.interreduce(minimal, 2, *code, LIMITS.max_degree)
+    kept = pure.interreduce(minimal, LIMITS.max_degree)
     assert kept.layout is plain.layout
-    assert kept.polys == plain.polys == pure._key_basis(kept.layout, basis, *code)
+    assert kept.polys == plain.polys == pure._key_basis(kept.layout, basis)
 
 
 def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
@@ -86,8 +86,8 @@ def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
     gens = [_clear_denominators(g)[1] for g in fib.generators]
     nvars = len(fib.ctx)
     minimal = pure.buchberger(gens, nvars, *GREVLEX, LIMITS.max_pairs, LIMITS.max_degree)
-    kept = pure.interreduce(minimal, nvars, *GREVLEX)
-    plain = pure.interreduce(pure.Basis(list(p) for p in minimal), nvars, *GREVLEX)
+    kept = pure.interreduce(minimal)
+    plain = pure.interreduce(pure.Basis.of_lists([list(p) for p in minimal], nvars, *GREVLEX))
     assert kept != minimal
     assert kept == plain and kept.polys == plain.polys and kept.layout is plain.layout
-    assert kept.polys == pure._key_basis(kept.layout, kept, *GREVLEX)
+    assert kept.polys == pure._key_basis(kept.layout, kept)

@@ -22,7 +22,7 @@ WIDTHS = st.sampled_from(sorted(TOPS))
 
 def pack(e, bits):
     """The packed exponent vector of ``e``, which no order changes."""
-    return pure._encode(e, 1, 0, pure._layout(len(e), bits))[1]
+    return pure._encode(e, pure._layout(len(e), bits, 1, 0))[1]
 
 
 @st.composite
@@ -37,7 +37,7 @@ def exponent(draw, n, total=None, top=TOP):
 
 @st.composite
 def order_and_pair(draw):
-    """(L, kind, block, a, b) for a layout L of a drawn width: b is drawn on
+    """(L, a, b) for a layout L of a drawn width and order: b is drawn on
     its own, or moves some of a's degree between two variables so that the
     total degrees tie."""
     n = draw(st.sampled_from([1, 3, 16, 26]))
@@ -54,15 +54,15 @@ def order_and_pair(draw):
         b[i] -= moved
         b[j] += moved
         b = tuple(b)
-    return pure._layout(n, bits), kind, block, a, b
+    return pure._layout(n, bits, kind, block), a, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(order_and_pair())
 def test_packed_keys_order_as_make_key(case):
-    L, kind, block, a, b = case
-    pa, pb = pure._encode(a, kind, block, L)[0], pure._encode(b, kind, block, L)[0]
-    ka, kb = pure.make_key(a, kind, block), pure.make_key(b, kind, block)
+    L, a, b = case
+    pa, pb = pure._encode(a, L)[0], pure._encode(b, L)[0]
+    ka, kb = pure.make_key(a, *L[5:7]), pure.make_key(b, *L[5:7])
     assert (pa < pb) == (ka < kb)
     assert (pa > pb) == (ka > kb)
     assert (pa == pb) == (a == b)
@@ -78,8 +78,8 @@ def test_packed_keys_add(data):
     c = data.draw(exponent(n, top=TOPS[bits]))
     a = tuple(data.draw(st.integers(0, x)) for x in c)
     b = tuple(x - y for x, y in zip(c, a))
-    L = pure._layout(n, bits)
-    (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, kind, block, L) for e in (c, a, b))
+    L = pure._layout(n, bits, kind, block)
+    (kc, pc), (ka, pa), (kb, pb) = (pure._encode(e, L) for e in (c, a, b))
     assert kc == ka + kb
     assert pc == pa + pb
 
@@ -92,8 +92,8 @@ def test_grevlex_keys_read_off_the_pack_are_the_weighted_sums(data):
     n = data.draw(st.sampled_from([1, 3, 16, 26]))
     bits = data.draw(WIDTHS)
     e = data.draw(exponent(n, top=TOPS[bits]))
-    L = pure._layout(n, bits)
-    assert pure._encode(e, 1, 0, L)[0] == sum(map(mul, e, pure._weights(L, 1, 0)))
+    L = pure._layout(n, bits, 1, 0)
+    assert pure._encode(e, L)[0] == sum(map(mul, e, L[7]))
 
 
 SIZES = st.sampled_from([1, 3, 16, 26])
@@ -103,7 +103,7 @@ SIZES = st.sampled_from([1, 3, 16, 26])
 @given(SIZES, WIDTHS, st.data())
 def test_unpack_inverts_pack(n, bits, data):
     a = data.draw(exponent(n, top=TOPS[bits]))
-    assert pure._unpack(pack(a, bits), pure._layout(n, bits)) == a
+    assert pure._unpack(pack(a, bits), pure._layout(n, bits, 1, 0)) == a
 
 
 @st.composite
@@ -131,7 +131,7 @@ def divisor_pair(draw):
 @given(divisor_pair())
 def test_pack_difference_decides_divisibility(case):
     n, bits, a, b = case
-    guard = pure._layout(n, bits)[1]
+    guard = pure._layout(n, bits, 1, 0)[1]
     divides = all(x <= y for x, y in zip(a, b))
     assert (not (pack(b, bits) - pack(a, bits)) & guard) == divides
 
@@ -143,7 +143,7 @@ def test_a_pack_of_degree_2_31_raises(n, data):
     kind = data.draw(st.sampled_from([0, 1, 2]))
     block = data.draw(st.integers(0, n)) if kind == 2 else 0
     with pytest.raises(ResourceLimitExceeded):
-        pure._encode(data.draw(exponent(n, total)), kind, block, pure._layout(n, 32))
+        pure._encode(data.draw(exponent(n, total)), pure._layout(n, 32, kind, block))
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,7 +153,7 @@ def test_a_pack_of_degree_2_15_widens_a_16_bit_layout(n, data):
     kind = data.draw(st.sampled_from([0, 1, 2]))
     block = data.draw(st.integers(0, n)) if kind == 2 else 0
     with pytest.raises(pure._Widen):
-        pure._encode(data.draw(exponent(n, total)), kind, block, pure._layout(n, 16))
+        pure._encode(data.draw(exponent(n, total)), pure._layout(n, 16, kind, block))
 
 
 # lex with x > y, and the basis x - y^(2^30)
@@ -164,22 +164,22 @@ BASIS = [[((1, 0), 1), ((0, 2**30), -1)]]
 def keyed(basis, nvars):
     """``basis``, a reduced basis, keyed for ``normal_form`` as
     ``interreduce`` returns it."""
-    return pure.interreduce(pure.Basis(basis), nvars, *LEX)
+    return pure.interreduce(pure.Basis.of_lists(basis, nvars, *LEX))
 
 
 def test_a_step_to_degree_2_31_raises():
     # x^2 -> x*y^(2^30) -> y^(2^31): the second step would make the monomial
     keyed_basis = keyed(BASIS, 2)
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form([((2, 0), 1)], keyed_basis, 2, *LEX)
+        pure.normal_form([((2, 0), 1)], keyed_basis)
     # one degree less is still held exactly
-    tail, mult = pure.normal_form([((1, 2**30 - 1), 1)], keyed_basis, 2, *LEX)
+    tail, mult = pure.normal_form([((1, 2**30 - 1), 1)], keyed_basis)
     assert (tail, mult) == ([((0, TOP), 1)], 1)
 
 
 def test_an_input_of_degree_2_31_raises():
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form([((0, 2**31), 1)], keyed(BASIS, 2), 2, *LEX)
+        pure.normal_form([((0, 2**31), 1)], keyed(BASIS, 2))
     # keying a basis refuses it too
     with pytest.raises(ResourceLimitExceeded):
         keyed([[((0, 2**31), 1)]], 2)
@@ -205,16 +205,15 @@ def test_the_degree_bound_is_the_whole_basis():
     # step shifting z by y^(2^30) is judged to reach 2^31
     z = [((0, 0, 1), 1)]
     f = [((0, 2**30, 1), 1)]
-    assert pure.normal_form(f, keyed([z], 3), 3, *LEX) == ([], 1)
+    assert pure.normal_form(f, keyed([z], 3)) == ([], 1)
     basis = keyed([[((1, 0, 0), 1), ((0, 2**30, 0), -1)], z], 3)
     with pytest.raises(ResourceLimitExceeded):
-        pure.normal_form(f, basis, 3, *LEX)
+        pure.normal_form(f, basis)
 
 
 # -- 16-bit runs and their reruns at 32 bits ------------------------------------
 
 GREVLEX = (1, 0)
-WIDE = pure._layout(2, 32)
 
 
 @pytest.mark.parametrize(
@@ -243,20 +242,21 @@ WIDE = pure._layout(2, 32)
 )
 def test_bases_past_degree_2_15_are_those_of_32_bit_fields(gens, code, basis):
     minimal = pure.buchberger(gens, 2, *code, 100, 2**40)
-    reduced = pure.interreduce(minimal, 2, *code)
+    reduced = pure.interreduce(minimal)
     assert reduced == basis
-    assert minimal.layout is reduced.layout is WIDE
-    wide = pure._buchberger(WIDE, gens, 2, *code, 100, 2**40)
+    wide_layout = pure._layout(2, 32, *code)
+    assert minimal.layout is reduced.layout is wide_layout
+    wide = pure._buchberger(wide_layout, gens, 100, 2**40)
     assert minimal == wide and minimal.polys == wide.polys
-    assert reduced.polys == pure._reduced_basis(WIDE, wide, *code, 2**31).polys
+    assert reduced.polys == pure._reduced_basis(wide_layout, wide, 2**31).polys
 
 
 def test_interreduce_past_degree_2_15_reruns_at_32_bits():
     # lex, x > y > z: y^4 steps through y^2*z^20000 to z^40000
     minimal = [[((0, 2, 0), 1), ((0, 0, 20000), -1)], [((1, 0, 0), 1), ((0, 4, 0), -1)]]
-    reduced = pure.interreduce(pure.Basis(minimal), 3, *LEX)
+    reduced = pure.interreduce(pure.Basis.of_lists(minimal, 3, *LEX))
     assert reduced == [minimal[0], [((1, 0, 0), 1), ((0, 0, 40000), -1)]]
-    assert reduced.layout is pure._layout(3, 32)
+    assert reduced.layout is pure._layout(3, 32, *LEX)
 
 
 def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
@@ -264,14 +264,14 @@ def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
     # reach y^40000; x^40000 is not
     basis = [[((1, 0), 1), ((0, 2), -1)]]
     keyed_basis = keyed(basis, 2)
-    narrow = pure._layout(2, 16)
+    narrow = pure._layout(2, 16, *LEX)
     assert keyed_basis.layout is narrow
-    assert pure.normal_form([((20000, 0), 1)], keyed_basis, 2, *LEX) == ([((0, 40000), 1)], 1)
+    assert pure.normal_form([((20000, 0), 1)], keyed_basis) == ([((0, 40000), 1)], 1)
     f = [((40000, 0), 3), ((0, 1), -1)]
-    assert pure.normal_form(f, keyed_basis, 2, *LEX) == ([((0, 80000), 3), ((0, 1), -1)], 1)
+    assert pure.normal_form(f, keyed_basis) == ([((0, 80000), 3), ((0, 1), -1)], 1)
     # the caller's basis stays as it was keyed
     assert keyed_basis.layout is narrow and keyed_basis == basis
-    assert keyed_basis.polys == pure._key_basis(narrow, basis, *LEX)
+    assert keyed_basis.polys == pure._key_basis(narrow, basis)
 
 
 @st.composite
@@ -293,12 +293,42 @@ def test_both_layouts_give_the_same_bases_and_normal_forms(case):
     gens, f, kind, block = case
     outcomes = []
     for bits in (16, 32):
-        L = pure._layout(3, bits)
+        L = pure._layout(3, bits, kind, block)
         try:
-            minimal = pure._buchberger(L, gens, 3, kind, block, 200, 12)
-            reduced = pure._reduced_basis(L, minimal, kind, block, 12)
+            minimal = pure._buchberger(L, gens, 200, 12)
+            reduced = pure._reduced_basis(L, minimal, 12)
         except ResourceLimitExceeded as e:
             outcomes.append(str(e))
             continue
-        outcomes.append((minimal, reduced, pure._normal_form(L, f, reduced, kind, block)))
+        outcomes.append((minimal, reduced, pure._normal_form(L, f, reduced)))
     assert outcomes[0] == outcomes[1]
+
+
+# -- the order is part of the keying context ---------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_a_layout_is_one_object_per_width_and_order(n):
+    assert pure._layout(n, 16, 1, 0) is pure._layout(n, 16, 1, 0)
+    assert pure._layout(n, 16, 1, 0) is not pure._layout(n, 16, 0, 0)
+    assert pure._layout(n, 16, 2, 1) is not pure._layout(n, 16, 2, 0)
+
+
+def test_a_basis_is_keyed_again_for_another_order():
+    # lex x > y > z against grevlex: x + y^2 leads with x under lex and y^2
+    # under grevlex, so the two orders key its terms in opposite orders
+    gens = [[((1, 0, 0), 1), ((0, 2, 0), 1)], [((0, 0, 3), 1), ((0, 0, 0), -1)]]
+    grevlex = pure.interreduce(pure.buchberger(gens, 3, *GREVLEX, 100, 64))
+    lex = pure._layout(3, 16, *LEX)
+    assert grevlex.layout is pure._layout(3, 16, *GREVLEX) is not lex
+    polys = grevlex.keyed(lex)
+    assert polys is not grevlex.polys and polys != grevlex.polys
+    assert polys == pure._key_basis(lex, grevlex)
+    assert grevlex.keyed(grevlex.layout) is grevlex.polys
+    # a normal form reads its order off the basis: x is irreducible by the
+    # grevlex leading monomials y^2 and z^3, and reduces to -y^2 by the lex
+    # ones, x and z^3
+    x = [((1, 0, 0), 1)]
+    assert pure.normal_form(x, grevlex) == (x, 1)
+    lex_basis = pure.interreduce(pure.buchberger(gens, 3, *LEX, 100, 64))
+    assert pure.normal_form(x, lex_basis) == ([((0, 2, 0), -1)], 1)

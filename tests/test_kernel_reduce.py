@@ -23,11 +23,11 @@ from orbitcompat._kernel import pure
 CTX = VarContext(["x", "y", "z"])
 KIND, BLOCK = 1, 0  # grevlex
 LIMITS = GBLimits()
-L = pure._layout(3, 16)  # the layout every run starts in
+L = pure._layout(3, 16, KIND, BLOCK)  # the layout every run starts in
 
 
 def key(e):
-    return pure._encode(e, KIND, BLOCK, L)[0]
+    return pure._encode(e, L)[0]
 
 
 def divides(a, b):
@@ -74,7 +74,7 @@ def random_poly(rng, terms, degree, coeff):
 
 
 def term(e, c):
-    return *pure._encode(e, KIND, BLOCK, L), c
+    return *pure._encode(e, L), c
 
 
 def decoded(tail):
@@ -104,7 +104,7 @@ def cases(seed, count):
         gens = [random_poly(rng, rng.randint(2, 4), 3, 7) for _ in range(3)]
         raw = [list(g.items()) for g in gens]
         minimal = pure.buchberger(raw, 3, KIND, BLOCK, LIMITS.max_pairs, LIMITS.max_degree)
-        basis = [dict(b) for b in pure.interreduce(minimal, 3, KIND, BLOCK)]
+        basis = [dict(b) for b in pure.interreduce(minimal)]
         if not basis or any(max(g, key=key) == (0, 0, 0) for g in basis):
             continue
         common = rng.getrandbits(pure._CONTENT_BITS - 4) | 1 << (pure._CONTENT_BITS - 5)
@@ -193,11 +193,11 @@ def test_normal_form_is_the_remainder_over_q(monkeypatch):
 def test_normal_form_leaves_its_keyed_basis_unchanged():
     # the reducers are the caller's own lists, shared by every call
     for basis, _, f, rem in cases(577, 3):
-        lists = pure.Basis([list(g.items()) for g in basis])
-        keyed = pure.interreduce(lists, 3, KIND, BLOCK)
+        lists = pure.Basis.of_lists([list(g.items()) for g in basis], 3, KIND, BLOCK)
+        keyed = pure.interreduce(lists)
         before = [list(g) for g in keyed.polys], [list(g) for g in keyed]
         for _ in range(2):
-            tail, mult = pure.normal_form(list(f.items()), keyed, 3, KIND, BLOCK)
+            tail, mult = pure.normal_form(list(f.items()), keyed)
             assert {e: Fraction(c, mult) for e, c in tail} == rem
             assert (keyed.polys, keyed) == before
 

@@ -25,7 +25,7 @@ def raw(polys):
 
 def run(gens, nvars, code=GREVLEX):
     minimal = pure.buchberger(gens, nvars, *code, LIMITS.max_pairs, LIMITS.max_degree)
-    return pure.interreduce(minimal, nvars, *code, LIMITS.max_degree)
+    return pure.interreduce(minimal, LIMITS.max_degree)
 
 
 def assert_loops_agree(monkeypatch, gens, nvars, code=GREVLEX):
