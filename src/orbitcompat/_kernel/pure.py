@@ -79,12 +79,15 @@ remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
 coefficients), which is 1 for most steps.  An irreducible term stays in the
 dict, at the remainder's scale: every key a step makes lies below the key
 it takes, so no later step touches it, and at the end the dict holds
-exactly the tail.  The content pass (``_divide_content``) runs over the
-whole remainder, so it runs only when a step's leading coefficient has
-grown past twice the bit length it had after the last pass, and never below
-``_CONTENT_BITS``: a pass every few steps costs more than the steps, and
-dividing out small factors leaves later leaders coprime to the reducers'
-leading coefficients, so more steps scale the whole remainder.
+exactly the tail.  It comes back with its multiplier, so the multiplier
+times the input minus the tail lies in the ideal, and the content pass
+(``_divide_content``) divides the remainder and the multiplier by their
+common content.  The pass runs over the whole remainder, so it runs only
+when a step's leading coefficient has grown past twice the bit length it
+had after the last pass, and never below ``_CONTENT_BITS``: a pass every
+few steps costs more than the steps, and dividing out small factors leaves
+later leaders coprime to the reducers' leading coefficients, so more steps
+scale the whole remainder.
 
 ``buchberger`` interreduces its inputs, runs one of two pair loops, and
 returns the minimal basis the loop ends with.  ``interreduce`` tail-reduces
@@ -333,20 +336,19 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, basis, L, top, track_multiplier=False, waiting=(), top_only=False):
+def _reduce(f, basis, L, top, waiting=(), top_only=False):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
     are summed and zero sums dropped.  ``basis`` holds engine polynomials
     in the layout ``L``, as ``f``'s terms are, and ``top`` is at least the
-    total degree of each of their terms.  Returns ``(tail, mult)`` with
-    ``mult * f = (combination of basis) + tail``, the tail sorted descending
-    and no tail monomial divisible by any basis leading monomial.  When
-    ``track_multiplier`` is false the tail is normalised primitive and mult
-    is meaningless (callers that only need the remainder up to a scalar).
-    Refuses, through ``_degree_guard``, a step that could make a monomial
-    of total degree at or above the layout's bound, judged by ``top``, not
-    by the reducer.
+    total degree of each of their terms.  Returns ``(tail, mult)``, the
+    int ``mult`` nonzero, with ``mult * f - tail`` in the ideal of the
+    reducers, the tail sorted descending and no tail monomial divisible by
+    any basis leading monomial.  The tail is not normalised: the pair loops
+    and ``_interreduce`` keep ``_primitive`` of it.  Refuses, through
+    ``_degree_guard``, a step that could make a monomial of total degree at
+    or above the layout's bound, judged by ``top``, not by the reducer.
 
     ``waiting`` holds further reducers as ``(threshold, polynomial)`` pairs
     sorted ascending by threshold.  A reducer is appended to ``basis``
@@ -406,7 +408,7 @@ def _reduce(f, basis, L, top, track_multiplier=False, waiting=(), top_only=False
         # the monomials this step makes have degree at most top + |dpack|
         _degree_guard(top + (dpack >> shift), L)
         if c0.bit_length() > limit:
-            c0, mult = _divide_content(h, c0, mult, track_multiplier)
+            c0, mult = _divide_content(h, c0, mult)
             limit = max(2 * c0.bit_length(), _CONTENT_BITS)
         # h <- m*h - b*x^dpack*g with m*c0 = b*gc, the smallest such m > 0
         common = gcd(gc, c0)
@@ -435,29 +437,24 @@ def _reduce(f, basis, L, top, track_multiplier=False, waiting=(), top_only=False
                     del h[sk]
     # h holds exactly the irreducible terms, and with top_only every term
     # after the first of them
-    tail = [(k, packs[k], h[k]) for k in sorted(h, reverse=True)]
-    if not track_multiplier:
-        return _primitive(tail), 1
-    return tail, mult
+    return [(k, packs[k], h[k]) for k in sorted(h, reverse=True)], mult
 
 
-def _divide_content(h, c0, mult, track_multiplier):
-    """Divide the integer content out of a remainder of ``_reduce``.
+def _divide_content(h, c0, mult):
+    """Divide a remainder of ``_reduce`` and its multiplier by their common
+    integer content.
 
     The remainder is the leading coefficient ``c0`` and the dict ``h``,
-    which is divided in place; with ``track_multiplier`` the content
-    includes ``mult``.  Returns ``c0`` and ``mult``, each divided by the
-    content.
+    which is divided in place.  The content is the gcd of ``c0``, ``mult``
+    and every coefficient in ``h``, so ``mult * f - remainder`` stays in
+    the ideal.  Returns ``c0`` and ``mult``, each divided by it.
     """
-    g = gcd(c0, *h.values())
-    if track_multiplier:
-        g = gcd(g, mult)
+    g = gcd(c0, mult, *h.values())
     if g > 1:
         for k in h:
             h[k] //= g
         c0 //= g
-        if track_multiplier:
-            mult //= g
+        mult //= g
     return c0, mult
 
 
@@ -556,7 +553,7 @@ def _interreduce(polys, L, top, max_degree):
         moved = False
         for i, p in enumerate(polys):
             others = done + polys[i + 1 :]
-            r = _reduce(p, others, L, top)[0] if others else p
+            r = _primitive(_reduce(p, others, L, top)[0]) if others else p
             if r:
                 top = _capped(r, shift, top, max_degree)
                 moved = moved or r[0][0] != p[0][0]
@@ -643,7 +640,7 @@ def _gm_loop(f, L, max_pairs, max_degree, top, top_only):
         if pairs_done > max_pairs:
             raise ResourceLimitExceeded(f"pair cap {max_pairs} exceeded")
         spol = _spoly(f, key, lcm, i1, i2, top, L)
-        r, _ = _reduce(spol, divisors, L, top, top_only=top_only)
+        r = _primitive(_reduce(spol, divisors, L, top, top_only=top_only)[0])
         if not r:
             continue
         top = _capped(r, shift, top, max_degree)
@@ -764,7 +761,7 @@ def _signature_loop(f, L, max_pairs, max_degree, top, top_only):
             key=itemgetter(0),
         )
         spol = _spoly(f, key, lcm, g, o, top, L)
-        r, _ = _reduce(spol, [], L, top, waiting=waiting, top_only=top_only)
+        r = _primitive(_reduce(spol, [], L, top, waiting=waiting, top_only=top_only)[0])
         if not r:
             note(i, sp)
             continue
@@ -831,5 +828,5 @@ def _normal_form(L, fpairs, basis):
     polys = basis.keyed(L)
     terms = ((*_encode(e, L), c) for e, c in fpairs)
     top = _top(chain.from_iterable(polys), L[2])
-    tail, mult = _reduce(terms, polys, L, top, track_multiplier=True)
+    tail, mult = _reduce(terms, polys, L, top)
     return _strip_keys(tail, L), mult

@@ -54,13 +54,15 @@ class GBLimits:
     also reduces the tails at once, under the same cap.  A basis already
     stored on the presentation, attached by ``homogenise_ideal`` or kept
     from an earlier run, runs no pair loop, so it hits neither cap; the
-    generators' degrees are still checked.  A grevlex basis is tail-reduced
-    when first compared, hashed, reduced against or read, uncapped: that
-    reduction makes no polynomial of a higher degree than the minimal basis
-    has.  The kernel packs monomials in 16-bit fields and runs a call again
-    in 32-bit ones when a degree reaches 2^15, so a run past that degree
-    costs a rerun but gives the same basis; total degree 2^31 is the
-    kernel's own bound, past any cap.  Raises ValueError on a negative cap.
+    generators' degrees are still checked.  A presentation keeps its
+    grevlex basis once computed, and until then the first basis computed.
+    A grevlex basis is tail-reduced when first compared, hashed, reduced
+    against or read, uncapped: that reduction makes no polynomial of a
+    higher degree than the minimal basis has.  The kernel packs monomials
+    in 16-bit fields and runs a call again in 32-bit ones when a degree
+    reaches 2^15, so a run past that degree costs a rerun but gives the
+    same basis; total degree 2^31 is the kernel's own bound, past any cap.
+    Raises ValueError on a negative cap.
     """
 
     max_pairs: int = 500_000
@@ -98,7 +100,8 @@ class IdealPresentation:
         # None while homogenise_ideal's result has not built them
         _set(self, "_generators", tuple(gens))
         # the Groebner basis of the ideal once known: attached by
-        # homogenise_ideal or kept from the first buchberger run; buchberger
+        # homogenise_ideal, or kept by buchberger, which keeps the grevlex
+        # basis once computed and until then the first basis computed, and
         # returns it for its order
         _set(self, "_reduced", None)
 
@@ -259,9 +262,11 @@ def buchberger(
     """Compute the reduced Groebner basis of the presented ideal.
 
     Deterministic: the reduced basis is unique for (ideal, order), so the
-    result does not depend on generator order or pair selection.  The first
-    basis computed for a presentation is kept on it, and a later call for
-    the same order returns it.  Under grevlex the tails are reduced only
+    result does not depend on generator order or pair selection.  A
+    presentation keeps its grevlex basis once computed, and until then the
+    first basis computed, and a later call for that basis's order returns
+    it; ``homogenise_ideal``, and ``ideal_equal`` and ``ideal_contains`` by
+    default, read the grevlex one.  Under grevlex the tails are reduced only
     when the basis is read (see ``ReducedGB``); under other orders here,
     since a reduced tail can have a higher degree than the minimal basis.
     Raises ResourceLimitExceeded when a generator's degree exceeds
@@ -288,7 +293,7 @@ def buchberger(
         # a reduced tail can outgrow the minimal basis's degree: under lex
         # {x - y^3, y^2 - z^7} reduces to degree 8
         G._tails(limits.max_degree)
-    if I._reduced is None:
+    if I._reduced is None or order.kind == "grevlex":
         object.__setattr__(I, "_reduced", G)
     return G
 

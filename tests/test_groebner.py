@@ -51,6 +51,24 @@ def ideal(ctx, *texts):
     return IdealPresentation(ctx, [parse_poly(t, ctx) for t in texts])
 
 
+# -- presentations --------------------------------------------------------------
+
+
+def test_a_presentation_drops_zeros_and_duplicates_in_order():
+    f, g = P("x^2 - y*z"), P("y - 1")
+    I = IdealPresentation(XYZ, [f, MultiPoly(XYZ, {}), g, f])
+    assert I.generators == (f, g)
+    assert IdealPresentation(XYZ, [g, f, g]).generators == (g, f)
+    assert IdealPresentation(XYZ, [MultiPoly(XYZ, {})]).is_zero_ideal()
+
+
+def test_the_sl2_minpoly_orbit_has_one_generator():
+    # A^2 - 1 = (x^2 + y*z - 1)*Id for A = [[x, y], [z, -x]]: its four
+    # entries are two zeros and one polynomial twice
+    I = orbit_ideal_minpoly(DiagSpec([1, -1])).presentation
+    assert I.generators == (P("x^2 + y*z - 1", I.ctx),)
+
+
 # -- buchberger ----------------------------------------------------------------
 
 
@@ -373,6 +391,16 @@ def test_every_computed_basis_is_kept(monkeypatch):
     # the first basis keeps the slot; other orders run the kernel each time
     assert buchberger(I, LEX) == buchberger(I, LEX) and I._reduced is G
     assert runs == [(1, 0), (0, 0), (0, 0)]
+    # a grevlex basis takes the slot from a first basis of another order,
+    # and every grevlex reader then reuses it
+    J = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
+    G_lex = buchberger(J, LEX)
+    assert J._reduced is G_lex
+    for _ in range(3):
+        homogenise_ideal(J)
+    assert buchberger(J) is J._reduced and buchberger(J) is J._reduced
+    assert J._reduced == G and ideal_equal(J, J) and ideal_contains(J, J)
+    assert runs[3:] == [(0, 0), (1, 0)]
 
 
 # -- containment and equality ----------------------------------------------------

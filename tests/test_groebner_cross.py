@@ -2,15 +2,16 @@
 
 sympy plays no role in the implementation, which makes its `groebner` a
 fully independent oracle: for every system here the reduced basis must
-match monomial for monomial, coefficient for coefficient.
+match monomial for monomial, coefficient for coefficient.  sympy is a
+declared test dependency, so it is imported outright: without it this
+module fails to collect instead of skipping.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-
-sympy = pytest.importorskip("sympy")
+import sympy
 
 from orbitcompat import (
     GREVLEX,

@@ -7,7 +7,6 @@ builds up content, which the passes must keep bounded."""
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from orbitcompat import (
@@ -85,11 +84,11 @@ def engine_poly(f):
     return sorted((term(e, c) for e, c in f.items() if c), reverse=True)
 
 
-def reduce(terms, basis, track):
+def reduce(terms, basis):
     """``pure._reduce`` of engine ``terms`` modulo a basis of {exp: coeff}
     dicts, with the basis's own degree bound."""
     top = max(sum(e) for g in basis for e in g)
-    return pure._reduce(terms, [engine_poly(g) for g in basis], L, top, track_multiplier=track)
+    return pure._reduce(terms, [engine_poly(g) for g in basis], L, top)
 
 
 def cases(seed, count):
@@ -122,8 +121,8 @@ def content_passes(monkeypatch):
     passes = []
     divide = pure._divide_content
 
-    def spy(h, c0, mult, track_multiplier):
-        out = divide(h, c0, mult, track_multiplier)
+    def spy(h, c0, mult):
+        out = divide(h, c0, mult)
         passes.append(out[0] != c0)
         return out
 
@@ -150,30 +149,32 @@ def test_reduce_keeps_the_fraction_free_contract(monkeypatch):
         leading_coeffs.update(g[e] for g, e in zip(basis, leads))
         g = random_poly(rng, rng.randint(5, 10), 7, 9)
         shapes = (engine_poly(f), summed_terms(f, g))
-        for track, terms in product((True, False), shapes):
+        for terms in shapes:
             with content_passes(monkeypatch) as passes:
-                tail, mult = reduce(terms, basis, track)
+                tail, mult = reduce(terms, basis)
             assert passes, "the reduction ran no content pass"
             divided = divided or any(passes)
+            assert isinstance(mult, int)
             assert [t[0] for t in tail] == sorted((t[0] for t in tail), reverse=True)
+            # the primitive tail, as a pair loop keeps it
+            primitive = decoded(pure._primitive(tail))
             tail = decoded(tail)
             assert 0 not in tail.values()
             assert not any(divides(g, e) for e in tail for g in leads)
-            if track:
-                # mult*f - tail lies in the ideal: it divides to zero by the basis
-                diff = {e: mult * c for e, c in f.items()}
-                for e, c in tail.items():
-                    diff[e] = diff.get(e, 0) - c
-                assert mult != 0 and remainder_over_q(diff, basis)[0] == {}
-                assert {e: Fraction(c, mult) for e, c in tail.items()} == rem
-            elif rem:
+            # mult*f - tail lies in the ideal: it divides to zero by the basis
+            diff = {e: mult * c for e, c in f.items()}
+            for e, c in tail.items():
+                diff[e] = diff.get(e, 0) - c
+            assert mult != 0 and remainder_over_q(diff, basis)[0] == {}
+            assert {e: Fraction(c, mult) for e, c in tail.items()} == rem
+            if rem:
                 # the primitive multiple of the remainder, leading coefficient > 0
                 top = max(rem, key=key)
-                assert {e: c / rem[top] * tail[top] for e, c in rem.items()} == tail
-                assert tail[top] > 0
-                assert gcd(*tail.values()) == 1
+                assert {e: c / rem[top] * primitive[top] for e, c in rem.items()} == primitive
+                assert primitive[top] > 0
+                assert gcd(*primitive.values()) == 1
             else:
-                assert tail == {}
+                assert primitive == {}
     assert leading_coeffs - {1}, "no basis with a leading coefficient other than 1"
     assert divided, "no content pass divided out a content"
 
@@ -214,7 +215,7 @@ def test_content_passes_bound_a_tracked_remainder():
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     basis = [{x: a, y: -1}, {y: 1, z: -a}]
     f = {(n, 0, 0): c}
-    tail, mult = reduce(engine_poly(f), basis, True)
+    tail, mult = reduce(engine_poly(f), basis)
     tail = decoded(tail)
     assert tail == {(0, 0, n): c * mult}
     assert 0 < mult.bit_length() <= 2 * pure._CONTENT_BITS < n
@@ -239,9 +240,8 @@ def test_a_head_with_the_same_variables_need_not_divide():
     # x*y and x^2*y have the same variables, so only the exponents decide
     g = {(2, 1, 0): 3, (0, 0, 2): 1}
     f = {(1, 1, 0): 2, (0, 1, 1): -5}
-    for track in (True, False):
-        tail, mult = reduce(engine_poly(f), [g], track)
-        assert decoded(tail) == f and mult == 1
+    tail, mult = reduce(engine_poly(f), [g])
+    assert decoded(tail) == f and mult == 1
 
 
 def test_a_cancelled_input_key_created_again_is_reduced():
@@ -253,9 +253,8 @@ def test_a_cancelled_input_key_created_again_is_reduced():
     terms = [term(x, 3), term(y, 4), term(z, 1), term(y, -4)]
     rem, _ = remainder_over_q(f, [g])
     assert rem == {y: 6, z: 1}
-    for track in (True, False):
-        tail, mult = reduce(terms, [g], track)
-        assert {e: Fraction(c, mult) for e, c in decoded(tail).items()} == rem
+    tail, mult = reduce(terms, [g])
+    assert {e: Fraction(c, mult) for e, c in decoded(tail).items()} == rem
 
 
 def test_a_key_cancelled_and_made_again_enters_the_leader_list_once(monkeypatch):
@@ -273,6 +272,6 @@ def test_a_key_cancelled_and_made_again_enters_the_leader_list_once(monkeypatch)
 
     pure_insort = pure.insort
     monkeypatch.setattr(pure, "insort", insort)
-    tail, mult = reduce(engine_poly(f), basis, True)
+    tail, mult = reduce(engine_poly(f), basis)
     assert made == [key(z2)]
     assert decoded(tail) == {z2: mult} and mult == 1
