@@ -74,12 +74,14 @@ def _limits() -> GBLimits:
 
 
 def _emit_ideal(args, ideal: IdealPresentation, meta: dict | None) -> None:
-    target = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
-    with target as out:
-        if args.format == "json":
-            out.write(ideal_to_json(ideal, meta) + "\n")
-        else:
-            write_ideal(out, ideal, meta)
+    try:
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                out.write(ideal_to_json(ideal, meta) + "\n")
+            else:
+                write_ideal(out, ideal, meta)
+    except OSError as e:
+        raise CliError(f"cannot write {args.output or 'standard output'}: {e}")
 
 
 def _load_ideal(path: str):
@@ -152,11 +154,7 @@ def cmd_homogenise(args) -> int:
     if args.mode == "naive":
         out = homogenise_naive(ideal, args.tvar)
     else:
-        limits = _limits()
-        out = homogenise_ideal(ideal, args.tvar, limits)
-        # print the reduced basis of I^h, which the result carries, not the
-        # minimal one it is presented by
-        out = IdealPresentation(out.ctx, buchberger(out, limits=limits).basis)
+        out = homogenise_ideal(ideal, args.tvar, _limits())
     meta = dict(meta)
     meta["homogenisation"] = args.mode
     _emit_ideal(args, out, meta)

@@ -66,11 +66,11 @@ class HodgeDiamond:
             raise ValueError("grid must be (m+1) x (m+1)")
         for row in self.grid:
             for e in row:
-                if e is not None and (not isinstance(e, int) or e < 0):
+                if e is not None and (type(e) is not int or e < 0):
                     raise ValueError(f"entries are naturals or None, got {e!r}")
-        for p, q in self.middle_row_cells:
-            if not (0 <= p <= m and 0 <= q <= m):
-                raise ValueError(f"middle-row cell ({p},{q}) out of range")
+        for cell in self.middle_row_cells:
+            if len(cell) != 2 or not all(type(i) is int and 0 <= i <= m for i in cell):
+                raise ValueError(f"middle-row cell {cell!r} out of range")
         if self.symmetric_smooth:
             for p in range(m + 1):
                 for q in range(m + 1):
@@ -84,7 +84,7 @@ class HodgeDiamond:
 
     @staticmethod
     def from_rows(rows, middle_row_cells=None, symmetric_smooth=False) -> "HodgeDiamond":
-        """Build from top-to-bottom row lists; entries are ints or '?'."""
+        """Build from top-to-bottom row lists; entries are naturals or '?', unconverted."""
         nrows = len(rows)
         if nrows % 2 == 0:
             raise ValueError("a diamond has an odd number of rows")
@@ -97,7 +97,7 @@ class HodgeDiamond:
                     f"row {r} has {len(row)} entries, expected {len(cells)}"
                 )
             for (p, q), e in zip(cells, row):
-                grid[p][q] = None if e == "?" else int(e)
+                grid[p][q] = None if e == "?" else e
         if middle_row_cells is None:
             middle_row_cells = tuple(_row_cells(m, m))
         return HodgeDiamond(
@@ -353,10 +353,15 @@ def diamond_to_json(d: HodgeDiamond) -> str:
 
 
 def diamond_from_json(text: str) -> HodgeDiamond:
+    """Read ``diamond_to_json``'s document; ValueError naming the bad field."""
     data = json.loads(text)
-    d = HodgeDiamond.from_rows(
-        data["rows"], [tuple(c) for c in data["middle_row_cells"]]
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"a diamond is a JSON object, got {data!r}")
+    for field in ("rows", "middle_row_cells"):
+        items = data.get(field)
+        if not isinstance(items, list) or not all(isinstance(x, list) for x in items):
+            raise ValueError(f"{field} must be a list of lists, got {items!r}")
+    d = HodgeDiamond.from_rows(data["rows"], data["middle_row_cells"])
     if data.get("dim") != d.complex_dim:
         raise ValueError("dim field disagrees with the row count")
     return d

@@ -54,11 +54,11 @@ class GBLimits:
     also reduces the tails at once, under the same cap.  A basis already
     stored on the presentation, attached by ``homogenise_ideal`` or kept
     from an earlier run, runs no pair loop, so it hits neither cap; the
-    generators' degrees are still checked.  A presentation keeps its
-    grevlex basis once computed, and until then the first basis computed.
-    A grevlex basis is tail-reduced when first compared, hashed, reduced
-    against or read, uncapped: that reduction makes no polynomial of a
-    higher degree than the minimal basis has.  The kernel packs monomials
+    generators' degrees are still checked.  A presentation keeps every
+    basis computed for it, one per order.  A grevlex basis is tail-reduced
+    when first compared, hashed, reduced against or read, uncapped: that
+    reduction makes no polynomial of a higher degree than the minimal basis
+    has.  The kernel packs monomials
     in 16-bit fields and runs a call again in 32-bit ones when a degree
     reaches 2^15, so a run past that degree costs a rerun but gives the
     same basis; total degree 2^31 is the kernel's own bound, past any cap.
@@ -85,7 +85,9 @@ class IdealPresentation:
     (naive homogenisation above all) depend on the presentation.  An empty
     list after dropping presents the zero ideal, which elimination can
     legitimately produce.  Equality, hashing and ``repr`` read ``ctx`` and
-    ``generators``, and the attributes are read-only.
+    ``generators``, and the attributes are read-only.  A presentation keeps
+    every basis computed for it, one per order; a saturated closure is
+    presented by its reduced basis, built when first read.
     """
 
     def __init__(self, ctx: VarContext, generators):
@@ -99,19 +101,14 @@ class IdealPresentation:
         _set(self, "ctx", ctx)
         # None while homogenise_ideal's result has not built them
         _set(self, "_generators", tuple(gens))
-        # the Groebner basis of the ideal once known: attached by
-        # homogenise_ideal, or kept by buchberger, which keeps the grevlex
-        # basis once computed and until then the first basis computed, and
-        # returns it for its order
-        _set(self, "_reduced", None)
+        # order -> ReducedGB: attached by homogenise_ideal, kept by buchberger
+        _set(self, "_bases", {})
 
     @property
     def generators(self) -> tuple[MultiPoly, ...]:
         if self._generators is None:
-            # homogenise_ideal's result: the monic elements of the minimal
-            # basis it carries, whose leading monomials are distinct
-            gens = _monic(self.ctx, self._reduced._minimal)
-            object.__setattr__(self, "_generators", gens)
+            # homogenise_ideal's result: the reduced basis it carries
+            object.__setattr__(self, "_generators", self._bases[GREVLEX].basis)
         return self._generators
 
     def __setattr__(self, name, value):
@@ -263,12 +260,12 @@ def buchberger(
 
     Deterministic: the reduced basis is unique for (ideal, order), so the
     result does not depend on generator order or pair selection.  A
-    presentation keeps its grevlex basis once computed, and until then the
-    first basis computed, and a later call for that basis's order returns
-    it; ``homogenise_ideal``, and ``ideal_equal`` and ``ideal_contains`` by
-    default, read the grevlex one.  Under grevlex the tails are reduced only
-    when the basis is read (see ``ReducedGB``); under other orders here,
-    since a reduced tail can have a higher degree than the minimal basis.
+    presentation keeps every basis computed for it, one per order, and a
+    later call for that order returns it; ``homogenise_ideal``, and
+    ``ideal_equal`` and ``ideal_contains`` by default, read the grevlex
+    one.  Under grevlex the tails are reduced only when the basis is read
+    (see ``ReducedGB``); under other orders here, since a reduced tail can
+    have a higher degree than the minimal basis.
     Raises ResourceLimitExceeded when a generator's degree exceeds
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
@@ -276,15 +273,15 @@ def buchberger(
     if I._generators is None:
         # homogenise_ideal's result, its generators not built: each element
         # of its homogeneous minimal basis has its leading term's degree
-        top = max((sum(terms[0][0]) for terms in I._reduced._minimal), default=-1)
+        top = max((sum(terms[0][0]) for terms in I._bases[GREVLEX]._minimal), default=-1)
     else:
         top = max((g.degree() for g in I.generators), default=-1)
     if top > limits.max_degree:
         raise ResourceLimitExceeded(
             f"degree cap {limits.max_degree} exceeded by an input of degree {top}"
         )
-    if I._reduced is not None and I._reduced.order == order:
-        return I._reduced
+    if order in I._bases:
+        return I._bases[order]
     raw = [_clear_denominators(g)[1] for g in I.generators]
     nvars = len(I.ctx)
     minimal = _kernel.buchberger_raw(raw, nvars, *order.code, limits.max_pairs, limits.max_degree)
@@ -293,8 +290,7 @@ def buchberger(
         # a reduced tail can outgrow the minimal basis's degree: under lex
         # {x - y^3, y^2 - z^7} reduces to degree 8
         G._tails(limits.max_degree)
-    if I._reduced is None or order.kind == "grevlex":
-        object.__setattr__(I, "_reduced", G)
+    I._bases[order] = G
     return G
 
 
@@ -413,17 +409,16 @@ def homogenise_ideal(
 
     Homogenising any grevlex Groebner basis of I, element by element, gives
     a grevlex Groebner basis of I^h (Cox, Little, O'Shea, *Ideals,
-    Varieties, and Algorithms*, section 8.4, Theorem 4).  The generators
-    returned homogenise the kernel's minimal basis of I, so no tail
-    reduction runs here; with tvar appended last each element keeps its
-    grevlex leading monomial, so they form a minimal grevlex basis of I^h,
-    in its order.  The result carries that basis: ``buchberger(result)``
-    returns it without a second pair loop, ``hilbert`` reads it as it is,
-    and its ``basis``, tail-reduced on first read, is the reduced basis of
-    I^h, the homogenised reduced basis of I.  The generators are built, as
-    monic ``MultiPoly``s, only when first read, and a pickle of the result
-    holds the minimal basis alone.  I^h equals the saturation of the
-    generator-wise homogenisation by tvar.
+    Varieties, and Algorithms*, section 8.4, Theorem 4).  Here the
+    kernel's minimal basis of I is homogenised, so no tail reduction runs;
+    with tvar appended last each element keeps its grevlex leading
+    monomial, so they form a minimal grevlex basis of I^h, in its order.
+    The result carries that basis: ``buchberger(result)`` returns it
+    without a second pair loop, and ``hilbert`` reads it as it is.  The
+    result is presented by its reduced basis, the homogenised reduced
+    basis of I, which is unique, so equal ideals give equal results; it is
+    built when first read, and a pickle holds the minimal basis alone.
+    I^h equals the saturation of the generator-wise homogenisation by tvar.
     """
     ctx = I.ctx.extend(tvar)
     # a grevlex leading term has its element's largest degree
@@ -435,7 +430,7 @@ def homogenise_ideal(
     object.__setattr__(out, "_generators", None)
     # sorted by construction: appending t last keeps grevlex order
     minimal = _kernel.Basis.of_lists(hom, len(ctx), *GREVLEX.code)
-    object.__setattr__(out, "_reduced", ReducedGB(ctx, GREVLEX, minimal))
+    out._bases[GREVLEX] = ReducedGB(ctx, GREVLEX, minimal)
     return out
 
 

@@ -17,7 +17,7 @@ from typing import IO
 from .groebner import IdealPresentation, ReducedGB
 from .hilbert import HilbertData
 from .parsing import WHITESPACE, ParseError, parse_poly, poly_to_string
-from .polyring import PolyError, VarContext
+from .polyring import MultiPoly, PolyError, VarContext
 
 __all__ = [
     "read_ideal",
@@ -37,6 +37,17 @@ def write_ideal(out: IO[str], ideal: IdealPresentation, meta: dict | None = None
     out.write("vars: " + ",".join(ideal.ctx.names) + "\n")
     for g in ideal.generators:
         out.write(poly_to_string(g) + "\n")
+
+
+def _parse_at(text: str, ctx: VarContext, where: str, shift: int = 0) -> MultiPoly:
+    """``parse_poly``, its errors prefixed by ``where``, positions moved by ``shift``."""
+    try:
+        return parse_poly(text, ctx)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e.message}", e.pos + shift) from None
+    except PolyError as e:
+        # the polynomial layer's refusals, such as an exponent overflow
+        raise PolyError(f"{where}: {e}") from None
 
 
 def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
@@ -75,15 +86,9 @@ def read_ideal(inp: IO[str]) -> tuple[IdealPresentation, dict]:
             continue
         if ctx is None:
             raise PolyError(f"line {lineno}: polynomial before the vars: header")
-        try:
-            gens.append(parse_poly(line, ctx))
-        except ParseError as e:
-            # the position counts from the start of the line, indent included
-            indent = len(raw) - len(raw.lstrip(WHITESPACE))
-            raise ParseError(f"line {lineno}: {e.message}", e.pos + indent) from None
-        except PolyError as e:
-            # the polynomial layer's refusals, such as an exponent overflow
-            raise PolyError(f"line {lineno}: {e}") from None
+        # the position counts from the start of the line, indent included
+        indent = len(raw) - len(raw.lstrip(WHITESPACE))
+        gens.append(_parse_at(line, ctx, f"line {lineno}", indent))
     if ctx is None:
         raise PolyError("missing vars: header")
     return IdealPresentation(ctx, gens), meta or {}
@@ -120,12 +125,7 @@ def ideal_from_json(text: str) -> tuple[IdealPresentation, dict]:
         raise PolyError(f'ideal JSON: "vars": {e}') from None
     gens = []
     for i, s in enumerate(_strings(doc, "generators")):
-        try:
-            gens.append(parse_poly(s, ctx))
-        except ParseError as e:
-            raise ParseError(f"generators[{i}]: {e.message}", e.pos) from None
-        except PolyError as e:
-            raise PolyError(f"generators[{i}]: {e}") from None
+        gens.append(_parse_at(s, ctx, f"generators[{i}]"))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise PolyError('ideal JSON: "meta" must be an object')

@@ -67,6 +67,14 @@ def test_homogenise_rejects_meta_that_is_not_an_object(capsys, tmp_path):
     assert err == "error: line 1: meta must be a JSON object\n"
 
 
+def test_an_unwritable_output_path_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.ideal"
+    code, out, err = run(capsys, "orbit", "--n", "1", "--h0", "1,-1", "-o", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_gb_order_flag(capsys, tmp_path):
     ideal = tmp_path / "lin.ideal"
     ideal.write_text("vars: x,y\nx\nx - y\n")

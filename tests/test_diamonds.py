@@ -156,3 +156,42 @@ def test_json_round_trip(name):
 def test_unknown_fixture_name():
     with pytest.raises(KeyError):
         fixture("nope")
+
+
+@pytest.mark.parametrize("entry", [1.9, 2.0, "3", True, False, -1, [1]])
+def test_from_rows_refuses_an_entry_that_is_not_a_natural(entry):
+    # entries are passed through, not converted: int(1.9) would read 1
+    with pytest.raises(ValueError, match="naturals or None"):
+        HodgeDiamond.from_rows([[1], [entry, 0], [1]])
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[]", "JSON object"),
+        ("{}", "rows"),
+        ('{"rows": 5, "middle_row_cells": [], "dim": 0}', "rows"),
+        ('{"rows": [[1], 0, [1]], "middle_row_cells": [], "dim": 1}', "rows"),
+        ('{"rows": [[1]], "dim": 0}', "middle_row_cells"),
+        ('{"rows": [[1]], "middle_row_cells": 5, "dim": 0}', "middle_row_cells"),
+        ('{"rows": [[1]], "middle_row_cells": [0], "dim": 0}', "middle_row_cells"),
+        ('{"rows": [[1]], "middle_row_cells": [[0, 0, 0]], "dim": 0}', "middle-row cell"),
+        ('{"rows": [[1]], "middle_row_cells": [["0", 0]], "dim": 0}', "middle-row cell"),
+        ('{"rows": [[1]], "middle_row_cells": [[0, true]], "dim": 0}', "middle-row cell"),
+        ('{"rows": [[1]], "middle_row_cells": [[0, 1]], "dim": 0}', "middle-row cell"),
+        ('{"rows": [[1.5]], "middle_row_cells": [[0, 0]], "dim": 0}', "naturals or None"),
+        ('{"rows": [[true]], "middle_row_cells": [[0, 0]], "dim": 0}', "naturals or None"),
+        ('{"rows": [[1]], "middle_row_cells": [[0, 0]], "dim": 1}', "dim"),
+        ('{"rows": [[1]], "middle_row_cells": [[0, 0]]}', "dim"),
+        ("not json", "Expecting value"),
+    ],
+)
+def test_diamond_from_json_refuses_a_bad_field_with_value_error(text, field):
+    with pytest.raises(ValueError, match=field):
+        diamond_from_json(text)
+
+
+def test_from_rows_reads_question_marks_as_unknown():
+    d = HodgeDiamond.from_rows([[1], ["?", 0], [1]])
+    assert d.rows() == [[1], [None, 0], [1]]
+    assert diamond_from_json(diamond_to_json(d)).rows() == d.rows()

@@ -136,7 +136,7 @@ def test_leading_monomials_are_the_first_terms(fibration_110, fibration_321):
     bases = []
     for d in (fibration_110, fibration_321):
         bases += [buchberger(d["I"], order) for order in (LEX, elimination(2))]
-        bases.append(homogenise_ideal(d["I"], "t")._reduced)
+        bases.append(homogenise_ideal(d["I"], "t")._bases[GREVLEX])
         for name in ("I", "J", "I_hom", "J_hom"):
             G = buchberger(fresh(d[name]))
             G.leading_monomials()
@@ -387,20 +387,45 @@ def test_every_computed_basis_is_kept(monkeypatch):
 
     monkeypatch.setattr(groebner._kernel, "buchberger_raw", counted)
     G = buchberger(I)
-    assert buchberger(I) is G and I._reduced is G
-    # the first basis keeps the slot; other orders run the kernel each time
-    assert buchberger(I, LEX) == buchberger(I, LEX) and I._reduced is G
-    assert runs == [(1, 0), (0, 0), (0, 0)]
-    # a grevlex basis takes the slot from a first basis of another order,
-    # and every grevlex reader then reuses it
+    assert buchberger(I) is G
+    # one kernel run per order, each basis kept beside the others
+    bases = {order: buchberger(I, order) for order in (LEX, elimination(1))}
+    for order, H in bases.items():
+        assert buchberger(I, order) is H and H.order == order
+    assert buchberger(I) is G and I._bases == {GREVLEX: G, **bases}
+    assert runs == [(1, 0), (0, 0), (2, 1)]
+    # a basis of another order first does not hide a later grevlex one,
+    # which every grevlex reader then reuses
     J = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
     G_lex = buchberger(J, LEX)
-    assert J._reduced is G_lex
     for _ in range(3):
         homogenise_ideal(J)
-    assert buchberger(J) is J._reduced and buchberger(J) is J._reduced
-    assert J._reduced == G and ideal_equal(J, J) and ideal_contains(J, J)
+    assert buchberger(J) is J._bases[GREVLEX] and buchberger(J, LEX) is G_lex
+    assert J._bases[GREVLEX] == G and ideal_equal(J, J) and ideal_contains(J, J)
     assert runs[3:] == [(0, 0), (1, 0)]
+
+
+def test_an_unpickled_presentation_keeps_one_basis_per_order(monkeypatch):
+    I = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
+    orders = (GREVLEX, LEX, elimination(1))
+    want = [buchberger(I, order) for order in orders]
+    back = pickle.loads(pickle.dumps(I))
+    runs = []
+    raw = groebner._kernel.buchberger_raw
+
+    def counted(*args):
+        runs.append(args[2:4])
+        return raw(*args)
+
+    monkeypatch.setattr(groebner._kernel, "buchberger_raw", counted)
+    for _ in range(2):
+        assert [buchberger(back, order) for order in orders] == want
+    assert runs == []
+    # a pickle made before any basis was computed runs each order once
+    back = pickle.loads(pickle.dumps(ideal(XYZ, "x^2 - y*z", "y^2 - x*z")))
+    for _ in range(2):
+        assert [buchberger(back, order) for order in orders] == want
+    assert runs == [(1, 0), (0, 0), (2, 1)]
 
 
 # -- containment and equality ----------------------------------------------------
@@ -578,12 +603,32 @@ def test_homogenise_ideal_equals_saturation_by_elimination(fibration_110):
         assert ideal_equal(homogenise_ideal(pres, "t"), by_elimination)
 
 
+def test_homogenise_ideal_does_not_depend_on_the_presentation():
+    # the minimal grevlex bases of I and J differ, so a closure presented
+    # by its minimal basis would tell the two presentations apart
+    f = P("-3*x*z - x + 2*y")
+    g = P("-3*x^2*z + 3*x*y*z + x*z - 3*z")
+    h = P("-y*z - 3*y - 3")
+    I = IdealPresentation(XYZ, [f, g, h])
+    J = IdealPresentation(XYZ, [f + g, g, h - f])
+    assert ideal_equal(I, J)
+    assert [list(t) for t in buchberger(I)._minimal] != [list(t) for t in buchberger(J)._minimal]
+    S_I, S_J = homogenise_ideal(I), homogenise_ideal(J)
+    assert S_I == S_J and hash(S_I) == hash(S_J) and repr(S_I) == repr(S_J)
+    texts = []
+    for S in (S_I, S_J):
+        buf = io.StringIO()
+        write_ideal(buf, S)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
 def test_homogenise_ideal_returns_its_reduced_basis(
     fibration_110, fibration_321, monkeypatch
 ):
-    # the generators homogenise the minimal basis of I; buchberger on them
-    # returns the reduced basis of I^h, the homogenised reduced basis of I
-    # (CLO 8.4 Thm 4).  On the c = 2 fibre the two bases differ
+    # the result carries the homogenised minimal basis of I, and is
+    # presented by the reduced basis of I^h, the homogenised reduced basis
+    # of I (CLO 8.4 Thm 4).  On the c = 2 fibre the two bases differ
     def refuse(*args, **kwargs):
         raise AssertionError("homogenise_ideal must not eliminate")
 
@@ -595,7 +640,9 @@ def test_homogenise_ideal_returns_its_reduced_basis(
         reduced = tuple(homogenise_poly(g, "t") for g in buchberger(fresh(I)).basis)
         assert buchberger(out).basis == reduced
         assert [leading(g) for g in out.generators] == [leading(g) for g in reduced]
-    assert out.generators != reduced
+    G = buchberger(out)
+    assert [list(t) for t in G._minimal] != [list(t) for t in G._tails()]
+    assert out.generators == reduced
 
 
 def test_saturated_hilbert_data_needs_no_tail_reduction(monkeypatch):
@@ -625,7 +672,7 @@ def test_homogenise_ideal_pickles_before_and_after_its_generators_are_read():
         back = pickle.loads(pickle.dumps(out))
         # the attached minimal basis comes along, and unread generators
         # stay unbuilt
-        assert back._reduced._minimal == out._reduced._minimal
+        assert back._bases[GREVLEX]._minimal == out._bases[GREVLEX]._minimal
         assert (back._generators is None) == (out is unread)
         assert back.generators == gens
         assert back == out and hash(back) == hash(out) and repr(back) == repr(out)
@@ -639,7 +686,7 @@ def test_homogenise_ideal_of_an_unpickled_presentation():
     buchberger(I)
     back = pickle.loads(pickle.dumps(I))
     out, want = homogenise_ideal(back, "t"), homogenise_ideal(fresh(I), "t")
-    assert out._reduced._minimal == want._reduced._minimal
+    assert out._bases[GREVLEX]._minimal == want._bases[GREVLEX]._minimal
     assert out == want and buchberger(out) == buchberger(want)
 
 
@@ -721,7 +768,7 @@ def test_attached_basis_is_the_fresh_reduced_basis(fibration_110, fibration_321)
     for I in affine + [sl4_fibre()]:
         out = homogenise_ideal(I, "t")
         G = buchberger(out)
-        assert G is out._reduced
+        assert G is out._bases[GREVLEX]
         assert G == buchberger(fresh(out))
 
 
@@ -748,13 +795,13 @@ def test_other_orders_ignore_the_attached_basis(monkeypatch):
 def test_attached_basis_is_invisible(fibration_110):
     out = homogenise_ideal(fibration_110["I"], "t")
     plain = fresh(out)
-    assert plain._reduced is None
+    assert plain._bases == {}
     assert out == plain and hash(out) == hash(plain) and repr(out) == repr(plain)
     buf = io.StringIO()
     write_ideal(buf, out)
     back, _ = read_ideal(io.StringIO(buf.getvalue()))
-    assert back == out and back._reduced is None
-    assert homogenise_naive(fibration_110["I"], "t")._reduced is None
+    assert back == out and back._bases == {}
+    assert homogenise_naive(fibration_110["I"], "t")._bases == {}
 
 
 @pytest.mark.parametrize(
