@@ -22,6 +22,12 @@ Workloads:
   sl5-naive      the naive closure of the same fibre, 25 variables: a
                  pair loop of under a second, then a tail reduction of
                  about a minute to a basis of a million terms (slow)
+  sl5-saturated  the route `homogenise_ideal` takes to the saturated
+                 closure of the same fibre: the naive closure's pair
+                 loop, then each element divided by its leading term's
+                 power of t and the result minimalised (Bayer's lemma),
+                 under a second; its tail reduction takes about half a
+                 minute (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
   sl4-naive      the naive closure of the first ``sl4-closures`` fibre of
@@ -30,18 +36,19 @@ Workloads:
                  heaviest homogeneous run here, so the one that times the
                  pair loops' top reduction
 
-Each run times ``pure.buchberger``, which returns a minimal basis, and
-``pure.interreduce``, which tail-reduces it, in two columns, the best of
-the repeats.  The checks read the leading terms of the minimal basis, which
-are the reduced basis's.  Each basis of katsura-5/6 and cyclic-5 is checked
-by counting the standard monomials of its leading terms (the number of
-solutions with multiplicity), the sl4-minimal and sl5-minimal closures
-against the Segre P^3 x P^3 and P^4 x P^4: h-vector (C(n,k)^2), degree
-C(2n,n), projective dimension 2n, so (1,9,9,1), 20, 6 and
-(1,16,36,16,1), 70, 8, the sl5-fibre closure against Kostant's: h-vector
-the q-factorial [5]_q!, so (1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120,
-projective dimension 19, and the sl4-naive and sl5-naive closures by
-their whole Hilbert data: the projective dimension and degree of their
+Each run times ``pure.buchberger``, which returns a minimal basis, or for
+sl5-saturated the route of ``ROUTES``, and ``pure.interreduce``, which
+tail-reduces it, in two columns, the best of the repeats.  The checks read
+the leading terms of the minimal basis, which are the reduced basis's.
+Each basis of katsura-5/6 and cyclic-5 is checked by counting the standard
+monomials of its leading terms (the number of solutions with
+multiplicity), the sl4-minimal and sl5-minimal closures against the Segre
+P^3 x P^3 and P^4 x P^4: h-vector (C(n,k)^2), degree C(2n,n), projective
+dimension 2n, so (1,9,9,1), 20, 6 and (1,16,36,16,1), 70, 8, the
+sl5-fibre and sl5-saturated closures against Kostant's: h-vector the
+q-factorial [5]_q!, so (1,4,9,15,20,22,20,15,9,4,1), degree 5! = 120,
+projective dimension 19, and the sl4-naive and sl5-naive closures by their
+whole Hilbert data: the projective dimension and degree of their
 components at infinity, 12 and 4, and 21 and 5, and the numerators
 pinned in ``NAIVE_SL4`` and ``NAIVE_SL5`` from certified bases.  The
 closed forms are ``segre``, ``kostant_fibre`` and ``infinity_component``
@@ -56,7 +63,10 @@ cause and exits with status 1.
 The last column is the first 12 hex digits of the sha256 of the reduced
 basis as the engine returns it, so two runs give bit-identical bases iff
 their columns agree.  Each workload's digest is checked against
-``DIGESTS``, and a mismatch exits with status 1 too.
+``DIGESTS``, and a mismatch exits with status 1 too.  A workload of
+``ROUTES`` ends in the reduced basis of a saturated closure I^h, which is
+digested with t set to 1: that is the reduced basis of I, so sl5-saturated
+must give sl5-fibre's digest.
 
 The library is imported from ``src/`` next to this directory, and the
 oracles from ``perfbench/``, so the script runs from a checkout without
@@ -90,6 +100,7 @@ from orbitcompat import (  # noqa: E402
     parse_poly,
 )
 from orbitcompat._kernel import pure  # noqa: E402
+from orbitcompat.groebner import _saturate_last  # noqa: E402
 from orbitcompat.hilbert import hilbert_of_leading_terms  # noqa: E402
 
 
@@ -192,7 +203,27 @@ WORKLOADS = {
     "sl5-minimal": (lambda: minimal_orbit_raw([1, 1, 1, 1, -4]), True),
     "sl5-fibre": (lambda: fibre_raw(*SL5_FIBRE), True),
     "sl5-naive": (lambda: fibre_raw(*SL5_FIBRE, naive=True), True),
+    "sl5-saturated": (lambda: fibre_raw(*SL5_FIBRE, naive=True), True),
 }
+
+
+def saturated_route(gens, nvars, kind, block, max_pairs, max_degree):
+    """``homogenise_ideal``'s route from a naive closure's terms, in
+    ``pure.buchberger``'s form: the minimal basis, saturated by the last
+    variable t."""
+    return _saturate_last(pure.buchberger(gens, nvars, kind, block, max_pairs, max_degree))
+
+
+# workloads timed through another route than ``pure.buchberger``
+ROUTES = {"sl5-saturated": saturated_route}
+
+
+def dehomogenised(basis):
+    """``basis``, the kernel's reduced grevlex basis of a saturated closure
+    I^h, with its last variable t set to 1: the reduced basis of I, since
+    no leading term of it has a power of t and grevlex with t last orders
+    every element's terms as I's order does."""
+    return [[(e[:-1], c) for e, c in terms] for terms in basis]
 
 
 # the degree cap of every run, far below 2^15
@@ -204,13 +235,14 @@ def digest(basis):
     return hashlib.sha256(repr(basis).encode()).hexdigest()[:12]
 
 
-def bench(raw_args, repeat):
+def bench(raw_args, repeat, route=pure.buchberger):
     """``(best time of the minimal basis, best time of its tail reduction,
-    minimal basis, reduced basis)`` over ``repeat`` runs."""
+    minimal basis, reduced basis)`` over ``repeat`` runs, the minimal basis
+    made by ``route``."""
     loop_times, reduce_times = [], []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        minimal = pure.buchberger(*raw_args, 2_000_000, MAX_DEGREE)
+        minimal = route(*raw_args, 2_000_000, MAX_DEGREE)
         t1 = time.perf_counter()
         reduced = pure.interreduce(minimal, MAX_DEGREE)
         loop_times.append(t1 - t0)
@@ -267,6 +299,7 @@ EXPECTED = {
     "sl4-minimal": (closure_hilbert, oracles.segre(3)),
     "sl5-minimal": (closure_hilbert, oracles.segre(4)),
     "sl5-fibre": (closure_hilbert, oracles.kostant_fibre(4)),
+    "sl5-saturated": (hilbert_data, oracles.kostant_fibre(4)),
     "sl4-naive": (hilbert_data, NAIVE_SL4),
     "sl5-naive": (hilbert_data, NAIVE_SL5),
 }
@@ -285,6 +318,7 @@ DIGESTS = {
     "sl5-minimal": "2d1a7128ddca",
     "sl5-fibre": "02d0f55fb221",
     "sl5-naive": "94e09f77fe01",
+    "sl5-saturated": "02d0f55fb221",
 }
 
 
@@ -301,8 +335,9 @@ def main(argv=None):
         if slow and args.skip_slow:
             continue
         raw_args = make()
-        loop_s, reduce_s, minimal, reduced = bench(raw_args, args.repeat)
-        got = digest(reduced)
+        route = ROUTES.get(name, pure.buchberger)
+        loop_s, reduce_s, minimal, reduced = bench(raw_args, args.repeat, route)
+        got = digest(dehomogenised(reduced) if name in ROUTES else reduced)
         bits = max(width(minimal), width(reduced))
         print(f"{name:<16} {loop_s:>8.3f}s {reduce_s:>8.3f}s  {len(reduced):>5}  {bits:>4}  {got}")
         if bits != 16:

@@ -92,6 +92,8 @@ class HodgeDiamond:
         grid = [[None] * (m + 1) for _ in range(m + 1)]
         for r, row in enumerate(rows):
             cells = _row_cells(m, r)
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"row {r} is not a list of entries: {row!r}")
             if len(row) != len(cells):
                 raise ValueError(
                     f"row {r} has {len(row)} entries, expected {len(cells)}"

@@ -6,10 +6,10 @@ Systems, expected values and basis digests come from the script's own
 ``bench``, so an engine change that breaks the script, or changes a reduced
 basis by a single bit, fails here.  The checks read the minimal basis and
 the digests the reduced one, as the script's do.  katsura-6 (about 0.15 s),
-sl5-minimal (tens of seconds), and sl5-fibre and sl5-naive (about a minute
-each) are left to the script, whose ``--skip-slow`` leaves out only the
-last three; the minimal basis of sl5-naive, which takes about a second,
-is checked here.
+sl5-minimal (tens of seconds), sl5-fibre and sl5-naive (about a minute
+each) and sl5-saturated (half a minute) are left to the script, whose
+``--skip-slow`` leaves out only the last four; the minimal bases of
+sl5-naive and sl5-saturated, which take about a second, are checked here.
 """
 
 import heapq
@@ -60,6 +60,31 @@ def test_the_naive_sl5_closure_finishes_within_47_pairs():
     # 47 pairs and none of them to zero; the check is the closure's whole
     # Hilbert data, ``NAIVE_SL5``
     finishes_within("sl5-naive", 47)
+
+
+def test_the_saturated_sl5_route_gives_kostant_data():
+    # the naive closure's pair loop, then the division by powers of t; the
+    # check is Kostant's Hilbert data of the saturated closure
+    make, slow = bench_gb.WORKLOADS["sl5-saturated"]
+    raw = make()
+    limits = GBLimits()
+    minimal = bench_gb.ROUTES["sl5-saturated"](*raw, limits.max_pairs, limits.max_degree)
+    measure, want = bench_gb.EXPECTED["sl5-saturated"]
+    assert slow and measure(minimal, raw[1]) == want
+
+
+@pytest.mark.parametrize(
+    "fibre", [bench_gb.SL3_FIBRE, bench_gb.FIBRES_SL4[0][:4]], ids=["sl3", "sl4"]
+)
+def test_the_saturated_route_dehomogenises_to_the_affine_reduced_basis(fibre):
+    # why sl5-saturated must give sl5-fibre's digest, on fibres small
+    # enough to tail-reduce here
+    limits = GBLimits()
+    caps = (limits.max_pairs, limits.max_degree)
+    minimal = bench_gb.saturated_route(*bench_gb.fibre_raw(*fibre, naive=True), *caps)
+    saturated = pure.interreduce(minimal)
+    affine = pure.interreduce(pure.buchberger(*bench_gb.fibre_raw(*fibre), *caps))
+    assert bench_gb.digest(bench_gb.dehomogenised(saturated)) == bench_gb.digest(affine)
 
 
 def test_sl4_minimal_finishes_within_597_pairs():

@@ -163,6 +163,11 @@ def test_from_rows_refuses_an_entry_that_is_not_a_natural(entry):
     # entries are passed through, not converted: int(1.9) would read 1
     with pytest.raises(ValueError, match="naturals or None"):
         HodgeDiamond.from_rows([[1], [entry, 0], [1]])
+    # in place of a whole row, the error names the row
+    with pytest.raises(ValueError, match="row 1"):
+        HodgeDiamond.from_rows([[1], entry, [1]])
+    with pytest.raises(ValueError, match="row 1 is not a list"):
+        HodgeDiamond.from_rows([[1], 5, [1]])
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ derived rather than trivial."""
 import io
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,7 @@ from orbitcompat import (
 from orbitcompat._kernel import pure
 from orbitcompat.hilbert import hilbert
 from orbitcompat.ioformats import read_ideal, write_ideal
+from test_kernel_signature import SINGULAR_CASES
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -395,14 +397,17 @@ def test_every_computed_basis_is_kept(monkeypatch):
     assert buchberger(I) is G and I._bases == {GREVLEX: G, **bases}
     assert runs == [(1, 0), (0, 0), (2, 1)]
     # a basis of another order first does not hide a later grevlex one,
-    # which every grevlex reader then reuses
+    # which every grevlex reader then reuses.  With two generators in three
+    # variables homogenise_ideal runs its pair loop on the naive closure,
+    # once for three calls, and keeps that basis there, not on J
     J = ideal(XYZ, "x^2 - y*z", "y^2 - x*z")
     G_lex = buchberger(J, LEX)
     for _ in range(3):
         homogenise_ideal(J)
+    assert GREVLEX not in J._bases and GREVLEX in homogenise_naive(J)._bases
     assert buchberger(J) is J._bases[GREVLEX] and buchberger(J, LEX) is G_lex
     assert J._bases[GREVLEX] == G and ideal_equal(J, J) and ideal_contains(J, J)
-    assert runs[3:] == [(0, 0), (1, 0)]
+    assert runs[3:] == [(0, 0), (1, 0), (1, 0)]
 
 
 def test_an_unpickled_presentation_keeps_one_basis_per_order(monkeypatch):
@@ -626,9 +631,9 @@ def test_homogenise_ideal_does_not_depend_on_the_presentation():
 def test_homogenise_ideal_returns_its_reduced_basis(
     fibration_110, fibration_321, monkeypatch
 ):
-    # the result carries the homogenised minimal basis of I, and is
-    # presented by the reduced basis of I^h, the homogenised reduced basis
-    # of I (CLO 8.4 Thm 4).  On the c = 2 fibre the two bases differ
+    # the result carries a minimal basis of I^h, and is presented by the
+    # reduced basis of I^h, the homogenised reduced basis of I (CLO 8.4
+    # Thm 4).  On the c = 2 fibre the two bases differ
     def refuse(*args, **kwargs):
         raise AssertionError("homogenise_ideal must not eliminate")
 
@@ -680,11 +685,12 @@ def test_homogenise_ideal_pickles_before_and_after_its_generators_are_read():
 
 
 def test_homogenise_ideal_of_an_unpickled_presentation():
-    # unpickling keeps the presentation's minimal basis, which
-    # homogenise_ideal homogenises as it does a fresh presentation's
+    # unpickling keeps the presentation's naive closure and its minimal
+    # basis, which homogenise_ideal saturates as it does a fresh one's
     I = sl4_fibre_c2()
-    buchberger(I)
+    buchberger(homogenise_naive(I, "t"))
     back = pickle.loads(pickle.dumps(I))
+    assert GREVLEX in homogenise_naive(back, "t")._bases
     out, want = homogenise_ideal(back, "t"), homogenise_ideal(fresh(I), "t")
     assert out._bases[GREVLEX]._minimal == want._bases[GREVLEX]._minimal
     assert out == want and buchberger(out) == buchberger(want)
@@ -727,8 +733,6 @@ def test_equality_containment_and_normal_forms_build_no_monic_basis(
     # of them makes a monic MultiPoly basis
     d = fibration_110
     S_I, S_J = (homogenise_ideal(fresh(d[name]), "t") for name in ("I", "J"))
-    for S in (S_I, S_J):
-        S.generators  # ideal_contains reads them as its second argument
     G = buchberger(fresh(d["I_hom"]))
     f = parse_poly("x1^2*t + y2", G.ctx)
     want = normal_form(f, buchberger(fresh(d["I_hom"])))
@@ -801,7 +805,164 @@ def test_attached_basis_is_invisible(fibration_110):
     write_ideal(buf, out)
     back, _ = read_ideal(io.StringIO(buf.getvalue()))
     assert back == out and back._bases == {}
-    assert homogenise_naive(fibration_110["I"], "t")._bases == {}
+    # so is a basis kept on a naive closure, which homogenise_ideal computed
+    naive = homogenise_naive(fibration_110["I"], "t")
+    assert GREVLEX in naive._bases
+    plain = fresh(naive)
+    assert naive == plain and hash(naive) == hash(plain) and repr(naive) == repr(plain)
+    texts = []
+    for J in (naive, plain):
+        buf = io.StringIO()
+        write_ideal(buf, J)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
+# -- the two routes of homogenise_ideal -----------------------------------------
+
+
+def affine_route(I, tvar="t"):
+    """I^h's basis by the affine route, built by hand: the kernel's minimal
+    grevlex basis of I, homogenised element by element with tvar last."""
+    hom = []
+    for terms in buchberger(fresh(I))._minimal:
+        d = sum(terms[0][0])
+        hom.append([(e + (d - sum(e),), c) for e, c in terms])
+    return ReducedGB(I.ctx.extend(tvar), GREVLEX, hom)
+
+
+def assert_routes_agree(I):
+    """With at most as many generators as variables, homogenise_ideal
+    saturates the naive closure's basis by t: the same reduced basis as the
+    affine route, and a minimal basis with the same leading monomials."""
+    assert len(I.generators) <= len(I.ctx)
+    G = buchberger(homogenise_ideal(fresh(I), "t"))
+    want = affine_route(I)
+    assert G.leading_monomials() == want.leading_monomials()
+    assert G == want
+
+
+def test_the_naive_route_agrees_on_the_sl3_fixtures(fibration_110, fibration_321):
+    for d in (fibration_110, fibration_321):
+        for name in ("I", "J"):
+            assert_routes_agree(d[name])
+
+
+# (eigenvalues, charvalues shifts, H, c): the three fibres of perfbench's
+# sl4-closures, then the non-regular H = diag(1,1,-1,-1) and two fibres of
+# diag(2,1,0,-3) that it leaves out
+SL4_FIBRES = [
+    ((3, 1, -1, -3), (-3, -1, 1), (3, 1, -1, -3), 0),
+    ((3, 1, -1, -3), (-3, -1, 1), (1, -1, 0, 0), 2),
+    ((2, 1, -1, -2), (-2, -1, 1), (3, 1, -1, -3), 0),
+    ((3, 1, -1, -3), (-3, -1, 1), (1, 1, -1, -1), 0),
+    ((2, 1, 0, -3), (-2, -1, 0), (3, 1, -1, -3), Fraction(7, 3)),
+    ((2, 1, 0, -3), (-2, -1, 0), (1, 0, 0, -1), Fraction(7, 3)),
+]
+
+
+@pytest.mark.parametrize("eigenvalues, shifts, H, c", SL4_FIBRES)
+def test_the_naive_route_agrees_on_the_sl4_closures(eigenvalues, shifts, H, c):
+    orbit = orbit_ideal_charvalues(DiagSpec(eigenvalues), shifts)
+    I = fibre_ideal(orbit, DiagSpec(H), c)
+    assert_routes_agree(I)
+    # Kostant's data for sl(4): h-vector [4]_q!, degree 4! = 24
+    h = hilbert(buchberger(homogenise_ideal(I, "t")))
+    assert (h.numerator, h.proj_dim, h.degree) == ((1, 3, 5, 6, 5, 3, 1), 11, 24)
+
+
+def random_system(rng):
+    """At most nvars random polynomials in 2 to 4 variables, with terms of
+    degree 0 to 3, so that some naive closures carry powers of t."""
+    nvars = rng.randint(2, 4)
+    ctx = VarContext(["x", "y", "z", "w"][:nvars])
+    gens = []
+    for _ in range(rng.randint(1, nvars)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = [0] * nvars
+            for _ in range(rng.randint(0, 3)):
+                exp[rng.randrange(nvars)] += 1
+            terms[tuple(exp)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(MultiPoly(ctx, terms))
+    return IdealPresentation(ctx, gens)
+
+
+def test_the_naive_route_agrees_on_random_systems():
+    rng = random.Random(3000)
+    for _ in range(240):
+        assert_routes_agree(random_system(rng))
+
+
+# the systems on which the signature loop once returned a wrong basis, read
+# as affine ideals (each case's order is the kernel test's, not used here)
+@pytest.mark.parametrize(
+    "nvars, gens",
+    [case[1:] for case in SINGULAR_CASES],
+    ids=["grevlex", "lex-dense", "lex-content"],
+)
+def test_the_naive_route_agrees_on_the_pinned_signature_loop_systems(nvars, gens):
+    ctx = VarContext([f"x{i}" for i in range(nvars)])
+    I = IdealPresentation(ctx, [MultiPoly(ctx, dict(terms)) for terms in gens])
+    assert_routes_agree(I)
+
+
+def counted_runs(monkeypatch):
+    """The (kind, block) of every ``buchberger_raw`` run from now on."""
+    runs = []
+    raw = groebner._kernel.buchberger_raw
+
+    def counted(*args):
+        runs.append(args[2:4])
+        return raw(*args)
+
+    monkeypatch.setattr(groebner._kernel, "buchberger_raw", counted)
+    return runs
+
+
+def test_both_closures_of_a_fibre_run_one_pair_loop(fibration_110, monkeypatch):
+    # the paper's pipeline: the naive closure's basis, then the saturated
+    # closure's Hilbert data from the same presentation
+    I = fresh(fibration_110["I"])
+    runs = counted_runs(monkeypatch)
+    naive = buchberger(homogenise_naive(I, "t"))
+    S = homogenise_ideal(I, "t")
+    h = hilbert(buchberger(S))
+    assert runs == [(1, 0)]
+    assert homogenise_naive(I, "t")._bases[GREVLEX] is naive
+    assert (h.numerator, h.degree) == ((1, 2, 2, 1), 6)
+
+
+def test_more_generators_than_variables_run_the_affine_loop(monkeypatch):
+    # the sl(4) minimal orbit: 16 quadrics in 15 variables
+    I = orbit_ideal_minpoly(DiagSpec([1, 1, 1, -3])).presentation
+    assert len(I.generators) > len(I.ctx)
+    runs = counted_runs(monkeypatch)
+    S = homogenise_ideal(I, "t")
+    assert runs == [(1, 0)] and GREVLEX in I._bases and I._naive == {}
+    assert buchberger(S) == affine_route(I)
+
+
+def test_containment_of_a_saturated_closure_does_not_tail_reduce_it(monkeypatch):
+    # ideal_contains(A, S) reduces the minimal basis S carries against A's
+    # reduced basis; only A's is tail-reduced
+    fib = sl4_fibre()
+    naive, S = homogenise_naive(fib, "t"), homogenise_ideal(fib, "t")
+    same = homogenise_ideal(fresh(fib), "t")
+    reduced = []
+    interreduce = groebner._kernel.interreduce_raw
+
+    def recorded(minimal, *args):
+        reduced.append(minimal)
+        return interreduce(minimal, *args)
+
+    monkeypatch.setattr(groebner._kernel, "interreduce_raw", recorded)
+    assert not ideal_contains(naive, S) and ideal_contains(same, S)
+    assert reduced and not any(m is S._bases[GREVLEX]._minimal for m in reduced)
+    assert S._generators is None
+    # the answers the generators give
+    assert not all(normal_form(g, buchberger(naive)).is_zero() for g in S.generators)
+    assert all(normal_form(g, buchberger(same)).is_zero() for g in S.generators)
 
 
 @pytest.mark.parametrize(
