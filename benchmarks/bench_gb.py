@@ -15,19 +15,20 @@ Workloads:
                  makes, on the orbit's 16 generators in 15 variables
   sl5-minimal    the same for the sl(5) minimal orbit of diag(1,1,1,1,-4),
                  24 variables, tens of seconds a run (slow)
-  sl5-fibre      the grevlex run of the saturated closure of the regular
-                 sl(5) fibre of diag(2,1,0,-1,-2) (charvalues shifts
-                 -2,-1,0,1) under H = diag(2,1,0,-1,-2) at c = 1: five
-                 generators in 24 variables, about a minute a run (slow)
+  sl5-fibre      the affine fibre's own grevlex run: the regular sl(5)
+                 fibre of diag(2,1,0,-1,-2) (charvalues shifts -2,-1,0,1)
+                 under H = diag(2,1,0,-1,-2) at c = 1, five generators in
+                 24 variables, about a minute a run (slow).  Its reduced
+                 basis is the one sl5-saturated must match
   sl5-naive      the naive closure of the same fibre, 25 variables: a
                  pair loop of under a second, then a tail reduction of
                  about a minute to a basis of a million terms (slow)
   sl5-saturated  the route `homogenise_ideal` takes to the saturated
                  closure of the same fibre: the naive closure's pair
-                 loop, then each element divided by its leading term's
-                 power of t and the result minimalised (Bayer's lemma),
-                 under a second; its tail reduction takes about half a
-                 minute (slow)
+                 loop, then ``pure.saturate_last``, which divides each
+                 element by its leading term's power of t and minimalises
+                 the result (Bayer's lemma), under a second; its tail
+                 reduction takes about half a minute (slow)
   katsura-5/6    dense quadrics, classic stress systems
   cyclic-5       the cyclic-roots system
   sl4-naive      the naive closure of the first ``sl4-closures`` fibre of
@@ -100,7 +101,6 @@ from orbitcompat import (  # noqa: E402
     parse_poly,
 )
 from orbitcompat._kernel import pure  # noqa: E402
-from orbitcompat.groebner import _saturate_last  # noqa: E402
 from orbitcompat.hilbert import hilbert_of_leading_terms  # noqa: E402
 
 
@@ -143,8 +143,8 @@ def minimal_orbit_raw(eigenvalues):
 
 
 def fibre_raw(eigenvalues, shifts, H, c, naive=False):
-    """The grevlex run of a fibre's saturated closure, or with ``naive`` of
-    its naive closure."""
+    """The grevlex run of a fibre, whose minimal basis homogenised is its
+    saturated closure's, or with ``naive`` of its naive closure."""
     fib = fibre(eigenvalues, shifts, H, c)
     if naive:
         fib = homogenise_naive(fib, "t")
@@ -211,7 +211,7 @@ def saturated_route(gens, nvars, kind, block, max_pairs, max_degree):
     """``homogenise_ideal``'s route from a naive closure's terms, in
     ``pure.buchberger``'s form: the minimal basis, saturated by the last
     variable t."""
-    return _saturate_last(pure.buchberger(gens, nvars, kind, block, max_pairs, max_degree))
+    return pure.saturate_last(pure.buchberger(gens, nvars, kind, block, max_pairs, max_degree))
 
 
 # workloads timed through another route than ``pure.buchberger``

@@ -90,12 +90,16 @@ later leaders coprime to the reducers' leading coefficients, so more steps
 scale the whole remainder.
 
 ``buchberger`` interreduces its inputs, runs one of two pair loops, and
-returns the minimal basis the loop ends with.  ``interreduce`` tail-reduces
-a minimal basis into the reduced one (Becker and Weispfenning, "Groebner
-Bases", 1993, section 5.4), so a caller that needs only leading monomials,
-as Hilbert data does, never pays for it.  Both return a ``Basis``, lists
-keyed once, which ``interreduce`` and ``normal_form`` take without keying
-them again.  A pass of ``_interreduce`` reduces each
+returns the minimal basis the loop ends with.  ``saturate_last`` divides a
+minimal grevlex basis by the powers of its last variable in its leading
+terms (Bayer's lemma), which gives a saturated closure's minimal basis from
+the naive closure's.  ``interreduce`` tail-reduces a minimal basis into the
+reduced one (Becker and Weispfenning, "Groebner Bases", 1993, section
+5.4), so a caller that needs only leading monomials, as Hilbert data does,
+never pays for it.  All three return a ``Basis``, lists keyed once, which
+``saturate_last``, ``interreduce`` and ``normal_form`` take without keying
+them again.  The signature loop and ``saturate_last`` keep a minimal basis
+through one helper, ``_minimal``.  A pass of ``_interreduce`` reduces each
 polynomial against the results before it and the polynomials after it, so
 after a pass that moved no leading monomial every result is irreducible by
 the final leading monomials: another pass runs only if one moved, and on a
@@ -115,11 +119,12 @@ The loops share the S-polynomial (``_spoly``) and ``_reduce``.  The
 signature loop runs when at most ``nvars`` inputs remain, the
 Gebauer-Moeller (GM) loop otherwise.  A regular sequence has at most
 ``nvars`` elements, and on a homogeneous one the signature loop reduces no
-pair to zero; on the six ``sl4-closures`` fibre runs it reduces none to
-zero where GM reduced 53, in about a quarter of the time.  With more
-generators GM's reductions to zero are cheap and its bookkeeping is
+pair to zero.  On the naive closures that one ``sl4-closures`` round runs
+it gives the same bases as GM about five times as fast: 0.026-0.037 s
+against 0.15-0.18 s a round (Python 3.11, shared 2-core machine).  With
+more generators GM's reductions to zero are cheap and its bookkeeping is
 lighter: on the 16 quadrics of the sl(4) minimal orbit, in 15 variables,
-the signature loop took five times as long.  Both loops count against
+GM took 0.040 s and the signature loop 0.361 s.  Both loops count against
 ``max_pairs`` the S-pairs they reduce, not the pairs their criteria
 discard.
 
@@ -523,6 +528,32 @@ class Basis(list):
         return self.polys if self.layout is L and self.polys else _key_basis(L, self)
 
 
+def saturate_last(basis):
+    """A minimal grevlex basis of J : t^inf from ``basis``, a ``Basis`` of a
+    minimal grevlex basis of a homogeneous ideal J, t its last variable.
+
+    By Bayer's lemma (Bayer and Stillman, Invent. Math. 87 (1987)) the
+    power t^k of t in an element's leading term divides every term, and the
+    quotients form a Groebner basis of J : t^inf.  Keys and packs are
+    additive, so each term of an engine polynomial loses the key and pack
+    of t^k in the basis's own layout, and keeps its place in the element's
+    order.  ``_minimal`` then keeps the quotients with minimal
+    leading monomials.  Runs in the basis's layout, and again at 32 bits if
+    a 16-bit run reaches degree 2^15; returns a ``Basis`` keyed in the
+    layout it ran in, which ``interreduce`` takes without keying it again.
+    """
+    return _widening(_saturate_last, basis.layout, basis)
+
+
+def _saturate_last(L, basis):
+    """``saturate_last`` in the layout ``L``."""
+    polys = basis.keyed(L)
+    # the key and pack of t^k for each element, k its leading term's power of t
+    shifts = [_encode((0,) * (L[4] - 1) + _unpack(g[0][1], L)[-1:], L) for g in polys]
+    divided = [[(k - tk, p - tp, c) for k, p, c in g] for g, (tk, tp) in zip(polys, shifts)]
+    return Basis.of(_minimal(divided, L[1]), L)
+
+
 def interreduce(basis, max_degree=_DEGREE_BOUND):
     """The reduced Groebner basis from a minimal one, ``buchberger``'s output.
 
@@ -772,13 +803,22 @@ def _signature_loop(f, L, max_pairs, max_degree, top, top_only):
         contents.append(_monomial_content(r, L))
         add_pairs(len(f) - 1)
 
-    # keep one polynomial per minimal leading monomial; a divisor's key is
-    # never larger
-    divisors = []
-    for p in sorted(f, key=_lead_key):
-        if all((p[0][1] - q[0][1]) & guard for q in divisors):
-            divisors.append(p)
-    return divisors
+    return _minimal(f, guard)
+
+
+def _minimal(polys, guard):
+    """The polynomials of ``polys`` with minimal leading monomials, one per
+    monomial, sorted by leading key; ``guard`` is their layout's.
+
+    A divisor's key is never larger, so one pass in key order keeps each
+    polynomial whose leading monomial no kept one divides; of several with
+    one leading monomial it keeps the first in ``polys``.
+    """
+    kept = []
+    for p in sorted(polys, key=_lead_key):
+        if all((p[0][1] - q[0][1]) & guard for q in kept):
+            kept.append(p)
+    return kept
 
 
 def _monomial_content(poly, L):

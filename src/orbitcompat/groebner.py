@@ -246,6 +246,16 @@ def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in f.terms.items()]
 
 
+def _lists(I: IdealPresentation) -> list:
+    """The kernel's term lists of the presented ideal: the minimal basis a
+    ``homogenise_ideal`` result carries while its generators are unbuilt,
+    which spans the same ideal, otherwise the generators with their
+    denominators cleared."""
+    if I._generators is None:
+        return I._bases[GREVLEX]._minimal
+    return [_clear_denominators(g)[1] for g in I._generators]
+
+
 def _monic(ctx: VarContext, raw: list) -> tuple[MultiPoly, ...]:
     """The kernel's polynomials as monic ``MultiPoly``s.
 
@@ -271,7 +281,9 @@ def buchberger(
     ``ideal_equal`` and ``ideal_contains`` by default, read the grevlex
     one.  Under grevlex the tails are reduced only when the basis is read
     (see ``ReducedGB``); under other orders here, since a reduced tail can
-    have a higher degree than the minimal basis.
+    have a higher degree than the minimal basis.  A ``homogenise_ideal``
+    result whose generators are unbuilt enters the kernel as the minimal
+    basis it carries, which is not tail-reduced first.
     Raises ResourceLimitExceeded when a generator's degree exceeds
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
@@ -288,7 +300,7 @@ def buchberger(
         )
     if order in I._bases:
         return I._bases[order]
-    raw = [_clear_denominators(g)[1] for g in I.generators]
+    raw = _lists(I)
     nvars = len(I.ctx)
     minimal = _kernel.buchberger_raw(raw, nvars, *order.code, limits.max_pairs, limits.max_degree)
     G = ReducedGB(I.ctx, order, minimal)
@@ -318,17 +330,14 @@ def ideal_contains(
     order: MonomialOrder = GREVLEX,
     limits: GBLimits = DEFAULT_LIMITS,
 ) -> bool:
-    """True iff B is contained in A (every generator of B reduces to zero)."""
+    """True iff B is contained in A: every generator of B reduces to zero
+    against A's reduced basis.  A ``homogenise_ideal`` result whose
+    generators are unbuilt is read through the minimal basis it carries,
+    which spans the same ideal, and is not tail-reduced."""
     if A.ctx != B.ctx:
         raise ContextMismatch("ideals live in different contexts")
     G = buchberger(A, order, limits)
-    if B._generators is None:
-        # homogenise_ideal's result, its generators not built: the minimal
-        # basis it carries spans the same ideal, with no tail reduction
-        tails = G._tails()
-        minimal = B._bases[GREVLEX]._minimal
-        return all(not _kernel.normal_form_raw(terms, tails)[0] for terms in minimal)
-    return all(normal_form(g, G).is_zero() for g in B.generators)
+    return all(not _kernel.normal_form_raw(terms, G._tails())[0] for terms in _lists(B))
 
 
 def ideal_equal(
@@ -437,15 +446,17 @@ def homogenise_ideal(
       ideal J under grevlex with t last, t divides an element of a Groebner
       basis of J iff it divides its leading term, and dividing each element
       by its leading term's power of t gives a Groebner basis of J : t^∞.
-      The divided basis is minimalised.  The naive closure is the one
+      The kernel divides and minimalises the basis
+      (``_kernel.saturate_last_raw``).  The naive closure is the one
       ``homogenise_naive`` keeps on I, so a caller that already has its
       basis runs no pair loop here;
     - with more generators, from the kernel's minimal grevlex basis of I,
       homogenised element by element (Cox, Little, O'Shea, *Ideals,
       Varieties, and Algorithms*, section 8.4, Theorem 4): with tvar last
       each element keeps its grevlex leading monomial.  On the 16 quadrics
-      of the sl(4) minimal orbit the naive closure's pair loop took ten
-      times as long.
+      of the sl(4) minimal orbit this route took 0.056 s, and the naive
+      closure's pair loop 0.488 s under the signature loop the kernel
+      picks, 0.169 s under GM (Python 3.11, shared 2-core machine).
 
     No tail reduction runs on either route.  The result carries the basis:
     ``buchberger(result)`` returns it without a second pair loop, and
@@ -457,7 +468,7 @@ def homogenise_ideal(
     ctx = I.ctx.extend(tvar)
     if len(I.generators) <= len(I.ctx):
         naive = buchberger(homogenise_naive(I, tvar), GREVLEX, limits)
-        minimal = _saturate_last(naive._minimal)
+        minimal = _kernel.saturate_last_raw(naive._minimal)
     else:
         # a grevlex leading term has its element's largest degree
         hom = []
@@ -470,29 +481,6 @@ def homogenise_ideal(
     object.__setattr__(out, "_generators", None)
     out._bases[GREVLEX] = ReducedGB(ctx, GREVLEX, minimal)
     return out
-
-
-def _saturate_last(minimal):
-    """A minimal grevlex basis of J : t^∞ from ``minimal``, the kernel's
-    minimal grevlex basis of a homogeneous ideal J, t its last variable.
-
-    Each element is divided by its leading term's power of t, which divides
-    every term (Bayer's lemma, see ``homogenise_ideal``); division keeps
-    each element's term order.  Of the results, sorted ascending by leading
-    monomial, those whose leading monomial an earlier one's divides are
-    dropped.  A ``_kernel.Basis`` keyed as ``minimal``.
-    """
-    divided = []
-    for terms in minimal:
-        k = terms[0][0][-1]
-        divided.append([(e[:-1] + (e[-1] - k,), c) for e, c in terms] if k else terms)
-    divided.sort(key=lambda terms: GREVLEX.key(terms[0][0]))
-    kept = []
-    for terms in divided:
-        lead = terms[0][0]
-        if not any(all(map(int.__le__, other[0][0], lead)) for other in kept):
-            kept.append(terms)
-    return _kernel.Basis.of_lists(kept, *minimal.keying)
 
 
 def dehomogenise_ideal(I: IdealPresentation, tvar: str) -> IdealPresentation:

@@ -220,6 +220,39 @@ def test_an_empty_or_fractional_list_entry_exits_one(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"ORBITCOMPAT_MAX_PAIRS": "abc"}, ["gb", "--ideal", "{plain}"]),
+        ({}, ["fibre", "--orbit", "{plain}", "--h", "1,-1", "--value", "0"]),
+        ({}, ["fibre", "--orbit", "{sl2}", "--h", "1,-1", "--value", "x"]),
+        ({}, ["critical", "--n", "2", "--h", "1,-1", "--h0", "1,0,-1"]),
+        ({}, ["diamond", "--name", "pnpnX"]),
+        ({}, ["orbit", "--n", "2", "--h0", "1,0,-1", "--style", "charvalues"]),
+    ],
+    ids=[
+        "pair-cap-not-an-integer",
+        "fibre-of-a-non-matrix-context",
+        "fibre-value-not-rational",
+        "critical-sizes-differ",
+        "diamond-bad-name",
+        "charvalues-without-shifts",
+    ],
+)
+def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch, env, argv):
+    # plain.ideal's variables a, b are no generic-matrix context; sl2.ideal
+    # is the sl(2) minpoly orbit
+    files = {"plain": tmp_path / "plain.ideal", "sl2": tmp_path / "sl2.ideal"}
+    files["plain"].write_text("vars: a,b\na^2 - b\n")
+    files["sl2"].write_text("vars: x,y,z\nx^2 + y*z - 1\n")
+    monkeypatch.delenv("ORBITCOMPAT_MAX_PAIRS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["gb"])  # missing --ideal

@@ -158,18 +158,36 @@ def test_generator_permutations_reach_the_same_basis(fibration_110):
         assert buchberger(IdealPresentation(I.ctx, gens)) == G0
 
 
-def test_resource_limit_raises():
+def test_resource_limit_raises(monkeypatch):
     # katsura-3's dense quadrics need three S-pairs, so a one-pair cap trips
+    # in the signature loop; the sl(3) minimal orbit's 9 generators in 8
+    # variables run the GM loop, whose cap trips too
     ctx = VarContext(["a", "b", "c", "d"])
-    gens = ideal(
+    katsura = ideal(
         ctx,
         "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
         "2*a*b + 2*b*c + 2*c*d - b",
         "b^2 + 2*a*c + 2*b*d - c",
         "a + 2*b + 2*c + 2*d - 1",
     )
-    with pytest.raises(ResourceLimitExceeded):
-        buchberger(gens, GREVLEX, GBLimits(max_pairs=1))
+    minimal = orbit_ideal_minpoly(DiagSpec([1, 1, -2])).presentation
+    loops = []
+
+    def recorded(name):
+        loop = getattr(pure, name)
+
+        def run(*args):
+            loops.append(name)
+            return loop(*args)
+
+        return run
+
+    for name in ("_signature_loop", "_gm_loop"):
+        monkeypatch.setattr(pure, name, recorded(name))
+    for I in (katsura, minimal):
+        with pytest.raises(ResourceLimitExceeded, match="pair cap 1 exceeded"):
+            buchberger(I, GREVLEX, GBLimits(max_pairs=1))
+    assert loops == ["_signature_loop", "_gm_loop"]
 
 
 @pytest.mark.parametrize("caps", [{"max_pairs": -3}, {"max_degree": -1}])
@@ -449,6 +467,13 @@ def test_naive_homogenisations_nested_strictly(fibration_110):
 def test_ideal_contains_itself(fibration_110):
     I = fibration_110["I"]
     assert ideal_contains(I, I)
+
+
+def test_containment_of_and_in_the_zero_ideal():
+    zero, line = ideal(XYZ), ideal(XYZ, "x - y")
+    assert zero.is_zero_ideal()
+    assert not ideal_contains(zero, line)
+    assert ideal_contains(zero, zero) and ideal_contains(line, zero)
 
 
 def test_ideal_equal_on_presentations(fibration_110):
@@ -963,6 +988,26 @@ def test_containment_of_a_saturated_closure_does_not_tail_reduce_it(monkeypatch)
     # the answers the generators give
     assert not all(normal_form(g, buchberger(naive)).is_zero() for g in S.generators)
     assert all(normal_form(g, buchberger(same)).is_zero() for g in S.generators)
+
+
+def test_other_orders_on_an_unread_closure_read_its_minimal_basis(fibration_110, monkeypatch):
+    # the kernel runs on the minimal basis S carries: S is not tail-reduced
+    # and its generators are not built
+    S = homogenise_ideal(fresh(fibration_110["I"]), "t")
+    carried = S._bases[GREVLEX]._minimal
+    reduced = []
+    interreduce = groebner._kernel.interreduce_raw
+
+    def recorded(minimal, *args):
+        reduced.append(minimal)
+        return interreduce(minimal, *args)
+
+    monkeypatch.setattr(groebner._kernel, "interreduce_raw", recorded)
+    bases = [buchberger(S, order) for order in (LEX, elimination(1))]
+    assert not any(m is carried for m in reduced)
+    assert S._generators is None and S._bases[GREVLEX]._reduced is None
+    same = homogenise_ideal(fresh(fibration_110["I"]), "t")
+    assert bases == [buchberger(fresh(same), order) for order in (LEX, elimination(1))]
 
 
 @pytest.mark.parametrize(

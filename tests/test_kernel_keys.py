@@ -274,6 +274,16 @@ def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
     assert keyed_basis.polys == pure._key_basis(narrow, basis)
 
 
+def test_saturate_last_past_degree_2_15_reruns_at_32_bits():
+    # grevlex, x > y > t: x*t^40000 - y*t^40000 divided by t^40000
+    lists = [[((1, 0, 40000), 1), ((0, 1, 40000), -1)]]
+    saturated = pure.saturate_last(pure.Basis.of_lists(lists, 3, *GREVLEX))
+    assert saturated == [[((1, 0, 0), 1), ((0, 1, 0), -1)]]
+    wide = pure._layout(3, 32, *GREVLEX)
+    assert saturated.layout is wide
+    assert saturated.polys == pure._key_basis(wide, saturated)
+
+
 @st.composite
 def small_system(draw):
     """(gens, f, kind, block): up to three polynomials in three variables,

@@ -3,7 +3,7 @@ workload.
 
 Each workload's round is built by ``perfbench/workloads.py`` against the
 library imported here, and every op runs with its oracle check, as the
-benchmark runs them.  The three kernel entry points that ``groebner``
+benchmark runs them.  The four kernel entry points that ``groebner``
 calls are wrapped, and for each the test pins how often it ran and the
 sha256 of the concatenated ``repr`` of its results, in call order (the
 first 12 hex digits).  A change that alters what the kernel is given or
@@ -22,27 +22,31 @@ from orbitcompat import _kernel, polyring
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 11
-ENTRY_POINTS = ("buchberger_raw", "interreduce_raw", "normal_form_raw")
+ENTRY_POINTS = ("buchberger_raw", "saturate_last_raw", "interreduce_raw", "normal_form_raw")
 
 # per workload and entry point: (calls, digest), or None for no calls.
 # homogenise_ideal runs its pair loop on the naive closure that
 # homogenise_naive keeps, so sl3-sweep's saturated closures reuse the naive
 # ones' bases (two runs per fibre), and each sl4-closures saturated op runs
-# the loop on its fibre's naive closure, not on the fibre
+# the loop on its fibre's naive closure, not on the fibre.  Each of those
+# saturated closures takes one saturate_last_raw call; membership makes none
 PINS = {
     "sl3-sweep": {
         "buchberger_raw": (256, "36a2d93c63c7"),
+        "saturate_last_raw": (256, "7830a15b85c4"),
         "interreduce_raw": (384, "2be48f4e8b4a"),
         "normal_form_raw": (768, "775adfa74338"),
     },
     "sl4-closures": {
         "buchberger_raw": (6, "f1a5fffc215f"),
+        "saturate_last_raw": (3, "d70319341de0"),
         "interreduce_raw": None,
         "normal_form_raw": None,
     },
     # the interreduced basis is bench_gb's sl4-minimal one, digest and all
     "membership": {
         "buchberger_raw": (1, "064c0a71988a"),
+        "saturate_last_raw": None,
         "interreduce_raw": (1, "fcd2d95beaca"),
         "normal_form_raw": (256, "db70a6cfbf28"),
     },
