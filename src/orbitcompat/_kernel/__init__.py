@@ -6,10 +6,12 @@ a minimal basis, ``saturate_last_raw`` divides a minimal grevlex basis by
 the powers of its last variable in its leading terms and minimalises it,
 ``interreduce_raw`` tail-reduces a minimal basis, and ``normal_form_raw``
 reduces against the reduced basis.  Each basis is a ``Basis``: the
-``[(exp, int)]`` lists, with the engine polynomials keyed from them once
-and their layout, which fixes the variables and the order, so only
-``buchberger_raw`` takes an order; ``Basis.of_lists`` makes one from plain
-lists.
+engine polynomials, keyed once, and their layout, which fixes the
+variables and the order, so only ``buchberger_raw`` takes an order.  It
+reads as its ``[(exp, int)]`` lists, stripped off the polynomials when
+first iterated, indexed, compared or printed, and answers its leading
+monomials and grevlex gradedness off the packs; ``Basis.of_lists`` makes
+one from plain lists.
 """
 
 from . import pure

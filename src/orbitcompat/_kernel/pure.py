@@ -61,7 +61,8 @@ A reducer is a plain engine polynomial: the head search and a step read
 its first term, and the step subtracts the terms after it.  Each step is
 checked against one degree bound for the whole basis, its largest total
 degree, which ``buchberger`` keeps as a running maximum over the
-polynomials it makes and ``normal_form`` reads off the keyed basis.
+polynomials it makes, and ``interreduce`` and ``normal_form`` read off the
+``Basis`` (``Basis.top``), which finds it once.
 
 Reduction (``_reduce``) keeps the whole remainder as one ``{key: coeff}``
 dict with a side map from key to pack.  It sums its input into that dict,
@@ -96,10 +97,14 @@ terms (Bayer's lemma), which gives a saturated closure's minimal basis from
 the naive closure's.  ``interreduce`` tail-reduces a minimal basis into the
 reduced one (Becker and Weispfenning, "Groebner Bases", 1993, section
 5.4), so a caller that needs only leading monomials, as Hilbert data does,
-never pays for it.  All three return a ``Basis``, lists keyed once, which
-``saturate_last``, ``interreduce`` and ``normal_form`` take without keying
-them again.  The signature loop and ``saturate_last`` keep a minimal basis
-through one helper, ``_minimal``.  A pass of ``_interreduce`` reduces each
+never pays for it.  All three return a ``Basis`` of the engine polynomials
+they made, which ``saturate_last``, ``interreduce`` and ``normal_form``
+take without keying them again.  A ``Basis`` strips its ``[(exp, int)]``
+lists off them only when they are first read, and answers its length,
+leading monomials, grevlex gradedness and degree bound off the packs, so a
+closure whose Hilbert data is all that is read unpacks no term list.  The
+signature loop and ``saturate_last`` keep a minimal basis through one
+helper, ``_minimal``.  A pass of ``_interreduce`` reduces each
 polynomial against the results before it and the polynomials after it, so
 after a pass that moved no leading monomial every result is irreducible by
 the final leading monomials: another pass runs only if one moved, and on a
@@ -303,6 +308,12 @@ def _top(terms, shift):
     return max(map(itemgetter(1), terms), default=0) >> shift
 
 
+def _graded(polys, shift):
+    """True if each engine polynomial's first and last terms have one total
+    degree: grevlex is graded, so under it each is then homogeneous."""
+    return all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
+
+
 def _lead_key(poly):
     """The key of a nonzero engine polynomial's leading term."""
     return poly[0][0]
@@ -467,11 +478,10 @@ def buchberger(gens, nvars, kind, block, max_pairs, max_degree):
     """Minimal Groebner basis of ``gens`` (list of [(exp, int)] term lists).
 
     Every exponent has length ``nvars``, which sizes the packs.  Returns a
-    list of primitive integer polynomials as [(exp, int)] lists, each sorted
-    descending in the order, the basis sorted ascending by leading monomial:
-    the leading monomials of the reduced basis, which ``interreduce`` makes
-    from it.  The list is a ``Basis``, which keeps the engine polynomials
-    for ``interreduce``.  Raises ResourceLimitExceeded past the
+    ``Basis`` of primitive integer polynomials, read as [(exp, int)] lists,
+    each sorted descending in the order, the basis sorted ascending by
+    leading monomial: the leading monomials of the reduced basis, which
+    ``interreduce`` makes from it.  Raises ResourceLimitExceeded past the
     caps, ``max_degree`` bounding the total degree of every polynomial it
     makes, and before making a monomial of total degree 2^31 or more.
     """
@@ -486,42 +496,99 @@ def _buchberger(L, gens, max_pairs, max_degree):
     # any polynomial made so far
     top = _top(chain.from_iterable(polys), shift)
     polys, top = _interreduce(polys, L, top, max_degree)
-    # grevlex is graded, so a polynomial's first and last terms have its
-    # largest and smallest degree
-    top_only = L[5] == 1 and all(p[0][1] >> shift == p[-1][1] >> shift for p in polys)
+    top_only = L[5] == 1 and _graded(polys, shift)
     # a regular sequence has at most nvars elements; see the module docstring
     loop = _signature_loop if len(polys) <= L[4] else _gm_loop
     divisors = loop(polys, L, max_pairs, max_degree, top, top_only)
     return Basis.of(divisors, L)
 
 
-class Basis(list):
+class Basis:
     """A basis's [(exp, int)] lists, each primitive and sorted leading term
     first, with their ``layout`` and ``polys``, the engine polynomials keyed
     from them in it, or None: such a basis is keyed in each call that takes
-    it.  The kernel's own are keyed at the width their run ended at."""
+    it.  The kernel's own are keyed at the width their run ended at, and
+    strip their lists off ``polys`` only when first iterated, indexed,
+    compared or printed; the length, the leading monomials, the gradedness
+    test and the degree bound ``top`` are read off the packs.  It compares
+    equal to its lists, prints as them and pickles as them, unkeyed.
+    """
 
-    __slots__ = ("polys", "layout")
+    __slots__ = ("polys", "layout", "_lists", "_top")
 
     def __init__(self, lists, polys, layout):
-        super().__init__(lists)
+        self._lists = None if lists is None else list(lists)
         self.polys = polys
         self.layout = layout
+        self._top = None
 
     @classmethod
     def of(cls, polys, L):
         """The basis of the engine polynomials ``polys`` in the layout ``L``."""
-        return cls((_strip_keys(p, L) for p in polys), polys, L)
+        return cls(None, polys, L)
 
     @classmethod
     def of_lists(cls, lists, nvars, kind, block):
         """The unkeyed basis of ``lists`` in the 16-bit layout of the order."""
         return cls(lists, None, _layout(nvars, 16, kind, block))
 
+    def _stripped(self):
+        """The [(exp, int)] lists, stripped off ``polys`` on first call."""
+        if self._lists is None:
+            self._lists = [_strip_keys(p, self.layout) for p in self.polys]
+        return self._lists
+
+    def __len__(self):
+        return len(self.polys if self._lists is None else self._lists)
+
+    def __iter__(self):
+        return iter(self._stripped())
+
+    def __getitem__(self, i):
+        return self._stripped()[i]
+
+    def __eq__(self, other):
+        if isinstance(other, Basis):
+            other = other._stripped()
+        return self._stripped() == other
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._stripped())
+
+    def __reduce__(self):
+        return Basis.of_lists, (self._stripped(), *self.keying)
+
     @property
     def keying(self):
         """``(nvars, kind, block)``, the variables and order of the layout."""
         return self.layout[4:7]
+
+    @property
+    def top(self):
+        """The largest total degree of any term, the degree bound of a
+        reduction against the basis in every layout; read once."""
+        if self._top is None:
+            if self.polys is None:
+                self._top = max((sum(e) for t in self._lists for e, _ in t), default=0)
+            else:
+                self._top = _top(chain.from_iterable(self.polys), self.layout[2])
+        return self._top
+
+    def leading_monomials(self):
+        """The exponent tuple of each element's leading term."""
+        if self.polys is None:
+            return [terms[0][0] for terms in self._lists]
+        L = self.layout
+        return [_unpack(p[0][1], L) for p in self.polys]
+
+    def graded(self):
+        """True if each element's first and last terms have one total
+        degree: under grevlex, a graded order, each is then homogeneous."""
+        if self.polys is None:
+            return all(sum(t[0][0]) == sum(t[-1][0]) for t in self._lists)
+        return _graded(self.polys, self.layout[2])
 
     def keyed(self, L):
         """``polys`` if they are in the layout ``L``, else the lists keyed in it."""
@@ -569,8 +636,7 @@ def interreduce(basis, max_degree=_DEGREE_BOUND):
 def _reduced_basis(L, basis, max_degree):
     """``interreduce`` in the layout ``L``."""
     polys = basis.keyed(L)
-    top = _top(chain.from_iterable(polys), L[2])
-    return Basis.of(_interreduce(list(polys), L, top, max_degree)[0], L)
+    return Basis.of(_interreduce(list(polys), L, basis.top, max_degree)[0], L)
 
 
 def _interreduce(polys, L, top, max_degree):
@@ -867,6 +933,5 @@ def _normal_form(L, fpairs, basis):
     in another."""
     polys = basis.keyed(L)
     terms = ((*_encode(e, L), c) for e, c in fpairs)
-    top = _top(chain.from_iterable(polys), L[2])
-    tail, mult = _reduce(terms, polys, L, top)
+    tail, mult = _reduce(terms, polys, L, basis.top)
     return _strip_keys(tail, L), mult

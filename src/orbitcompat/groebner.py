@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import inf, lcm
 
 from . import _kernel
@@ -90,8 +91,15 @@ class IdealPresentation:
     legitimately produce.  Equality, hashing and ``repr`` read ``ctx`` and
     ``generators``, and the attributes are read-only.  A presentation keeps
     every basis computed for it, one per order, and its naive closures, one
-    per variable name; a saturated closure is presented by its reduced
-    basis, built when first read.
+    per variable name.
+
+    A closure is presented lazily (``_carrying``): it carries the kernel
+    term lists it presents, homogeneous and spanning its ideal, which the
+    kernel reads, and builds its ``MultiPoly`` generators only when
+    ``generators`` is first read.  A naive closure carries its generators'
+    lists, and a saturated one its minimal basis, while it is presented by
+    its reduced basis.  Unpickling fills the cache fields that an older
+    pickle lacks.
     """
 
     def __init__(self, ctx: VarContext, generators):
@@ -101,20 +109,35 @@ class IdealPresentation:
                 raise ContextMismatch("generator context differs from ideal context")
             if not g.is_zero() and g not in gens:
                 gens.append(g)
-        _set = object.__setattr__
-        _set(self, "ctx", ctx)
-        # None while homogenise_ideal's result has not built them
-        _set(self, "_generators", tuple(gens))
-        # order -> ReducedGB: attached by homogenise_ideal, kept by buchberger
-        _set(self, "_bases", {})
-        # tvar -> homogenise_naive's result, kept with its bases
-        _set(self, "_naive", {})
+        object.__setattr__(self, "ctx", ctx)
+        self.__setstate__({"_generators": tuple(gens)})
+
+    @classmethod
+    def _carrying(cls, ctx: VarContext, terms, build) -> "IdealPresentation":
+        """A closure presented lazily: it carries ``terms``, the kernel term
+        lists it presents, and its generators are ``build()``, called when
+        ``generators`` is first read."""
+        out = cls.__new__(cls)
+        out.__setstate__({"ctx": ctx, "_generators": None, "_terms": terms, "_build": build})
+        return out
+
+    def __setstate__(self, state):
+        # the cache fields, filled where a pickle made before one existed
+        # lacks it: order -> ReducedGB, attached by homogenise_ideal and kept
+        # by buchberger; tvar -> homogenise_naive's result; a closure's
+        # carried lists, and what builds its generators while they are None
+        state = {"_bases": {}, "_naive": {}, "_terms": None, "_build": None, **state}
+        if state["_generators"] is None and state["_build"] is None:
+            # a saturated closure pickled unread before closures carried lists
+            G = state["_bases"][GREVLEX]
+            state.update(_terms=G._minimal, _build=partial(getattr, G, "basis"))
+        self.__dict__.update(state)
 
     @property
     def generators(self) -> tuple[MultiPoly, ...]:
         if self._generators is None:
-            # homogenise_ideal's result: the reduced basis it carries
-            object.__setattr__(self, "_generators", self._bases[GREVLEX].basis)
+            object.__setattr__(self, "_generators", tuple(self._build()))
+            object.__setattr__(self, "_build", None)
         return self._generators
 
     def __setattr__(self, name, value):
@@ -148,7 +171,8 @@ class ReducedGB:
     ``_kernel.Basis``, a pickle's among them, are checked for that order,
     and a ``_kernel.Basis`` must be keyed for it and the context's variable
     count; ValueError otherwise.  ``leading_monomials``, ``contains_one``
-    and ``is_homogeneous`` read the minimal basis, and a pickle holds it
+    and ``is_homogeneous`` read the minimal basis, a kernel basis's answers
+    off its packs, so they strip no term lists, and a pickle holds it
     alone.  ``_kernel.interreduce_raw`` tail-reduces it on first use into
     the kernel's keyed reduced basis, whose integer lists are canonical:
     equality, hashing and ``normal_form`` read them, and ``basis`` is built
@@ -220,7 +244,7 @@ class ReducedGB:
         return f"ReducedGB(ctx={self.ctx!r}, order={self.order!r}, basis={self.basis!r})"
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(terms[0][0] for terms in self._minimal)
+        return tuple(self._minimal.leading_monomials())
 
     def contains_one(self) -> bool:
         leads = self.leading_monomials()
@@ -231,9 +255,7 @@ class ReducedGB:
         # smallest degree; under lex x + y^2 + z's do not.  A homogeneous
         # ideal can have an inhomogeneous minimal basis, {x, y^2 + x} of
         # <x, y^2> for one, so that case asks the reduced basis
-        if self.order.kind == "grevlex" and all(
-            sum(terms[0][0]) == sum(terms[-1][0]) for terms in self._minimal
-        ):
+        if self.order.kind == "grevlex" and self._minimal.graded():
             return True
         return all(len({sum(e) for e, _ in terms}) == 1 for terms in self._tails())
 
@@ -247,13 +269,25 @@ def _clear_denominators(f: MultiPoly) -> tuple[int, list[tuple[Monomial, int]]]:
 
 
 def _lists(I: IdealPresentation) -> list:
-    """The kernel's term lists of the presented ideal: the minimal basis a
-    ``homogenise_ideal`` result carries while its generators are unbuilt,
-    which spans the same ideal, otherwise the generators with their
+    """The kernel's term lists of the presented ideal: those a closure
+    carries, which span it, otherwise the generators with their
     denominators cleared."""
-    if I._generators is None:
-        return I._bases[GREVLEX]._minimal
-    return [_clear_denominators(g)[1] for g in I._generators]
+    if I._terms is not None:
+        return I._terms
+    return [_clear_denominators(g)[1] for g in I.generators]
+
+
+def _homogenised(terms: list) -> list:
+    """A kernel term list homogenised with a variable appended last, as
+    ``homogenise_poly`` homogenises a polynomial, terms in their order."""
+    degrees = [sum(e) for e, _ in terms]
+    d = max(degrees)
+    return [(e + (d - k,), c) for (e, c), k in zip(terms, degrees)]
+
+
+def _homogenised_generators(generators, tvar: str) -> list[MultiPoly]:
+    """``homogenise_naive``'s generators, built from the presentation's."""
+    return [homogenise_poly(g, tvar) for g in generators]
 
 
 def _monic(ctx: VarContext, raw: list) -> tuple[MultiPoly, ...]:
@@ -281,19 +315,24 @@ def buchberger(
     ``ideal_equal`` and ``ideal_contains`` by default, read the grevlex
     one.  Under grevlex the tails are reduced only when the basis is read
     (see ``ReducedGB``); under other orders here, since a reduced tail can
-    have a higher degree than the minimal basis.  A ``homogenise_ideal``
-    result whose generators are unbuilt enters the kernel as the minimal
-    basis it carries, which is not tail-reduced first.
+    have a higher degree than the minimal basis.  A closure enters the
+    kernel as the term lists it carries (see ``IdealPresentation``), so a
+    saturated one's minimal basis is not tail-reduced first.
     Raises ResourceLimitExceeded when a generator's degree exceeds
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
     """
-    if I._generators is None:
-        # homogenise_ideal's result, its generators not built: each element
-        # of its homogeneous minimal basis has its leading term's degree
-        top = max((sum(terms[0][0]) for terms in I._bases[GREVLEX]._minimal), default=-1)
-    else:
+    terms = I._terms
+    if terms is None:
         top = max((g.degree() for g in I.generators), default=-1)
+    else:
+        # a closure's lists are homogeneous: each has its first term's degree
+        firsts = (
+            terms.leading_monomials()
+            if isinstance(terms, _kernel.Basis)
+            else [t[0][0] for t in terms]
+        )
+        top = max(map(sum, firsts), default=-1)
     if top > limits.max_degree:
         raise ResourceLimitExceeded(
             f"degree cap {limits.max_degree} exceeded by an input of degree {top}"
@@ -331,9 +370,8 @@ def ideal_contains(
     limits: GBLimits = DEFAULT_LIMITS,
 ) -> bool:
     """True iff B is contained in A: every generator of B reduces to zero
-    against A's reduced basis.  A ``homogenise_ideal`` result whose
-    generators are unbuilt is read through the minimal basis it carries,
-    which spans the same ideal, and is not tail-reduced."""
+    against A's reduced basis.  A closure is read through the term lists it
+    carries, so a saturated one's minimal basis is not tail-reduced."""
     if A.ctx != B.ctx:
         raise ContextMismatch("ideals live in different contexts")
     G = buchberger(A, order, limits)
@@ -418,12 +456,17 @@ def homogenise_naive(
 
     The result is kept on I: a later call with the same tvar returns the
     same object, carrying every basis computed for it, so
-    ``homogenise_ideal`` reuses a basis the caller already has.
+    ``homogenise_ideal`` reuses a basis the caller already has.  It carries
+    I's kernel term lists homogenised, the kernel's input, and its
+    generators, ``homogenise_poly(g, tvar)`` of I's, are built when first
+    read.  It keeps I's generator tuple for that, never I, so I does not
+    outlive its last reference in a cycle.
     """
     out = I._naive.get(tvar)
     if out is None:
-        new_ctx = I.ctx.extend(tvar)
-        out = IdealPresentation(new_ctx, [homogenise_poly(g, tvar) for g in I.generators])
+        terms = [_homogenised(t) for t in _lists(I)]
+        build = partial(_homogenised_generators, I.generators, tvar)
+        out = IdealPresentation._carrying(I.ctx.extend(tvar), terms, build)
         I._naive[tvar] = out
     return out
 
@@ -462,24 +505,20 @@ def homogenise_ideal(
     ``buchberger(result)`` returns it without a second pair loop, and
     ``hilbert`` reads it as it is.  The result is presented by its reduced
     basis, the homogenised reduced basis of I, which is unique, so equal
-    ideals give equal results; it is built when first read, and a pickle
-    holds the minimal basis alone.
+    ideals give equal results; it is built when first read, and the kernel
+    reads the minimal basis the result carries.
     """
     ctx = I.ctx.extend(tvar)
     if len(I.generators) <= len(I.ctx):
         naive = buchberger(homogenise_naive(I, tvar), GREVLEX, limits)
         minimal = _kernel.saturate_last_raw(naive._minimal)
     else:
-        # a grevlex leading term has its element's largest degree
-        hom = []
-        for terms in buchberger(I, GREVLEX, limits)._minimal:
-            d = sum(terms[0][0])
-            hom.append([(e + (d - sum(e),), c) for e, c in terms])
+        hom = [_homogenised(terms) for terms in buchberger(I, GREVLEX, limits)._minimal]
         # sorted by construction: appending t last keeps grevlex order
         minimal = _kernel.Basis.of_lists(hom, len(ctx), *GREVLEX.code)
-    out = IdealPresentation(ctx, ())
-    object.__setattr__(out, "_generators", None)
-    out._bases[GREVLEX] = ReducedGB(ctx, GREVLEX, minimal)
+    G = ReducedGB(ctx, GREVLEX, minimal)
+    out = IdealPresentation._carrying(ctx, minimal, partial(getattr, G, "basis"))
+    out._bases[GREVLEX] = G
     return out
 
 

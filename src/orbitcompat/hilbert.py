@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import le
 
 from .groebner import ReducedGB
 from .polyring import Monomial, PolyError
@@ -85,9 +86,12 @@ def _kpoly(gens: frozenset[Monomial], cache: dict) -> list[int]:
 
 
 def _minimalise(monos) -> frozenset[Monomial]:
+    """The minimal generators of the monomial ideal of `monos`: a divisor
+    has no larger degree, so one pass by degree keeps each monomial that no
+    kept one divides."""
     minimal: list[Monomial] = []
     for m in sorted(monos, key=sum):
-        if not any(all(x <= y for x, y in zip(g, m)) for g in minimal):
+        if not any(all(map(le, g, m)) for g in minimal):
             minimal.append(m)
     return frozenset(minimal)
 

@@ -2,9 +2,11 @@
 homogenisations, checked against independent oracles wherever a value is
 derived rather than trivial."""
 
+import gc
 import io
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -790,6 +792,76 @@ def sl4_fibre_c2():
     """A fibre whose minimal and reduced grevlex bases differ."""
     orbit = orbit_ideal_charvalues(DiagSpec([3, 1, -1, -3]), [-3, -1, 1])
     return fibre_ideal(orbit, DiagSpec([1, -1, 0, 0]), 2)
+
+
+def test_both_closures_of_an_sl4_fibre_build_no_generator_and_strip_no_list(monkeypatch):
+    # the kernel reads the term lists each closure carries, and hilbert the
+    # packs of the bases it returns: neither closure builds a MultiPoly
+    # generator or unpacks a term list
+    def refuse(*args):
+        raise AssertionError("a closure built its generators or stripped a basis")
+
+    I = sl4_fibre()
+    monkeypatch.setattr(groebner, "homogenise_poly", refuse)
+    monkeypatch.setattr(pure, "_strip_keys", refuse)
+    naive = hilbert(buchberger(homogenise_naive(I, "t")))
+    saturated = hilbert(buchberger(homogenise_ideal(I, "t")))
+    assert (naive.proj_dim, naive.degree) == (12, 4)
+    assert (saturated.proj_dim, saturated.degree) == (11, 24)
+
+
+@pytest.mark.parametrize("build", [sl4_fibre, lambda: fresh(sl4_fibre_c2())])
+def test_a_naive_closure_builds_its_generators_when_read(build):
+    I = build()
+    out = homogenise_naive(I, "t")
+    assert out._generators is None
+    assert list(out.generators) == [homogenise_poly(g, "t") for g in I.generators]
+    # the lists it carries are those of its generators, term for term, so
+    # the kernel's input is the same whether they were read or not
+    assert groebner._lists(out) == [groebner._clear_denominators(h)[1] for h in out.generators]
+    assert out == IdealPresentation(out.ctx, out.generators)
+
+
+def test_a_fibre_dies_with_its_last_reference_after_both_closures():
+    # a naive closure keeps the fibre's generators, never the fibre, so no
+    # cycle through the fibre's closures leaves it to the cyclic collector
+    gc.disable()
+    try:
+        I = sl4_fibre()
+        hilbert(buchberger(homogenise_naive(I, "t")))
+        hilbert(buchberger(homogenise_ideal(I, "t")))
+        ref = weakref.ref(I)
+        del I
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def old_pickle(state):
+    """A presentation with exactly ``state`` as its attributes, pickled and
+    loaded, as a pickle made before later cache fields existed loads."""
+    old = IdealPresentation.__new__(IdealPresentation)
+    old.__dict__.update(state)
+    return pickle.loads(pickle.dumps(old))
+
+
+def test_a_presentation_pickled_before_its_cache_fields_existed_homogenises(fibration_110):
+    I = fresh(fibration_110["I"])
+    # before _bases and _naive existed, and before closures carried lists
+    back = old_pickle({"ctx": I.ctx, "_generators": I.generators})
+    assert back == I and back._bases == {} and back._naive == {}
+    assert homogenise_naive(back, "t") == homogenise_naive(I, "t")
+    assert buchberger(homogenise_ideal(back, "t")) == buchberger(homogenise_ideal(I, "t"))
+    # an unread saturated closure as the previous layout pickled it: its
+    # generators are read off the basis it carries
+    S = homogenise_ideal(fresh(I), "t")
+    state = {"ctx": S.ctx, "_generators": None, "_bases": dict(S._bases), "_naive": {}}
+    back = old_pickle(state)
+    assert back._generators is None
+    assert groebner._lists(back) == S._bases[GREVLEX]._minimal
+    assert hilbert(buchberger(back)) == hilbert(buchberger(S))
+    assert back.generators == S.generators
+    assert homogenise_naive(back, "s") == homogenise_naive(S, "s")
 
 
 def test_attached_basis_is_the_fresh_reduced_basis(fibration_110, fibration_321):

@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcompat import (
     GREVLEX,
@@ -17,7 +19,7 @@ from orbitcompat import (
     ideal_contains,
     parse_poly,
 )
-from orbitcompat.hilbert import hilbert, hilbert_of_leading_terms
+from orbitcompat.hilbert import _minimalise, hilbert, hilbert_of_leading_terms
 
 
 def GB(ctx, *texts):
@@ -192,3 +194,38 @@ def test_series_counts_standard_monomials(gens, nvars):
     assert _series_coeffs(h, nvars, upto) == _standard_monomial_counts(
         gens, nvars, upto
     )
+
+
+def _brute_minimal(monos):
+    """The monomials of `monos` that no other one of them divides."""
+    monos = set(monos)
+    return frozenset(
+        m
+        for m in monos
+        if not any(g != m and all(a <= b for a, b in zip(g, m)) for g in monos)
+    )
+
+
+@st.composite
+def monomial_sets(draw):
+    """(monomials, nvars): up to 8 monomials in 1-4 variables, exponents up
+    to 3, repeats and multiples allowed."""
+    nvars = draw(st.integers(1, 4))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=8))
+    return monos, nvars
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_sets())
+def test_minimalise_keeps_the_minimal_generators(case):
+    monos, nvars = case
+    minimal = _brute_minimal(monos)
+    assert _minimalise(monos) == minimal
+    if (0,) * nvars in minimal:
+        # the unit ideal
+        with pytest.raises(PolyError):
+            hilbert_of_leading_terms(monos, nvars)
+        return
+    h = hilbert_of_leading_terms(monos, nvars)
+    assert h == hilbert_of_leading_terms(sorted(minimal), nvars)
+    assert _series_coeffs(h, nvars, 6) == _standard_monomial_counts(minimal, nvars, 6)

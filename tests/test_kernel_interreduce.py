@@ -7,6 +7,8 @@ the last; the counts below pin that rule and the bases are the ones the
 engine gave before it.
 """
 
+import pickle
+
 import pytest
 
 from orbitcompat import DiagSpec, GBLimits, fibre_ideal, orbit_ideal_charvalues
@@ -91,3 +93,38 @@ def test_interreduce_keys_the_sl4_fibre_alike_from_plain_lists():
     assert kept != minimal
     assert kept == plain and kept.polys == plain.polys and kept.layout is plain.layout
     assert kept.polys == pure._key_basis(kept.layout, kept)
+
+
+def test_a_kernel_basis_strips_its_lists_only_when_read(monkeypatch):
+    # the grevlex basis {y + 1, x^2 - 1}: its length, leading monomials,
+    # gradedness and degree bound come off the packs, and reducing against
+    # it reads only its engine polynomials
+    gens = [[(X2, 1), (Y, 1)], [(Y, 1), (ONE, 1)]]
+    basis = [[(Y, 1), (ONE, 1)], [(X2, 1), (ONE, -1)]]
+    strip = pure._strip_keys
+    stripped = []
+
+    def counted(poly, L):
+        stripped.append(poly)
+        return strip(poly, L)
+
+    minimal = pure.buchberger(gens, 2, *GREVLEX, LIMITS.max_pairs, LIMITS.max_degree)
+    monkeypatch.setattr(pure, "_strip_keys", counted)
+    assert len(minimal) == 2 and minimal
+    assert minimal.leading_monomials() == [Y, X2]
+    assert not minimal.graded() and minimal.top == 2
+    reduced = pure.interreduce(minimal)
+    assert stripped == []
+    # a normal form strips its remainder alone: 3*x*y^2 -> 3*x
+    assert pure.normal_form([((1, 2), 3)], reduced) == ([((1, 0), 3)], 1)
+    assert len(stripped) == 1
+    # reading the basis strips each element once, and it reads as its lists
+    assert repr(minimal) == repr(basis) and minimal == basis and basis == minimal
+    assert minimal[1] == basis[1] and list(minimal) == basis
+    assert len(stripped) == 3
+    # its lists pickle, unkeyed, in the 16-bit layout of its order
+    back = pickle.loads(pickle.dumps(minimal))
+    assert isinstance(back, pure.Basis) and back == minimal and back.polys is None
+    assert back.layout is pure._layout(2, 16, *GREVLEX)
+    assert back.leading_monomials() == [Y, X2] and back.top == 2 and not back.graded()
+    assert pure.interreduce(back) == reduced
