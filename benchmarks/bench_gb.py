@@ -37,6 +37,14 @@ Workloads:
                  heaviest homogeneous run here, so the one that times the
                  pair loops' top reduction
 
+The last row, sl4-minimal-nf, is not slow: it times ``pure.normal_form``,
+which nothing else here runs, on ``NF_QUERIES`` seeded products of two
+random polynomials reduced against the reduced sl4-minimal basis, as
+``perfbench``'s ``membership`` workload reduces its queries.  Its
+``reduce`` column is the time of all the normal forms against a basis that
+has served none, so the lead-support index they share is made within the
+timing, and its digest is that of their ``(tail, mult)`` results.
+
 Each run times ``pure.buchberger``, which returns a minimal basis, or for
 sl5-saturated the route of ``ROUTES``, and ``pure.interreduce``, which
 tail-reduces it, in two columns, the best of the repeats.  The checks read
@@ -78,8 +86,10 @@ Usage: python benchmarks/bench_gb.py [--repeat N] [--skip-slow]
 
 import argparse
 import hashlib
+import random
 import sys
 import time
+from operator import add
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -250,6 +260,55 @@ def bench(raw_args, repeat, route=pure.buchberger):
     return min(loop_times), min(reduce_times), minimal, reduced
 
 
+# the normal-form row: its name, and the count and seed of its queries
+NF_ROW = "sl4-minimal-nf"
+NF_QUERIES = 128
+NF_SEED = 2016
+
+
+def nf_queries(nvars):
+    """``NF_QUERIES`` kernel term lists in ``nvars`` variables, each the
+    product of two random polynomials of five terms of degree at most two."""
+    rng = random.Random(NF_SEED)
+
+    def factor():
+        terms = []
+        for _ in range(5):
+            exp = [0] * nvars
+            for _ in range(rng.randint(0, 2)):
+                exp[rng.randrange(nvars)] += 1
+            terms.append((tuple(exp), rng.choice([-1, 1]) * rng.randint(1, 9)))
+        return terms
+
+    queries = []
+    for _ in range(NF_QUERIES):
+        a, b = factor(), factor()
+        product = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                product[e] = product.get(e, 0) + ca * cb
+        queries.append([(e, c) for e, c in product.items() if c])
+    return queries
+
+
+def bench_normal_forms(repeat):
+    """``(best time of the normal forms, reduced basis, their results)``
+    for the row ``NF_ROW``: ``nf_queries`` against the reduced sl4-minimal
+    basis, each run against a copy that has served no normal form."""
+    gens, nvars, kind, block = minimal_orbit_raw([1, 1, 1, -3])
+    minimal = pure.buchberger(gens, nvars, kind, block, 2_000_000, MAX_DEGREE)
+    reduced = pure.interreduce(minimal, MAX_DEGREE)
+    queries = nf_queries(nvars)
+    times = []
+    for _ in range(repeat):
+        basis = pure.Basis.of(reduced.polys, reduced.layout)
+        t0 = time.perf_counter()
+        results = [pure.normal_form(q, basis) for q in queries]
+        times.append(time.perf_counter() - t0)
+    return min(times), reduced, results
+
+
 def width(basis):
     """The field width, 16 or 32 bits, of the layout of ``basis``, a
     ``pure.Basis`` as ``pure.buchberger`` or ``pure.interreduce`` returns it."""
@@ -319,7 +378,21 @@ DIGESTS = {
     "sl5-fibre": "02d0f55fb221",
     "sl5-naive": "94e09f77fe01",
     "sl5-saturated": "02d0f55fb221",
+    NF_ROW: "bb4aaa882405",
 }
+
+
+def report(name, loop_s, reduce_s, size, bits, got):
+    """Print a row, ``loop_s`` None for a row without a minimal basis of its
+    own, and return the errors of its width and digest checks."""
+    loop = "-" if loop_s is None else f"{loop_s:.3f}s"
+    print(f"{name:<16} {loop:>9} {reduce_s:>8.3f}s  {size:>5}  {bits:>4}  {got}")
+    wrong = []
+    if bits != 16:
+        wrong.append(f"{name}: ran at {bits} bits, capped at degree {MAX_DEGREE}")
+    if got != DIGESTS[name]:
+        wrong.append(f"{name}: sha256 {got}, expected {DIGESTS[name]}")
+    return wrong
 
 
 def main(argv=None):
@@ -339,16 +412,14 @@ def main(argv=None):
         loop_s, reduce_s, minimal, reduced = bench(raw_args, args.repeat, route)
         got = digest(dehomogenised(reduced) if name in ROUTES else reduced)
         bits = max(width(minimal), width(reduced))
-        print(f"{name:<16} {loop_s:>8.3f}s {reduce_s:>8.3f}s  {len(reduced):>5}  {bits:>4}  {got}")
-        if bits != 16:
-            wrong.append(f"{name}: ran at {bits} bits, capped at degree {MAX_DEGREE}")
-        if got != DIGESTS[name]:
-            wrong.append(f"{name}: sha256 {got}, expected {DIGESTS[name]}")
+        wrong += report(name, loop_s, reduce_s, len(reduced), bits, got)
         if name in EXPECTED:
             measure, want = EXPECTED[name]
             got = measure(minimal, raw_args[1])
             if got != want:
                 wrong.append(f"{name}: {measure.__name__} {got}, expected {want}")
+    nf_s, reduced, results = bench_normal_forms(args.repeat)
+    wrong += report(NF_ROW, None, nf_s, len(reduced), width(reduced), digest(results))
     for line in wrong:
         print(f"error: {line}", file=sys.stderr)
     return 1 if wrong else 0

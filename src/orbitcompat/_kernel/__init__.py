@@ -11,7 +11,10 @@ variables and the order, so only ``buchberger_raw`` takes an order.  It
 reads as its ``[(exp, int)]`` lists, stripped off the polynomials when
 first iterated, indexed, compared or printed, and answers its leading
 monomials and grevlex gradedness off the packs; ``Basis.of_lists`` makes
-one from plain lists.
+one from plain lists.  A basis that ``normal_form_raw`` reduces against
+keeps the lead-support index its first normal form makes, which finds each
+leading term's reducer among the few elements whose variables it has, and
+later normal forms against the same basis reuse it.
 """
 
 from . import pure

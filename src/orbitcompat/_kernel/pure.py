@@ -23,7 +23,9 @@ its digit, so keys order monomials as ``make_key`` does and are injective;
 being a dot product they are additive.
 A grevlex key's digits are the pack's fields with the exponents negated,
 so ``_encode`` reads it off the pack as twice the degree field minus the
-pack, the same int without the dot product.
+pack, the same int without the dot product.  ``_encode_terms`` keys a whole
+input term list in one pass, with one degree check on its largest degree;
+``_encode`` is left for single monomials.
 
 The pack is the packed exponent vector (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998): ``nvars +
@@ -72,9 +74,11 @@ key seen and not yet taken in ascending order, gives the leading term by a
 pop from its end; a key enters it once, by ``bisect.insort``, when a step
 first creates it.  A step's term does one ``h.get``; only a key new to the
 dict looks in the pack map, where a key that cancelled earlier is found,
-still in the leader list.  The head search is one subtraction and one AND per
-reducer.  A step subtracts the reducer term by term, shifting each key and
-each pack by one integer addition, so the interpreted work of a step grows
+still in the leader list.  The head search tests the reducers in order,
+one subtraction and one AND each, and takes the first that divides; a
+normal form tests only the candidates its basis's lead-support index gives
+(see below).  A step subtracts the reducer term by term, shifting each key
+and each pack by one integer addition, so the interpreted work of a step grows
 with the reducer's length, not the remainder's.  A step scales the
 remainder only by ``gc // gcd(gc, c0)`` (reducer and remainder leading
 coefficients), which is 1 for most steps.  An irreducible term stays in the
@@ -177,7 +181,20 @@ stops at the first term that leaves the content 1, so it costs little
 where there is none.
 
 ``normal_form`` reduces against a ``Basis`` keyed once, as ``interreduce``
-returns it.
+returns it, and finds each head's reducer through the basis's lead-support
+index (``_LeadIndex``), the support mask Singular-style engines keep beside
+a packed leading monomial.  A head's support, the set of its nonzero
+exponent fields, is three int operations on its pack; the index maps each
+support met so far to the reducers whose leading support lies inside it,
+in basis order, so the first divisor among them is the one a scan of the
+whole basis finds, and every step, the tail and the multiplier are those of
+the scan.  The reducers' supports are found once per basis, and an entry
+once per support, so the index pays only when it persists: against the
+68 reducers of the sl(4) minimal orbit's reduced basis, a head of a
+``perfbench`` ``membership`` query makes one divisibility test on average,
+where the scan made 21.  The pair loops and ``_interreduce`` scan, since
+their reducers change from call to call, and so does a 32-bit rerun, which
+keys its own lists.
 
 This is the package's only Groebner engine.  It has no caps of its own:
 ``buchberger`` takes them from the caller, whose defaults live in
@@ -296,10 +313,35 @@ def _unpack(pack, L):
     return struct.unpack(pack.to_bytes(struct.size, "little"))[:-1]
 
 
+def _encode_terms(pairs, L):
+    """The ``(key, pack, coeff)`` terms of a list of ``(exp, coeff)`` pairs
+    in the layout ``L``, in their order, each as ``_encode`` keys it.
+
+    One ``_degree_guard`` on the largest total degree refuses the list
+    before any term is keyed; under grevlex each key is read off its pack
+    as ``_encode`` reads it.
+    """
+    degrees = list(map(sum, map(itemgetter(0), pairs)))
+    _degree_guard(max(degrees, default=0), L)
+    fields = L[0].pack
+    if L[5] == 1:
+        up = L[2] + 1
+        return [
+            ((d << up) - p, p, c)
+            for d, (e, c) in zip(degrees, pairs)
+            for p in (int.from_bytes(fields(*e, d), "little"),)
+        ]
+    weights = L[7]
+    return [
+        (sum(map(mul, e, weights)), int.from_bytes(fields(*e, d), "little"), c)
+        for d, (e, c) in zip(degrees, pairs)
+    ]
+
+
 def _attach_keys(pairs, L):
     """[(exp, int)] -> engine poly in the layout ``L``, normalised primitive."""
-    terms = [(*_encode(e, L), c) for e, c in pairs if c]
-    terms.sort(key=lambda t: t[0], reverse=True)
+    terms = _encode_terms([t for t in pairs if t[1]], L)
+    terms.sort(key=itemgetter(0), reverse=True)
     return _primitive(terms)
 
 
@@ -352,7 +394,7 @@ def _primitive(terms):
     return terms
 
 
-def _reduce(f, basis, L, top, waiting=(), top_only=False):
+def _reduce(f, basis, L, top, waiting=(), top_only=False, index=None):
     """Fully reduce ``f`` modulo ``basis`` (fraction-free).
 
     ``f`` is any iterable of terms, in any order: terms with the same key
@@ -376,12 +418,21 @@ def _reduce(f, basis, L, top, waiting=(), top_only=False):
     With ``top_only`` the reduction stops at the first irreducible leading
     term and the tail after it is returned as it stands, reducible or not.
 
+    The head search takes the first reducer in ``basis`` whose leading
+    monomial divides the head.  Given an ``index``, the ``_LeadIndex`` of
+    exactly ``basis``, it tests only the candidates the index gives for the
+    head's support, which hold that first divisor, so the steps and the
+    result are the same; an index cannot serve ``waiting``, which changes
+    the reducers.
+
     Each step pops the largest key from a sorted leader list instead of
     scanning the remainder, and skips it if its terms cancelled; steps, and
     so the result, are those of taking ``max`` of the terms not yet found
     irreducible each time.
     """
     guard, shift = L[1], L[2]
+    if index is not None:
+        ones = index.ones
     # the whole remainder, irreducible terms included, as key -> coeff;
     # packs maps every key ever seen to its pack
     h = {}
@@ -409,7 +460,7 @@ def _reduce(f, basis, L, top, waiting=(), top_only=False):
         while waiting and k0 < waiting[-1][0]:
             basis.append(waiting.pop()[1])
         p0 = packs[k0]
-        for g in basis:
+        for g in basis if index is None else index[((p0 | guard) - ones) & guard]:
             if not (p0 - g[0][1]) & guard:
                 break
         else:
@@ -510,17 +561,21 @@ class Basis:
     it.  The kernel's own are keyed at the width their run ended at, and
     strip their lists off ``polys`` only when first iterated, indexed,
     compared or printed; the length, the leading monomials, the gradedness
-    test and the degree bound ``top`` are read off the packs.  It compares
-    equal to its lists, prints as them and pickles as them, unkeyed.
+    test and the degree bound ``top`` are read off the packs.  A keyed
+    basis also keeps the lead-support index of ``polys`` (``lead_index``),
+    made by its first normal form, which later ones reuse.  It compares
+    equal to its lists, prints as them and pickles as them, unkeyed and
+    without an index.
     """
 
-    __slots__ = ("polys", "layout", "_lists", "_top")
+    __slots__ = ("polys", "layout", "_lists", "_top", "_index")
 
     def __init__(self, lists, polys, layout):
         self._lists = None if lists is None else list(lists)
         self.polys = polys
         self.layout = layout
         self._top = None
+        self._index = None
 
     @classmethod
     def of(cls, polys, L):
@@ -593,6 +648,42 @@ class Basis:
     def keyed(self, L):
         """``polys`` if they are in the layout ``L``, else the lists keyed in it."""
         return self.polys if self.layout is L and self.polys else _key_basis(L, self)
+
+    def lead_index(self):
+        """The ``_LeadIndex`` of ``polys``, made on first call and kept."""
+        if self._index is None:
+            self._index = _LeadIndex(self.polys, self.layout)
+        return self._index
+
+
+class _LeadIndex(dict):
+    """The head search of normal forms against one basis: the support of a
+    head, the guard bits of its nonzero exponent fields, maps to the tuple
+    of reducers whose leading support lies inside it, in basis order.  A
+    reducer outside that tuple has a variable the head lacks, so cannot
+    divide it, and the first divisor in the tuple is the first in the basis.
+
+    A support is ``((pack | guard) - ones) & guard``, ``ones`` the low bit
+    of every exponent field: each field is at least its guard bit, so no
+    subtraction borrows, and a field keeps its guard bit iff it was
+    nonzero.  The reducers' supports are found once; an entry is made the
+    first time its support is met, and kept for the basis's lifetime.
+    """
+
+    __slots__ = ("ones", "_reducers")
+
+    def __init__(self, polys, L):
+        guard = L[1]
+        # each field's top bit shifted down to its bottom one; the bound is
+        # 2^(bits - 1)
+        self.ones = ones = guard >> (L[3].bit_length() - 1)
+        self._reducers = [(g, ((g[0][1] | guard) - ones) & guard) for g in polys]
+
+    def __missing__(self, support):
+        # a list, not a generator: a generator per miss ran 9 collections of
+        # the youngest GC generation in a seed-11 sl3-sweep round, not 3
+        found = self[support] = tuple([g for g, s in self._reducers if s | support == support])
+        return found
 
 
 def saturate_last(basis):
@@ -921,17 +1012,21 @@ def normal_form(fpairs, basis):
     the order; returns ``(tail, mult)`` with the exact normal form equal to
     tail / mult, tail as an [(exp, int)] list.  The input is not
     content-normalised: the multiplier accounts for everything.  Runs in
-    the basis's layout; if a 16-bit run reaches degree 2^15, the basis's
-    lists are keyed at 32 bits for the rerun.  Raises ResourceLimitExceeded
-    on, or before making, a monomial of total degree 2^31 or more.
+    the basis's layout and finds each head's reducer through the basis's
+    lead-support index, made by the first call and kept; if a 16-bit run
+    reaches degree 2^15, the basis's lists are keyed at 32 bits for the
+    rerun, which scans them and leaves the index as it was.  Raises
+    ResourceLimitExceeded on, or before making, a monomial of total degree
+    2^31 or more.
     """
     return _widening(_normal_form, basis.layout, fpairs, basis)
 
 
 def _normal_form(L, fpairs, basis):
     """``normal_form`` in the layout ``L``, keying ``basis`` again if it is
-    in another."""
+    in another: such a keying is the call's own, and its head search scans
+    it, while the basis's own polynomials are searched through its index."""
     polys = basis.keyed(L)
-    terms = ((*_encode(e, L), c) for e, c in fpairs)
-    tail, mult = _reduce(terms, polys, L, basis.top)
+    index = basis.lead_index() if polys is basis.polys else None
+    tail, mult = _reduce(_encode_terms(fpairs, L), polys, L, basis.top, index=index)
     return _strip_keys(tail, L), mult

@@ -4,12 +4,14 @@ pair selection of the pure engine on its systems.
 Systems, expected values and basis digests come from the script's own
 ``WORKLOADS``, ``EXPECTED`` and ``DIGESTS``, and bases from its own
 ``bench``, so an engine change that breaks the script, or changes a reduced
-basis by a single bit, fails here.  The checks read the minimal basis and
-the digests the reduced one, as the script's do.  katsura-6 (about 0.15 s),
-sl5-minimal (tens of seconds), sl5-fibre and sl5-naive (about a minute
-each) and sl5-saturated (half a minute) are left to the script, whose
-``--skip-slow`` leaves out only the last four; the minimal bases of
-sl5-naive and sl5-saturated, which take about a second, are checked here.
+basis by a single bit, fails here; so does one that changes a normal form
+of the script's normal-form row, ``bench_normal_forms``.  The checks read
+the minimal basis and the digests the reduced one, as the script's do.
+katsura-6 (about 0.15 s), sl5-minimal (tens of seconds), sl5-fibre and
+sl5-naive (about a minute each) and sl5-saturated (half a minute) are left
+to the script, whose ``--skip-slow`` leaves out only the last four; the
+minimal bases of sl5-naive and sl5-saturated, which take about a second,
+are checked here.
 """
 
 import heapq
@@ -39,6 +41,15 @@ def test_bench_basis_checks_pass(name):
     measure, want = bench_gb.EXPECTED[name]
     assert measure(minimal, raw[1]) == want
     assert bench_gb.digest(reduced) == bench_gb.DIGESTS[name]
+
+
+def test_the_normal_form_row_pins_its_remainders():
+    # the script's only run of pure.normal_form: seeded products reduced
+    # against the reduced sl4-minimal basis, none of them to zero
+    _, reduced, results = bench_gb.bench_normal_forms(1)
+    assert bench_gb.digest(reduced) == bench_gb.DIGESTS["sl4-minimal"]
+    assert len(results) == bench_gb.NF_QUERIES and all(tail for tail, _ in results)
+    assert bench_gb.digest(results) == bench_gb.DIGESTS[bench_gb.NF_ROW]
 
 
 def finishes_within(name, max_pairs):

@@ -11,7 +11,17 @@ import pickle
 
 import pytest
 
-from orbitcompat import DiagSpec, GBLimits, fibre_ideal, orbit_ideal_charvalues
+from orbitcompat import (
+    DiagSpec,
+    GBLimits,
+    IdealPresentation,
+    MultiPoly,
+    VarContext,
+    buchberger,
+    fibre_ideal,
+    normal_form,
+    orbit_ideal_charvalues,
+)
 from orbitcompat._kernel import pure
 from orbitcompat.groebner import _clear_denominators
 
@@ -128,3 +138,26 @@ def test_a_kernel_basis_strips_its_lists_only_when_read(monkeypatch):
     assert back.layout is pure._layout(2, 16, *GREVLEX)
     assert back.leading_monomials() == [Y, X2] and back.top == 2 and not back.graded()
     assert pure.interreduce(back) == reduced
+
+
+def test_a_basis_that_served_normal_forms_reads_as_its_lists():
+    # the grevlex basis {y + 1, x^2 - 1} after normal forms: its index is
+    # the kernel's own state, not part of its value, and is not pickled
+    ctx = VarContext(["x", "y"])
+    gens = [MultiPoly(ctx, {X2: 1, Y: 1}), MultiPoly(ctx, {Y: 1, ONE: 1})]
+    G = buchberger(IdealPresentation(ctx, gens))
+    fresh = pickle.loads(pickle.dumps(G))
+    basis = [[(Y, 1), (ONE, 1)], [(X2, 1), (ONE, -1)]]
+    for f in ({(1, 2): 3}, {(3, 1): 1, X: 2}):
+        normal_form(MultiPoly(ctx, f), G)
+    reduced = G._tails()
+    assert reduced.lead_index()
+    data = pickle.dumps(reduced)
+    assert b"_LeadIndex" not in data and b"_index" not in data
+    back = pickle.loads(data)
+    assert back._index is None and back.polys is None
+    assert back == reduced == basis and repr(back) == repr(reduced) == repr(basis)
+    back = pickle.loads(pickle.dumps(G))
+    assert back._tails()._index is None
+    assert back == G == fresh and hash(back) == hash(G) == hash(fresh)
+    assert repr(back) == repr(G) == repr(fresh)

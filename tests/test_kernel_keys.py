@@ -156,6 +156,39 @@ def test_a_pack_of_degree_2_15_widens_a_16_bit_layout(n, data):
         pure._encode(data.draw(exponent(n, total)), pure._layout(n, 16, kind, block))
 
 
+@st.composite
+def term_list(draw):
+    """(L, pairs): a layout of a drawn width and order, and a list of up to
+    six (exp, coeff) pairs that it holds, zero coefficients included."""
+    n = draw(st.sampled_from([1, 3, 16]))
+    bits = draw(WIDTHS)
+    kind = draw(st.sampled_from([0, 1, 2]))
+    block = draw(st.integers(0, n)) if kind == 2 else 0
+    exps = st.lists(exponent(n, top=TOPS[bits]), max_size=6)
+    pairs = [(e, draw(st.integers(-9, 9))) for e in draw(exps)]
+    return pure._layout(n, bits, kind, block), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_list())
+def test_a_term_list_is_keyed_as_its_terms_are(case):
+    L, pairs = case
+    assert pure._encode_terms(pairs, L) == [(*pure._encode(e, L), c) for e, c in pairs]
+
+
+@pytest.mark.parametrize("kind,block", [(0, 0), (1, 0), (2, 1)])
+@pytest.mark.parametrize("bits,error", [(16, pure._Widen), (32, ResourceLimitExceeded)])
+def test_a_term_list_over_the_bound_in_its_last_term_is_refused(kind, block, bits, error):
+    # the terms before the last are held; the per-term path refuses the
+    # last, and the list is refused alike
+    L = pure._layout(3, bits, kind, block)
+    pairs = [((1, 2, 0), 3), ((0, 0, 5), -1), ((2**bits // 2, 0, 0), 1)]
+    with pytest.raises(error):
+        [(*pure._encode(e, L), c) for e, c in pairs]
+    with pytest.raises(error):
+        pure._encode_terms(pairs, L)
+
+
 # lex with x > y, and the basis x - y^(2^30)
 LEX = (0, 0)
 BASIS = [[((1, 0), 1), ((0, 2**30), -1)]]
@@ -272,6 +305,28 @@ def test_a_normal_form_past_degree_2_15_against_a_16_bit_basis_is_exact():
     # the caller's basis stays as it was keyed
     assert keyed_basis.layout is narrow and keyed_basis == basis
     assert keyed_basis.polys == pure._key_basis(narrow, basis)
+
+
+def test_a_rerun_at_32_bits_leaves_the_16_bit_index_as_it_was():
+    # lex, x > y, modulo x - y^2: x^3 fills the index in 16 bits, x^20000
+    # reaches y^40000 and reruns at 32, and x^5*y is held in 16 bits again
+    basis = [[((1, 0), 1), ((0, 2), -1)]]
+    keyed_basis = keyed(basis, 2)
+    narrow = keyed_basis.layout
+    assert pure.normal_form([((3, 0), 1)], keyed_basis) == ([((0, 6), 1)], 1)
+    index = keyed_basis.lead_index()
+    assert pure.normal_form([((20000, 0), 1)], keyed_basis) == ([((0, 40000), 1)], 1)
+    # the basis and its index hold the 16-bit polynomials alone
+    assert keyed_basis.lead_index() is index and keyed_basis.layout is narrow
+    assert keyed_basis.polys == pure._key_basis(narrow, basis)
+    # the heads met in 16 bits have the supports of x, x*y and y; a 32-bit
+    # rerun that filled it would have added others
+    guard = narrow[1]
+    heads = [pure._encode(e, narrow)[1] for e in ((1, 0), (1, 1), (0, 1))]
+    assert set(index) == {((p | guard) - index.ones) & guard for p in heads}
+    polys = keyed_basis.polys
+    assert all(g is polys[0] for t in index.values() for g in t)
+    assert pure.normal_form([((5, 1), 2)], keyed_basis) == ([((0, 11), 2)], 1)
 
 
 def test_saturate_last_past_degree_2_15_reruns_at_32_bits():

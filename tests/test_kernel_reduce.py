@@ -1,13 +1,17 @@
 """Property test of the pure engine's fraction-free reduction against the
 division algorithm over Q, on seeded random inputs whose leading coefficients
 grow past the bit length that starts a content pass (``pure._CONTENT_BITS``),
-given sorted or as unsorted terms to sum; and a reduction whose remainder
-builds up content, which the passes must keep bounded."""
+given sorted or as unsorted terms to sum; a reduction whose remainder
+builds up content, which the passes must keep bounded; and normal forms
+through a basis's lead-support index against the scan of the whole basis."""
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcompat import (
     GBLimits,
@@ -275,3 +279,55 @@ def test_a_key_cancelled_and_made_again_enters_the_leader_list_once(monkeypatch)
     tail, mult = reduce(engine_poly(f), basis)
     assert made == [key(z2)]
     assert decoded(tail) == {z2: mult} and mult == 1
+
+
+@st.composite
+def indexed_case(draw):
+    """(L, lists, f, g): a basis of up to five polynomials in four
+    variables, in no particular order and not a Groebner basis, so the
+    first divisor of a head decides the result, and two inputs.  The first
+    reducer has the support of f's first term, unless that is 1, and does
+    not divide it: one of its exponents is one too large, as x^2*y against
+    x*y."""
+    kind = draw(st.sampled_from([0, 1, 2]))
+    L = pure._layout(4, 16, kind, draw(st.integers(1, 3)) if kind == 2 else 0)
+    exp = st.tuples(*[st.integers(0, 3)] * 4)
+    coeff = st.integers(-9, 9).filter(bool)
+    poly = st.dictionaries(exp, coeff, min_size=1, max_size=4).map(lambda d: list(d.items()))
+    f, g = draw(poly), draw(poly)
+    head = list(f[0][0])
+    support = [i for i, x in enumerate(head) if x] or [0]
+    head[draw(st.sampled_from(support))] += 1
+    lists = [[(tuple(head), draw(coeff))], *draw(st.lists(poly, min_size=1, max_size=4))]
+    return L, lists, f, g
+
+
+def scanned(fpairs, basis):
+    """The normal form of ``fpairs`` by ``_reduce`` scanning the whole basis."""
+    L = basis.layout
+    tail, mult = pure._reduce(pure._encode_terms(fpairs, L), basis.polys, L, basis.top)
+    return pure._strip_keys(tail, L), mult
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_case())
+def test_normal_forms_through_a_warm_index_are_those_of_the_scan(case):
+    L, lists, f, g = case
+    basis = pure.Basis.of(pure._key_basis(L, lists), L)
+    assert basis._index is None
+    # the second query of f meets only filled entries
+    for fpairs in (f, g, f):
+        assert pure.normal_form(fpairs, basis) == scanned(fpairs, basis)
+    index = basis._index
+    assert index, "the normal forms made no index"
+    guard, polys = L[1], basis.polys
+    for support, candidates in index.items():
+        # each entry is the reducers whose leading support lies inside its
+        # own, in basis order
+        assert list(candidates) == [
+            p for p in polys if not (((p[0][1] | guard) - index.ones) & guard) & ~support
+        ]
+    filled = dict(index)
+    assert pure.normal_form(f, basis) == scanned(f, basis)
+    assert index == filled and all(index[s] is t for s, t in filled.items())
+
