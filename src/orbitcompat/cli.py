@@ -74,6 +74,8 @@ def _limits() -> GBLimits:
 
 
 def _emit_ideal(args, ideal: IdealPresentation, meta: dict | None) -> None:
+    """Write the ideal to ``--output``, or to standard output, whose errors
+    ``main`` reports."""
     try:
         with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
             if args.format == "json":
@@ -81,7 +83,9 @@ def _emit_ideal(args, ideal: IdealPresentation, meta: dict | None) -> None:
             else:
                 write_ideal(out, ideal, meta)
     except OSError as e:
-        raise CliError(f"cannot write {args.output or 'standard output'}: {e}")
+        if not args.output:
+            raise
+        raise CliError(f"cannot write {args.output}: {e}")
 
 
 def _load_ideal(path: str):
@@ -327,7 +331,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows at the latest here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except OSError as e:
+        # only standard output gets here, as the commands report their own
+        # files' errors: closed early, as by `| head`, or full.  As the
+        # Python docs' note on SIGPIPE advises, point it at devnull, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {e}", file=sys.stderr)
+        return 1
     except (CliError, PolyError, ParseError, ResourceLimitExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

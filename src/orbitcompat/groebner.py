@@ -321,7 +321,14 @@ def buchberger(
     Raises ResourceLimitExceeded when a generator's degree exceeds
     ``limits.max_degree``, before the kernel runs, and when the total degree
     of any polynomial the kernel makes does, under any monomial order.
+    Raises PolyError for an elimination block that takes every variable,
+    as ``eliminate`` does.
     """
+    if order.kind == "elim" and order.block >= len(I.ctx):
+        raise PolyError(
+            f"cannot eliminate every variable: {order} takes {order.block} "
+            f"of {len(I.ctx)} variables"
+        )
     terms = I._terms
     if terms is None:
         top = max((g.degree() for g in I.generators), default=-1)

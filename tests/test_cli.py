@@ -1,6 +1,10 @@
 """CLI golden tests: every documented invocation, exact stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from orbitcompat.groebner import buchberger
 from orbitcompat.ioformats import read_ideal
 from orbitcompat.parsing import poly_to_string
 from orbitcompat.polyring import homogenise_poly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +90,48 @@ def test_gb_order_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "gb", "--ideal", str(ideal), "--order", "elim:1", "--format", "json")
     assert code == 0
     assert json.loads(out)["order"] == "elim:1"
+
+
+@pytest.mark.parametrize("block", ["2", "9"])
+def test_gb_refuses_an_elimination_block_of_every_variable(capsys, tmp_path, block):
+    ideal = tmp_path / "lin.ideal"
+    ideal.write_text("vars: x,y\nx\nx - y\n")
+    code, out, err = run(capsys, "gb", "--ideal", str(ideal), "--order", f"elim:{block}")
+    assert code == 1 and out == ""
+    assert err == f"error: cannot eliminate every variable: elim:{block} takes {block} of 2 variables\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--ideal", "IDEAL", "--order", "lex", "--format", "json"],
+        ["homogenise", "--ideal", "IDEAL", "--mode", "naive"],
+        ["critical", "--n", "2", "--h", "1,-1,0", "--h0", "3,-1,-2"],
+    ],
+    ids=["gb", "homogenise", "critical"],
+)
+@pytest.mark.parametrize("target", ["closed pipe", "full device"])
+def test_an_unwritable_standard_output_exits_one(tmp_path, argv, target):
+    ideal = tmp_path / "f.ideal"
+    ideal.write_text("vars: x,y,z\nx^2 - y*z + 1\nx*y - z^3\n")
+    command = [sys.executable, "-m", "orbitcompat.cli", *(str(ideal) if a == "IDEAL" else a for a in argv)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if target == "closed pipe":
+        # the reader is gone before the command writes, as when `| head`
+        # has read what it wanted
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        reason = "[Errno 32] Broken pipe"
+    else:
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        code, err = done.returncode, done.stderr.decode()
+        reason = "[Errno 28] No space left on device"
+    assert code == 1
+    assert err == f"error: cannot write standard output: {reason}\n"
 
 
 def test_fibre_and_homogenise_golden(capsys, tmp_path):

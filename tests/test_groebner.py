@@ -525,6 +525,16 @@ def test_eliminate_rejects_bad_drops():
         eliminate(ideal(ctx, "x"), {"x", "y"})
 
 
+@pytest.mark.parametrize("block", [2, 3, 100])
+def test_an_elimination_block_of_every_variable_is_refused(block):
+    # such a block would leave no variable to keep, and its basis is the
+    # grevlex one under another name
+    I = ideal(VarContext(["x", "y"]), "x^2 - y", "x*y - 1")
+    with pytest.raises(PolyError, match=f"cannot eliminate every variable: elim:{block} takes {block} of 2 variables"):
+        buchberger(I, elimination(block))
+    assert buchberger(I, elimination(1)).order == elimination(1)
+
+
 # -- saturation --------------------------------------------------------------------
 
 

@@ -2,14 +2,29 @@
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitcompat import IdealPresentation, MultiPoly, PolyError, VarContext, buchberger, parse_poly
+from orbitcompat import (
+    DiagSpec,
+    IdealPresentation,
+    MultiPoly,
+    PolyError,
+    VarContext,
+    buchberger,
+    fibre_ideal,
+    homogenise_ideal,
+    homogenise_naive,
+    orbit_ideal_charvalues,
+    parse_poly,
+)
 from orbitcompat.hilbert import hilbert
-from orbitcompat.parsing import ParseError
+from orbitcompat.parsing import ParseError, _vocabulary
 from orbitcompat.ioformats import (
     gb_to_json,
     hilbert_to_json,
@@ -36,6 +51,31 @@ def test_ideal_file_round_trip():
     back, meta = read_ideal(buf)
     assert back == ideal
     assert meta == {"style": "minpoly", "spec": ["1", "-1"]}
+
+
+def test_sl4_closures_read_back_on_what_their_writing_taught():
+    # both closures of a fibre that perfbench's sl4-closures times, over the
+    # 15 coordinates of sl(4) and t
+    orbit = orbit_ideal_charvalues(DiagSpec((3, 1, -1, -3)), (-3, -1, 1))
+    I = fibre_ideal(orbit, DiagSpec((3, 1, -1, -3)), 0)
+    for closure in (homogenise_naive(I, "t"), homogenise_ideal(I, "t")):
+        assert len(closure.ctx) == 16
+        buf = io.StringIO()
+        write_ideal(buf, closure)
+        vocab = _vocabulary(closure.ctx.names)
+        entries = dict(vocab.exps)
+        back, _ = read_ideal(io.StringIO(buf.getvalue()))
+        assert back == closure
+        # every monomial read was printed, so the parser entered none
+        assert vocab.exps == entries
+
+
+def test_the_smoke_script_round_trips_an_sl3_operation():
+    # the script that checks other Python versions, which lack pytest
+    script = Path(__file__).resolve().parent / "smoke_round_trip.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(": six ideals, 188 terms, read back equal\n")
 
 
 def test_ideal_file_comments_and_blanks():
